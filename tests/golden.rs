@@ -1,6 +1,7 @@
 //! Golden-file end-to-end pipeline test: simulate → encode → import →
-//! derive → document, with a fixed seed, and compare the generated
-//! documentation byte-for-byte against a checked-in golden file.
+//! derive → document → check → violations → races → lint, with a fixed
+//! seed, and compare the generated report byte-for-byte against a
+//! checked-in golden file.
 //!
 //! When the pipeline's output legitimately changes, regenerate with
 //!
@@ -15,16 +16,17 @@ use ksim::config::SimConfig;
 use ksim::parallel::run_mix_sharded;
 use ksim::rules;
 use ksim::subsys::Machine;
-use lockdoc_core::checker::check_rules_par;
+use lockdoc_core::checker::{check_rules_par, summarize, CheckedRule};
 use lockdoc_core::derive::{derive_par, DeriveConfig};
 use lockdoc_core::docgen::{generate_doc, generate_rulespec};
 use lockdoc_core::lint::{lint, LintInputs};
+use lockdoc_core::lockset::format_sequence;
 use lockdoc_core::order::OrderGraph;
 use lockdoc_core::race::find_races_par;
 use lockdoc_core::rulespec::parse_rules;
-use lockdoc_core::violation::find_violations_par;
+use lockdoc_core::violation::{find_violations_par, GroupViolations};
 use lockdoc_trace::codec::write_trace;
-use lockdoc_trace::db::import;
+use lockdoc_trace::db::{import, TraceDb};
 use std::fs;
 use std::path::PathBuf;
 
@@ -61,8 +63,9 @@ fn run_pipeline_sharded(shards: u64, jobs: usize) -> (Vec<u8>, String) {
         doc.push('\n');
     }
 
-    // Race detection + cross-pass consistency lint, sharded like every
-    // other phase; the golden file pins both text reports too.
+    // Documented-rule check, violation scan, race detection and the
+    // cross-pass consistency lint, sharded like every other phase; the
+    // golden file pins all four text reports too.
     let documented = parse_rules(rules::documented_rules()).expect("documented rules parse");
     let checked = check_rules_par(&db, &documented, jobs);
     let violations = find_violations_par(&db, &mined, 3, jobs);
@@ -80,7 +83,11 @@ fn run_pipeline_sharded(shards: u64, jobs: usize) -> (Vec<u8>, String) {
         },
         jobs,
     );
-    doc.push_str("## races\n\n");
+    doc.push_str("## check\n\n");
+    doc.push_str(&render_checked(&checked));
+    doc.push_str("\n## violations\n\n");
+    doc.push_str(&render_violations(&db, &violations));
+    doc.push_str("\n## races\n\n");
     doc.push_str(&races.render(&db));
     doc.push_str("\n## lint\n\n");
     doc.push_str(&report.render(&db));
@@ -100,6 +107,70 @@ fn run_pipeline_sharded(shards: u64, jobs: usize) -> (Vec<u8>, String) {
     doc.push_str("\n## fuzz\n\n");
     doc.push_str(&fuzz.render());
     (encoded, doc)
+}
+
+/// The documented-rule check table: every rule with its support and
+/// verdict, then the per-type summary rows (paper Tab. 4).
+fn render_checked(checked: &[CheckedRule]) -> String {
+    let mut out = String::new();
+    for c in checked {
+        out.push_str(&format!(
+            "{:60} sa {:>5} / {:>5}  sr {:6.2}%  {}\n",
+            c.rule.to_string(),
+            c.sa,
+            c.total,
+            c.sr * 100.0,
+            c.verdict
+        ));
+    }
+    for row in summarize(checked) {
+        out.push_str(&format!(
+            "{:16} #R={:3} #No={:3} #Ob={:3} ok={:.1}% ~={:.1}% bad={:.1}%\n",
+            row.type_name,
+            row.rules,
+            row.not_observed,
+            row.observed,
+            row.pct_correct,
+            row.pct_ambivalent,
+            row.pct_incorrect
+        ));
+    }
+    out
+}
+
+/// The violation report: per-group totals and per-member tallies, and
+/// every example with its required and actually held lock sequences.
+fn render_violations(db: &TraceDb, violations: &[GroupViolations]) -> String {
+    let mut out = String::new();
+    for v in violations.iter().filter(|v| v.events > 0) {
+        out.push_str(&format!(
+            "{}: {} events, {} members, {} contexts\n",
+            v.group_name,
+            v.events,
+            v.members.len(),
+            v.context_count()
+        ));
+        for m in &v.per_member {
+            out.push_str(&format!(
+                "  {}:{} {} events ({} in irq)\n",
+                m.member_name, m.kind, m.events, m.irq_events
+            ));
+        }
+        for ex in &v.examples {
+            out.push_str(&format!(
+                "  #{} {}.{}:{}\n    required: {}\n    held:     {}\n    at {} ({})\n",
+                ex.access_id,
+                ex.group_name,
+                ex.member_name,
+                ex.kind,
+                format_sequence(&ex.required),
+                format_sequence(&ex.held),
+                db.format_loc(ex.loc),
+                db.format_stack(ex.stack)
+            ));
+        }
+    }
+    out
 }
 
 fn run_pipeline_jobs(jobs: usize) -> (Vec<u8>, String) {
