@@ -6,10 +6,11 @@ use ksim::config::SimConfig;
 use ksim::faults::FaultLog;
 use ksim::parallel::run_mix_sharded;
 use ksim::rules;
-use lockdoc_core::checker::{check_rules_par, CheckedRule};
-use lockdoc_core::derive::{derive_par, DeriveConfig, MinedRules};
+use lockdoc_core::checker::{check_rules_in, CheckedRule};
+use lockdoc_core::derive::{derive_in, DeriveConfig, MinedRules};
+use lockdoc_core::evidence::EvidenceIndex;
 use lockdoc_core::rulespec::parse_rules;
-use lockdoc_core::violation::{find_violations_par, GroupViolations};
+use lockdoc_core::violation::{find_violations_in, GroupViolations};
 use lockdoc_trace::db::{import, TraceDb};
 use lockdoc_trace::event::Trace;
 use std::time::{Duration, Instant};
@@ -105,17 +106,24 @@ impl EvalContext {
         let db = import(&trace, &rules::filter_config(), config.jobs);
         timings.import = t1.elapsed();
 
+        // Derivation time includes resolving the evidence index, the join
+        // the checker and the violation finder then reuse.
         let t2 = Instant::now();
-        let mined = derive_par(&db, &DeriveConfig::with_threshold(config.t_ac), config.jobs);
+        let index = EvidenceIndex::build(&db, config.jobs);
+        let mined = derive_in(
+            &index,
+            &DeriveConfig::with_threshold(config.t_ac),
+            config.jobs,
+        );
         timings.derivation = t2.elapsed();
 
         let t3 = Instant::now();
         let documented = parse_rules(rules::documented_rules()).expect("rule file parses");
-        let checked = check_rules_par(&db, &documented, config.jobs);
+        let checked = check_rules_in(&index, &documented);
         timings.checking = t3.elapsed();
 
         let t4 = Instant::now();
-        let violations = find_violations_par(&db, &mined, 5, config.jobs);
+        let violations = find_violations_in(&index, &mined, 5, config.jobs);
         timings.violations = t4.elapsed();
 
         Self {

@@ -34,13 +34,14 @@ use ksim::config::SimConfig;
 use ksim::parallel::run_mix_sharded;
 use ksim::rules;
 use lockdoc_core::checker::{check_rules_par, summarize};
-use lockdoc_core::derive::{derive_par, DeriveConfig, MinedRules};
+use lockdoc_core::derive::{derive_in, derive_par, DeriveConfig, MinedRules};
 use lockdoc_core::docgen::{generate_doc, generate_rulespec};
-use lockdoc_core::lint::{lint, LintInputs};
+use lockdoc_core::evidence::EvidenceIndex;
+use lockdoc_core::lint::lint_passes;
 use lockdoc_core::order::OrderGraph;
 use lockdoc_core::race::find_races_par;
 use lockdoc_core::rulespec::parse_rules;
-use lockdoc_core::violation::find_violations_par;
+use lockdoc_core::violation::find_violations_in;
 use lockdoc_platform::json::{Json, ToJson};
 use lockdoc_platform::par::resolve_jobs;
 use lockdoc_trace::codec::{
@@ -785,8 +786,9 @@ pub fn cmd_violations(args: &Args) -> Result<String> {
     let t_ac: f64 = args.num("t-ac", 0.9f64)?;
     let max_examples: usize = args.num("max-examples", 5usize)?;
     let jobs = args.jobs()?;
-    let mined = derive_par(&db, &DeriveConfig::with_threshold(t_ac), jobs);
-    let violations = find_violations_par(&db, &mined, max_examples, jobs);
+    let index = EvidenceIndex::build(&db, jobs);
+    let mined = derive_in(&index, &DeriveConfig::with_threshold(t_ac), jobs);
+    let violations = find_violations_in(&index, &mined, max_examples, jobs);
     if args.has("json") {
         return Ok(lockdoc_platform::json::to_string_pretty(&violations));
     }
@@ -983,16 +985,11 @@ pub fn cmd_lint(args: &Args) -> Result<String> {
     let db = load_db(args)?;
     let t_ac: f64 = args.num("t-ac", 0.9f64)?;
     let jobs = args.jobs()?;
-    let mined = derive_par(&db, &DeriveConfig::with_threshold(t_ac), jobs);
     let text = match args.get("rules") {
         Some(path) => fs::read_to_string(path)?,
         None => rules::documented_rules().to_owned(),
     };
     let parsed = parse_rules(&text).map_err(|e| CliError::Rules(e.to_string()))?;
-    let checked = check_rules_par(&db, &parsed, jobs);
-    let violations = find_violations_par(&db, &mined, 3, jobs);
-    let races = find_races_par(&db, jobs);
-    let order = OrderGraph::build_par(&db, jobs);
     let statics = match args.get("static-src") {
         Some(dir) => {
             let files = xcheck::collect_source_files(Path::new(dir))?;
@@ -1001,18 +998,9 @@ pub fn cmd_lint(args: &Args) -> Result<String> {
         }
         None => None,
     };
-    let report = lint(
-        &db,
-        &LintInputs {
-            mined: &mined,
-            checked: &checked,
-            violations: &violations,
-            races: &races,
-            order: &order,
-            statics: statics.as_ref(),
-        },
-        jobs,
-    );
+    let index = EvidenceIndex::build(&db, jobs);
+    let mined = derive_in(&index, &DeriveConfig::with_threshold(t_ac), jobs);
+    let report = lint_passes(&index, &mined, &parsed, statics.as_ref(), jobs).report;
     if args.has("json") {
         return Ok(lockdoc_platform::json::to_string_pretty(&report));
     }

@@ -46,12 +46,9 @@
 use crate::corpus::{corpus_summary, derive_members, load_corpus, CorpusCtx, LoadOpts};
 use crate::{render_rules_text, Args, CliError, Result};
 use ksim::rules;
-use lockdoc_core::checker::check_rules_par;
-use lockdoc_core::lint::{lint, LintInputs};
-use lockdoc_core::order::OrderGraph;
-use lockdoc_core::race::find_races_par;
+use lockdoc_core::evidence::EvidenceIndex;
+use lockdoc_core::lint::lint_passes;
 use lockdoc_core::rulespec::parse_rules;
-use lockdoc_core::violation::find_violations_par;
 use lockdoc_platform::json::{self, Json};
 use lockdoc_trace::db::import;
 use lockdoc_trace::event::Trace;
@@ -173,20 +170,11 @@ fn build_snapshot(ctx: &CorpusCtx) -> Result<Snapshot> {
     let mined = derived.rules;
     let parsed =
         parse_rules(rules::documented_rules()).map_err(|e| CliError::Rules(e.to_string()))?;
-    let checked = check_rules_par(&db, &parsed, jobs);
-    let violations = find_violations_par(&db, &mined, 3, jobs);
-    let races = find_races_par(&db, jobs);
-    let order = OrderGraph::build_par(&db, jobs);
-    let report = lint(
-        &db,
-        &LintInputs {
-            mined: &mined,
-            checked: &checked,
-            violations: &violations,
-            races: &races,
-            order: &order,
-            statics: None,
-        },
+    let passes = lint_passes(
+        &EvidenceIndex::build(&db, jobs),
+        &mined,
+        &parsed,
+        None,
         jobs,
     );
     Ok(Snapshot {
@@ -194,9 +182,9 @@ fn build_snapshot(ctx: &CorpusCtx) -> Result<Snapshot> {
         groups_total: derived.groups_total,
         groups_reused: derived.groups_reused,
         rules_text: render_rules_text(&mined, false),
-        races_text: races.render(&db),
-        lint_text: report.render(&db),
-        order_text: order.report(&db),
+        races_text: passes.races.render(&db),
+        lint_text: passes.report.render(&db),
+        order_text: passes.order.report(&db),
     })
 }
 

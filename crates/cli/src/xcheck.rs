@@ -18,13 +18,11 @@
 use crate::{load_db_from, Args, CliError, Result};
 use ksim::rules;
 use ksim::srcgen::{render, RenderedCorpus, SrcGenConfig};
-use lockdoc_core::checker::{check_rules_par, Verdict};
-use lockdoc_core::derive::{derive_par, DeriveConfig};
-use lockdoc_core::lint::{lint, LintInputs, StaticEvidence, StaticMemberEvidence};
-use lockdoc_core::order::OrderGraph;
-use lockdoc_core::race::find_races_par;
+use lockdoc_core::checker::Verdict;
+use lockdoc_core::derive::{derive_in, DeriveConfig};
+use lockdoc_core::evidence::EvidenceIndex;
+use lockdoc_core::lint::{lint_passes, LintPasses, StaticEvidence, StaticMemberEvidence};
 use lockdoc_core::rulespec::parse_rules;
-use lockdoc_core::violation::find_violations_par;
 use lockdoc_platform::json::{Json, ToJson};
 use locksrc::{analyze_tree, MinerConfig, StaticReport};
 use std::collections::BTreeSet;
@@ -145,26 +143,18 @@ pub fn cmd_xcheck(args: &Args) -> Result<String> {
         Some(path) => {
             let db = load_db_from(path, args)?;
             let t_ac: f64 = args.num("t-ac", 0.9f64)?;
-            let mined = derive_par(&db, &DeriveConfig::with_threshold(t_ac), jobs);
             let parsed = parse_rules(rules::documented_rules())
                 .map_err(|e| CliError::Rules(e.to_string()))?;
-            let checked = check_rules_par(&db, &parsed, jobs);
-            let violations = find_violations_par(&db, &mined, 3, jobs);
-            let races = find_races_par(&db, jobs);
-            let order = OrderGraph::build_par(&db, jobs);
+            let index = EvidenceIndex::build(&db, jobs);
+            let mined = derive_in(&index, &DeriveConfig::with_threshold(t_ac), jobs);
             let statics = to_static_evidence(&report);
-            let linted = lint(
-                &db,
-                &LintInputs {
-                    mined: &mined,
-                    checked: &checked,
-                    violations: &violations,
-                    races: &races,
-                    order: &order,
-                    statics: Some(&statics),
-                },
-                jobs,
-            );
+            let LintPasses {
+                checked,
+                violations,
+                races,
+                report: linted,
+                ..
+            } = lint_passes(&index, &mined, &parsed, Some(&statics), jobs);
 
             let mut passes: Vec<PassJoin> = Vec::new();
             passes.push(PassJoin {

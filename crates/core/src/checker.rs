@@ -6,11 +6,14 @@
 //! the rule is classified as **correct** (`sr = 1`), **ambivalent**
 //! (`0 < sr < 1`), or **incorrect** (`sr = 0`). Members the benchmark never
 //! touched are reported as **not observed** (the `#No` column of Tab. 4).
+//!
+//! The observations are the derivator's own: both passes read the
+//! aggregated lists of the shared [`crate::evidence::EvidenceIndex`], so
+//! checking a rule is a sum over a handful of distinct lock sequences.
 
-use crate::hypothesis::{complies, observations_for_cached, ResolutionCache};
-use crate::matrix::AccessMatrix;
+use crate::evidence::{observations, EvidenceIndex};
+use crate::hypothesis::complies;
 use crate::rulespec::RuleSpec;
-use lockdoc_platform::par::{chunks_for, par_map};
 use lockdoc_trace::db::TraceDb;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -65,64 +68,44 @@ pub fn check_rules(db: &TraceDb, rules: &[RuleSpec]) -> Vec<CheckedRule> {
     check_rules_par(db, rules, 1)
 }
 
-/// [`check_rules`] sharded across `jobs` workers: matrices build in
-/// parallel per observation group, then contiguous rule chunks are checked
-/// in parallel with a per-chunk [`ResolutionCache`]. Results are identical
-/// to the serial path at any worker count (`jobs = 1` is one chunk with
-/// one cache — the exact serial path).
+/// [`check_rules`] with the evidence index built on `jobs` workers.
+/// Results are identical at any worker count.
 pub fn check_rules_par(db: &TraceDb, rules: &[RuleSpec], jobs: usize) -> Vec<CheckedRule> {
-    // Build matrices once per observation group.
-    let groups = db.observation_groups();
-    let matrices: Vec<(usize, AccessMatrix)> =
-        par_map(jobs, &groups, |&g| AccessMatrix::build(db, g))
-            .into_iter()
-            .enumerate()
-            .collect();
+    check_rules_in(&EvidenceIndex::build(db, jobs), rules)
+}
 
-    let chunks = chunks_for(jobs, rules);
-    let parts = par_map(jobs, &chunks, |chunk| {
-        let mut cache = ResolutionCache::new();
-        chunk
-            .iter()
-            .map(|rule| check_one_rule(db, &groups, &matrices, rule, &mut cache))
-            .collect::<Vec<_>>()
-    });
-    parts.into_iter().flatten().collect()
+/// Checks documented rules against the observation lists of an evidence
+/// index.
+pub fn check_rules_in(index: &EvidenceIndex<'_>, rules: &[RuleSpec]) -> Vec<CheckedRule> {
+    rules
+        .iter()
+        .map(|rule| check_one_rule(index, rule))
+        .collect()
 }
 
 /// Checks a single documented rule against every matching observation
 /// group.
-fn check_one_rule(
-    db: &TraceDb,
-    groups: &[(
-        lockdoc_trace::ids::DataTypeId,
-        Option<lockdoc_trace::ids::Sym>,
-    )],
-    matrices: &[(usize, AccessMatrix)],
-    rule: &RuleSpec,
-    cache: &mut ResolutionCache,
-) -> CheckedRule {
+fn check_one_rule(index: &EvidenceIndex<'_>, rule: &RuleSpec) -> CheckedRule {
+    let db = index.db();
     let mut sa = 0u64;
     let mut total = 0u64;
-    for (gi, matrix) in matrices {
-        let group = groups[*gi];
-        if db.type_name(group.0) != rule.type_name {
+    for group in index.groups() {
+        let (data_type, subclass) = group.key;
+        if db.type_name(data_type) != rule.type_name {
             continue;
         }
         if let Some(want) = &rule.subclass {
-            let got = group.1.map(|s| db.sym(s));
-            if got != Some(want.as_str()) {
+            if subclass.map(|s| db.sym(s)) != Some(want.as_str()) {
                 continue;
             }
         }
-        let def = db.data_type(group.0);
-        let Some(member_idx) = def.member_named(&rule.member) else {
+        let Some(member) = db.data_type(data_type).member_named(&rule.member) else {
             continue;
         };
-        let Some(mm) = matrix.member(member_idx as u32) else {
+        let Some(mo) = group.member(member as u32) else {
             continue;
         };
-        for obs in observations_for_cached(db, mm, rule.kind, cache) {
+        for obs in observations(mo, rule.kind) {
             total += obs.count;
             if complies(&obs.locks, &rule.locks) {
                 sa += obs.count;

@@ -27,14 +27,13 @@
 //!   matches: adding or dropping one trace re-derives only the groups
 //!   that trace touches.
 
-use crate::derive::{DeriveConfig, GroupRules, MinedRule, MinedRules};
-use crate::hypothesis::{enumerate, observations_for_cached, Observation, ResolutionCache};
+use crate::derive::{mine_group, DeriveConfig, GroupRules, MinedRules};
+use crate::evidence::EvidenceIndex;
+use crate::hypothesis::Observation;
 use crate::lockset::LockDescriptor;
-use crate::matrix::AccessMatrix;
-use crate::select::select;
 use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::{fnv1a, TraceDb};
-use lockdoc_trace::event::{AccessKind, TraceMeta};
+use lockdoc_trace::event::TraceMeta;
 use lockdoc_trace::ids::{DataTypeId, Sym};
 use std::collections::BTreeMap;
 
@@ -76,34 +75,51 @@ pub struct TraceMatrix {
     pub groups: Vec<GroupMatrix>,
 }
 
-/// Builds the full observation matrix of one imported trace, sharded
-/// across `jobs` workers per group. Output is byte-identical at any
-/// worker count.
+/// Builds the full observation matrix of one imported trace: the
+/// observation lists of its [`EvidenceIndex`], built on `jobs` workers.
+/// Output is byte-identical at any worker count.
 pub fn build_trace_matrix(db: &TraceDb, jobs: usize) -> TraceMatrix {
-    let group_keys = db.observation_groups();
-    let groups = par_map(jobs, &group_keys, |&g| {
-        let matrix = AccessMatrix::build(db, g);
-        let mut cache = ResolutionCache::new();
-        let members = matrix
-            .observed_members()
-            .iter()
-            .map(|&member| {
-                let mm = matrix.member(member).expect("member is observed");
-                MemberObs {
-                    member,
-                    member_name: db.member_name(g.0, member).to_owned(),
-                    read: observations_for_cached(db, mm, AccessKind::Read, &mut cache),
-                    write: observations_for_cached(db, mm, AccessKind::Write, &mut cache),
+    EvidenceIndex::build(db, jobs).trace_matrix()
+}
+
+/// Merges member observation lists that share no observation unit —
+/// per-trace matrices of one corpus group, or one type's subclass groups
+/// — by summing counts per identical lock sequence. The result is the
+/// list [`crate::hypothesis::observations_for`] would aggregate over the
+/// union of their units: members ascending, each list sorted by lock
+/// sequence, the member name taken from its first contributor.
+pub(crate) fn merge_members<'a>(
+    lists: impl IntoIterator<Item = &'a [MemberObs]>,
+) -> Vec<MemberObs> {
+    type Counts = BTreeMap<Vec<LockDescriptor>, u64>;
+    let mut merged: BTreeMap<u32, (String, Counts, Counts)> = BTreeMap::new();
+    for list in lists {
+        for mo in list {
+            let (_, read, write) = merged
+                .entry(mo.member)
+                .or_insert_with(|| (mo.member_name.clone(), Counts::new(), Counts::new()));
+            for (into, from) in [(read, &mo.read), (write, &mo.write)] {
+                for o in from {
+                    *into.entry(o.locks.clone()).or_insert(0) += o.count;
                 }
-            })
-            .collect();
-        GroupMatrix {
-            type_name: db.type_name(g.0).to_owned(),
-            subclass: g.1.map(|s| db.sym(s).to_owned()),
-            members,
+            }
         }
-    });
-    TraceMatrix { groups }
+    }
+    let list = |counts: Counts| {
+        counts
+            .into_iter()
+            .map(|(locks, count)| Observation { locks, count })
+            .collect()
+    };
+    merged
+        .into_iter()
+        .map(|(member, (member_name, read, write))| MemberObs {
+            member,
+            member_name,
+            read: list(read),
+            write: list(write),
+        })
+        .collect()
 }
 
 /// Fingerprint of everything in a [`DeriveConfig`] that can change mined
@@ -400,90 +416,6 @@ pub struct CorpusDerive {
     pub groups_reused: usize,
 }
 
-/// Aggregated observations of one merged member, keyed by lock sequence
-/// exactly as `observations_for_cached` aggregates them — summing
-/// per-trace counts into this map reproduces the merged trace's
-/// observation list.
-struct MergedMember {
-    name: String,
-    read: BTreeMap<Vec<LockDescriptor>, u64>,
-    write: BTreeMap<Vec<LockDescriptor>, u64>,
-}
-
-/// Mirrors `rules_for_members` over merged observations: per member
-/// ascending, `Read` then `Write`, the `min_units` gate before anything
-/// counts, truncation units summed only for emitted pairs.
-fn derive_group_merged(
-    key: (DataTypeId, Option<Sym>),
-    name: &str,
-    contributors: &[(u64, &GroupMatrix)],
-    config: &DeriveConfig,
-) -> GroupRules {
-    let mut members: BTreeMap<u32, MergedMember> = BTreeMap::new();
-    for (_, gm) in contributors {
-        for mo in &gm.members {
-            let entry = members.entry(mo.member).or_insert_with(|| MergedMember {
-                name: mo.member_name.clone(),
-                read: BTreeMap::new(),
-                write: BTreeMap::new(),
-            });
-            for o in &mo.read {
-                *entry.read.entry(o.locks.clone()).or_insert(0) += o.count;
-            }
-            for o in &mo.write {
-                *entry.write.entry(o.locks.clone()).or_insert(0) += o.count;
-            }
-        }
-    }
-    let mut rules = Vec::new();
-    let mut truncated_units = 0u64;
-    for (&member, merged) in &members {
-        for kind in [AccessKind::Read, AccessKind::Write] {
-            let agg = if kind == AccessKind::Read {
-                &merged.read
-            } else {
-                &merged.write
-            };
-            let observations: Vec<Observation> = agg
-                .iter()
-                .map(|(locks, &count)| Observation {
-                    locks: locks.clone(),
-                    count,
-                })
-                .collect();
-            let total: u64 = observations.iter().map(|o| o.count).sum();
-            if total < config.min_units || total == 0 {
-                continue;
-            }
-            let set = enumerate(member, kind, &observations);
-            truncated_units += set.truncated;
-            let winner =
-                select(&set, &config.selection).expect("enumerated sets always have a winner");
-            let hypotheses = set
-                .hypotheses
-                .iter()
-                .filter(|h| h.sr >= config.cutoff)
-                .cloned()
-                .collect();
-            rules.push(MinedRule {
-                member,
-                member_name: merged.name.clone(),
-                kind,
-                total_units: set.total,
-                winner,
-                hypotheses,
-            });
-        }
-    }
-    GroupRules {
-        data_type: key.0,
-        subclass: key.1,
-        group_name: name.to_owned(),
-        rules,
-        truncated_units,
-    }
-}
-
 /// One unit of corpus derivation work: a merged group, its fingerprint,
 /// and the per-trace matrices contributing to it.
 struct GroupJob<'a> {
@@ -577,8 +509,9 @@ pub fn derive_corpus(
                 return (entry.rules.clone(), true);
             }
         }
+        let members = merge_members(job.contributors.iter().map(|(_, g)| g.members.as_slice()));
         (
-            derive_group_merged(job.key, &job.name, &job.contributors, config),
+            mine_group(job.key, job.name.clone(), &members, config),
             false,
         )
     });
@@ -616,7 +549,7 @@ mod tests {
     use lockdoc_platform::json::{parse, FromJson, ToJson};
     use lockdoc_trace::db::{filter_fingerprint, import};
     use lockdoc_trace::event::{
-        AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc, Trace,
+        AccessKind, AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc, Trace,
     };
     use lockdoc_trace::filter::FilterConfig;
     use lockdoc_trace::ids::AllocId;

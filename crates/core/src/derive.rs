@@ -2,29 +2,29 @@
 //! an imported trace.
 //!
 //! For every observation group `(data type, subclass)` and every observed
-//! member, the derivator builds the access matrix, aggregates observations
-//! per access kind (after write-over-read folding), enumerates hypotheses,
-//! and selects a winner per the configured strategy.
+//! member, the derivator takes the aggregated observations per access kind
+//! (after write-over-read folding), enumerates hypotheses, and selects a
+//! winner per the configured strategy.
 //!
-//! Derivation is embarrassingly parallel per `(group, member)` — the
-//! paper's phases share nothing across members once the access matrix is
-//! built. [`derive_par`] shards the work across
-//! [`lockdoc_platform::par::par_map_init`]: matrices build in parallel per
-//! group, then member chunks run `observations_for` → `enumerate` →
-//! `select` with a *per-worker* [`ResolutionCache`] reused across every
-//! shard that worker processes (a unit's resolved lock sequence is the
-//! same in whichever shard asks, so sharing is invisible in the output),
-//! and the merged rules are stably sorted by member so the output is
-//! byte-identical at any worker count (`jobs = 1` is the exact serial
-//! path: one cache, every shard).
+//! The observations come from the shared
+//! [`crate::evidence::EvidenceIndex`], which resolves every observation
+//! unit's held locks once for all passes; [`derive_par`] is a one-line
+//! wrapper that builds the index, and [`derive_in`] mines an existing one
+//! — the index build is the parallel part (`jobs` workers over groups),
+//! then groups mine on one ordered [`par_map`]. Output is byte-identical
+//! at any worker count (`jobs = 1` is the exact serial path). The same
+//! per-group miner runs over merged per-trace observations in
+//! [`crate::corpus::derive_corpus`] and [`derive_pooled`].
 
-use crate::hypothesis::{enumerate, observations_for_cached, Hypothesis, ResolutionCache};
-use crate::matrix::AccessMatrix;
+use crate::corpus::{merge_members, MemberObs};
+use crate::evidence::{observations, EvidenceIndex, GroupKey};
+use crate::hypothesis::{enumerate, Hypothesis};
 use crate::select::{select, SelectionConfig, Winner};
-use lockdoc_platform::par::{chunks_for, par_map, par_map_init};
+use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::AccessKind;
 use lockdoc_trace::ids::{DataTypeId, Sym};
+use std::collections::BTreeMap;
 
 /// Derivation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -186,47 +186,25 @@ impl MinedRules {
     }
 }
 
-/// Derives rules for a single observation group (serial path).
-pub fn derive_group(
-    db: &TraceDb,
-    group: (DataTypeId, Option<Sym>),
+/// Mines one group's rules from its members' aggregated observations:
+/// members ascending, `Read` then `Write`, the `min_units` gate before
+/// anything counts, truncation units summed only for emitted rules.
+pub(crate) fn mine_group(
+    key: GroupKey,
+    group_name: String,
+    members: &[MemberObs],
     config: &DeriveConfig,
 ) -> GroupRules {
-    let matrix = AccessMatrix::build(db, group);
-    let (rules, truncated_units) = rules_from_matrix(db, &matrix, config, 1);
-    GroupRules {
-        data_type: group.0,
-        subclass: group.1,
-        group_name: db.group_name(group),
-        rules,
-        truncated_units,
-    }
-}
-
-/// Derives the rules (and truncation count) for a chunk of observed
-/// members of one matrix. This is the unit of parallel work: chunks share
-/// nothing except the caller's [`ResolutionCache`] — a unit's resolved
-/// held-lock sequence is a pure function of the store, so the cache may be
-/// reused across any number of shards (and is, per worker) without
-/// affecting a single output byte.
-fn rules_for_members(
-    db: &TraceDb,
-    matrix: &AccessMatrix,
-    members: &[u32],
-    config: &DeriveConfig,
-    cache: &mut ResolutionCache,
-) -> (Vec<MinedRule>, u64) {
     let mut rules = Vec::new();
     let mut truncated_units = 0u64;
-    for &member in members {
-        let mm = matrix.member(member).expect("member is observed");
+    for m in members {
         for kind in [AccessKind::Read, AccessKind::Write] {
-            let observations = observations_for_cached(db, mm, kind, cache);
-            let total: u64 = observations.iter().map(|o| o.count).sum();
+            let obs = observations(m, kind);
+            let total: u64 = obs.iter().map(|o| o.count).sum();
             if total < config.min_units || total == 0 {
                 continue;
             }
-            let set = enumerate(member, kind, &observations);
+            let set = enumerate(m.member, kind, obs);
             truncated_units += set.truncated;
             let winner =
                 select(&set, &config.selection).expect("enumerated sets always have a winner");
@@ -237,8 +215,8 @@ fn rules_for_members(
                 .cloned()
                 .collect();
             rules.push(MinedRule {
-                member,
-                member_name: db.member_name(matrix.data_type, member).to_owned(),
+                member: m.member,
+                member_name: m.member_name.clone(),
                 kind,
                 total_units: set.total,
                 winner,
@@ -246,39 +224,13 @@ fn rules_for_members(
             });
         }
     }
-    (rules, truncated_units)
-}
-
-/// Derivation loop over one access matrix, sharded across `jobs` workers
-/// by member chunks. `jobs = 1` processes every member in one chunk with
-/// one cache — the exact serial path.
-fn rules_from_matrix(
-    db: &TraceDb,
-    matrix: &AccessMatrix,
-    config: &DeriveConfig,
-    jobs: usize,
-) -> (Vec<MinedRule>, u64) {
-    let members = matrix.observed_members();
-    let chunks = chunks_for(jobs, &members);
-    let parts = par_map_init(jobs, &chunks, ResolutionCache::new, |cache, chunk| {
-        rules_for_members(db, matrix, chunk, config, cache)
-    });
-    merge_rule_parts(parts)
-}
-
-/// Merges per-shard rule lists back into one deterministic list. Shards
-/// arrive in input order (chunks of ascending members), so a stable sort
-/// by member restores the global `member` then `Read`/`Write` order no
-/// matter how the work was partitioned.
-fn merge_rule_parts(parts: Vec<(Vec<MinedRule>, u64)>) -> (Vec<MinedRule>, u64) {
-    let mut rules = Vec::new();
-    let mut truncated_units = 0u64;
-    for (part, truncated) in parts {
-        rules.extend(part);
-        truncated_units += truncated;
+    GroupRules {
+        data_type: key.0,
+        subclass: key.1,
+        group_name,
+        rules,
+        truncated_units,
     }
-    rules.sort_by_key(|r| r.member);
-    (rules, truncated_units)
 }
 
 /// Derives type-wide rules with all subclasses pooled (one group per data
@@ -289,15 +241,24 @@ pub fn derive_pooled(db: &TraceDb, config: &DeriveConfig) -> MinedRules {
 }
 
 /// [`derive_pooled`] sharded across `jobs` workers; output is identical at
-/// any worker count.
+/// any worker count. An allocation belongs to exactly one subclass, so no
+/// observation unit spans groups and a type's pooled observations are its
+/// groups' lists summed per lock sequence.
 pub fn derive_pooled_par(db: &TraceDb, config: &DeriveConfig, jobs: usize) -> MinedRules {
-    use std::collections::BTreeSet;
-    let types: BTreeSet<_> = db.accesses.iter().map(|a| a.data_type).collect();
-    let types: Vec<_> = types.into_iter().collect();
-    let matrices = par_map(jobs, &types, |&dtid| AccessMatrix::build_pooled(db, dtid));
-    let groups = derive_groups_sharded(db, config, jobs, &matrices, |i| {
-        let dtid = types[i];
-        (dtid, None, db.type_name(dtid).to_owned())
+    let index = EvidenceIndex::build(db, jobs);
+    let mut by_type: BTreeMap<DataTypeId, Vec<&[MemberObs]>> = BTreeMap::new();
+    for g in index.groups() {
+        by_type.entry(g.key.0).or_default().push(&g.members);
+    }
+    let types: Vec<_> = by_type.into_iter().collect();
+    let groups = par_map(jobs, &types, |(dtid, lists)| {
+        let members = merge_members(lists.iter().copied());
+        mine_group(
+            (*dtid, None),
+            db.type_name(*dtid).to_owned(),
+            &members,
+            config,
+        )
     });
     MinedRules {
         groups,
@@ -311,77 +272,22 @@ pub fn derive(db: &TraceDb, config: &DeriveConfig) -> MinedRules {
     derive_par(db, config, 1)
 }
 
-/// [`derive`] sharded across `jobs` workers: matrices build in parallel
-/// per group, then flat `(group, member-chunk)` shards derive in parallel
-/// with one resolution cache per worker. Output is byte-identical at any
-/// worker count.
+/// [`derive`] on `jobs` workers: builds the evidence index and mines it.
+/// Output is byte-identical at any worker count.
 pub fn derive_par(db: &TraceDb, config: &DeriveConfig, jobs: usize) -> MinedRules {
-    let group_keys = db.observation_groups();
-    let matrices = par_map(jobs, &group_keys, |&g| AccessMatrix::build(db, g));
-    let groups = derive_groups_sharded(db, config, jobs, &matrices, |i| {
-        let (dtid, subclass) = group_keys[i];
-        (dtid, subclass, db.group_name(group_keys[i]))
+    derive_in(&EvidenceIndex::build(db, jobs), config, jobs)
+}
+
+/// Derives rules for every group of an evidence index, one group per
+/// shard of an ordered [`par_map`].
+pub fn derive_in(index: &EvidenceIndex<'_>, config: &DeriveConfig, jobs: usize) -> MinedRules {
+    let groups = par_map(jobs, index.groups(), |g| {
+        mine_group(g.key, g.name.clone(), &g.members, config)
     });
     MinedRules {
         groups,
         config: *config,
     }
-}
-
-/// Shared fan-out for [`derive_par`]/[`derive_pooled_par`]: flattens all
-/// groups into `(group index, member chunk)` shards so small groups do not
-/// serialize behind large ones, runs them through one ordered [`par_map`],
-/// and reassembles per-group results in group order.
-fn derive_groups_sharded(
-    db: &TraceDb,
-    config: &DeriveConfig,
-    jobs: usize,
-    matrices: &[AccessMatrix],
-    group_meta: impl Fn(usize) -> (DataTypeId, Option<Sym>, String),
-) -> Vec<GroupRules> {
-    let members_per_group: Vec<Vec<u32>> = matrices.iter().map(|m| m.observed_members()).collect();
-    let mut shards: Vec<(usize, &[u32])> = Vec::new();
-    for (gi, members) in members_per_group.iter().enumerate() {
-        for chunk in chunks_for(jobs, members) {
-            shards.push((gi, chunk));
-        }
-    }
-    // Per-worker cache, cleared on group change: a unit's allocation
-    // belongs to exactly one group, so entries never hit across groups —
-    // carrying them over would only grow the map. Within a group, member
-    // chunks share units heavily, and a worker that processes several
-    // chunks of the same group in a row resolves each unit once.
-    let shard_results = par_map_init(
-        jobs,
-        &shards,
-        || (usize::MAX, ResolutionCache::new()),
-        |(last_gi, cache), &(gi, chunk)| {
-            if *last_gi != gi {
-                cache.clear();
-                *last_gi = gi;
-            }
-            rules_for_members(db, &matrices[gi], chunk, config, cache)
-        },
-    );
-    let mut per_group: Vec<Vec<(Vec<MinedRule>, u64)>> = vec![Vec::new(); matrices.len()];
-    for (&(gi, _), result) in shards.iter().zip(shard_results) {
-        per_group[gi].push(result);
-    }
-    per_group
-        .into_iter()
-        .enumerate()
-        .map(|(gi, parts)| {
-            let (rules, truncated_units) = merge_rule_parts(parts);
-            let (data_type, subclass, group_name) = group_meta(gi);
-            GroupRules {
-                data_type,
-                subclass,
-                group_name,
-                rules,
-                truncated_units,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -15,25 +15,18 @@
 //! purposes (paper Tab. 2 lists a zero-support hypothesis).
 
 use crate::lockset::{format_sequence, resolve_txn_locks, LockDescriptor};
-use crate::matrix::{MemberMatrix, Unit};
+use crate::matrix::MemberMatrix;
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::AccessKind;
-use std::collections::{BTreeMap, HashMap};
-
-/// Cache of resolved held-lock descriptor sequences per observation unit.
-///
-/// Members of one group largely share transactions, so resolving each
-/// `(txn, alloc)` pair once and reusing it across all members avoids
-/// quadratic re-resolution (the violation finder uses the same pattern).
-pub type ResolutionCache = HashMap<Unit, Vec<LockDescriptor>>;
+use std::collections::BTreeMap;
 
 /// Maximum observed lock-sequence length considered for subsequence
 /// enumeration; only the first `MAX_SEQ_LEN` held locks of a longer
 /// sequence feed hypothesis enumeration (kernel critical sections hold far
 /// fewer locks in practice). The cap applies **only** at enumeration time:
-/// cached resolved sequences keep every held lock, so compliance checks
-/// (checker, violation finder) never lose evidence. Sets that hit the cap
-/// report it via [`HypothesisSet::truncated`].
+/// observations keep every held lock, so compliance checks (checker,
+/// violation finder) never lose evidence. Sets that hit the cap report it
+/// via [`HypothesisSet::truncated`].
 pub const MAX_SEQ_LEN: usize = 12;
 
 /// One aggregated observation: a distinct held-lock descriptor sequence and
@@ -102,32 +95,15 @@ impl HypothesisSet {
 ///
 /// Each relevant observation unit's transaction lock list is resolved to
 /// descriptors relative to the accessed instance and aggregated by sequence.
+/// This is the direct, uncached transcription of the paper's definition;
+/// the analysis passes read the same lists from
+/// [`crate::evidence::EvidenceIndex`], which `tests/props.rs` pins to it.
 pub fn observations_for(db: &TraceDb, matrix: &MemberMatrix, kind: AccessKind) -> Vec<Observation> {
-    observations_for_cached(db, matrix, kind, &mut ResolutionCache::new())
-}
-
-/// [`observations_for`] with a caller-provided resolution cache, for use
-/// when iterating many members of the same group.
-pub fn observations_for_cached(
-    db: &TraceDb,
-    matrix: &MemberMatrix,
-    kind: AccessKind,
-    cache: &mut ResolutionCache,
-) -> Vec<Observation> {
-    let units: Vec<Unit> = matrix.relevant_units(kind);
     let mut agg: BTreeMap<Vec<LockDescriptor>, u64> = BTreeMap::new();
-    for unit in units {
-        // Cache the *complete* resolved sequence: the checker and the
-        // violation finder reuse this cache for compliance checks, and a
-        // truncated entry would silently hide held locks from their
-        // counterexamples. Enumeration applies its own MAX_SEQ_LEN cap.
-        let seq = cache.entry(unit).or_insert_with(|| {
-            let (txn_id, alloc_id) = unit;
-            let txn = db.txn(txn_id);
-            let lock_ids: Vec<_> = txn.locks.iter().map(|h| h.lock).collect();
-            resolve_txn_locks(db, alloc_id, &lock_ids)
-        });
-        *agg.entry(seq.clone()).or_insert(0) += 1;
+    for (txn_id, alloc_id) in matrix.relevant_units(kind) {
+        let lock_ids: Vec<_> = db.txn(txn_id).locks.iter().map(|h| h.lock).collect();
+        *agg.entry(resolve_txn_locks(db, alloc_id, &lock_ids))
+            .or_insert(0) += 1;
     }
     agg.into_iter()
         .map(|(locks, count)| Observation { locks, count })
@@ -155,8 +131,10 @@ fn subsequences(seq: &[LockDescriptor]) -> Vec<Vec<LockDescriptor>> {
 /// Whether `rule` is an order-preserving subsequence of `held`.
 ///
 /// This is the paper's compliance check: all rule locks held, in the rule's
-/// relative order, with arbitrary extra locks in between.
-pub fn complies(held: &[LockDescriptor], rule: &[LockDescriptor]) -> bool {
+/// relative order, with arbitrary extra locks in between. It applies
+/// equally to descriptors and to their interned ids
+/// ([`crate::evidence::DescId`]).
+pub fn complies<T: PartialEq>(held: &[T], rule: &[T]) -> bool {
     let mut it = held.iter();
     rule.iter().all(|r| it.any(|h| h == r))
 }
@@ -397,11 +375,12 @@ mod tests {
     }
 
     #[test]
-    fn cached_observations_keep_all_held_locks() {
+    fn observations_keep_all_held_locks() {
         // Regression for the shared-cache truncation bug: a transaction
         // holding more than MAX_SEQ_LEN locks must surface its complete
-        // sequence through observations_for, because the checker and the
-        // violation finder judge compliance against it.
+        // sequence through observations_for and the evidence index,
+        // because the checker and the violation finder judge compliance
+        // against it.
         use lockdoc_trace::event::{
             AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc, Trace,
         };
@@ -484,8 +463,15 @@ mod tests {
         let mm = matrix.member(0).expect("member observed");
         let observations = observations_for(&db, mm, AccessKind::Write);
         assert_eq!(observations.len(), 1);
-        // Every held lock survives in the cached evidence …
+        // Every held lock survives in the evidence, directly resolved and
+        // indexed alike …
         assert_eq!(observations[0].locks.len(), nlocks as usize);
+        let index = crate::evidence::EvidenceIndex::build(&db, 1);
+        let indexed = index.group((dt, None)).expect("group indexed");
+        assert_eq!(
+            indexed.member(0).expect("member indexed").write,
+            observations
+        );
         // … and a documented rule naming the deepest lock is judged
         // compliant (it was held, even though enumeration caps out).
         let deepest = observations[0].locks.last().unwrap().clone();

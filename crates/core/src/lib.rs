@@ -24,6 +24,10 @@
 //!    confidence and flagging documented rules that contradict the
 //!    dominant observed lock order ([`lint`]).
 //!
+//! Passes 1–7 read one shared [`evidence::EvidenceIndex`]: the
+//! `accesses ⋈ txns ⋈ locks` join resolved once per trace, with lock
+//! descriptors interned as ids.
+//!
 //! # Examples
 //!
 //! Derive the rules of the paper's clock example (Fig. 4) and catch the
@@ -53,6 +57,7 @@ pub mod clock;
 pub mod corpus;
 pub mod derive;
 pub mod docgen;
+pub mod evidence;
 pub mod feedback;
 pub mod hypothesis;
 pub mod jsonout;
@@ -73,6 +78,7 @@ pub use corpus::{
 };
 pub use derive::{derive, derive_pooled, DeriveConfig, GroupRules, MinedRule, MinedRules};
 pub use docgen::{generate_doc, generate_rulespec};
+pub use evidence::EvidenceIndex;
 pub use feedback::AnalysisSignal;
 pub use hypothesis::{complies, enumerate, Hypothesis, HypothesisSet, Observation};
 pub use lint::{lint, LintFinding, LintInputs, LintReport, OrderConflict, Severity};

@@ -27,12 +27,14 @@
 //! [`lockdoc_platform::par`] with byte-identical output at any jobs
 //! count, like every other pass.
 
-use crate::checker::{CheckedRule, Verdict};
+use crate::checker::{check_rules_in, CheckedRule, Verdict};
 use crate::derive::MinedRules;
+use crate::evidence::EvidenceIndex;
 use crate::lockset::LockDescriptor;
 use crate::order::{LockClass, OrderGraph};
-use crate::race::{RacePair, RaceReport};
-use crate::violation::GroupViolations;
+use crate::race::{find_races_in, RacePair, RaceReport};
+use crate::rulespec::RuleSpec;
+use crate::violation::{find_violations_in, GroupViolations};
 use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::AccessKind;
@@ -249,6 +251,63 @@ pub struct LintInputs<'a> {
     /// it flags corroborate dynamic findings (a SUSPECT with static
     /// outliers is promoted to PROBABLE).
     pub statics: Option<&'a StaticEvidence>,
+}
+
+/// Every pass the lint joins, and the lint report itself, computed over
+/// one evidence index by [`lint_passes`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct LintPasses {
+    /// Documented-rule check results.
+    pub checked: Vec<CheckedRule>,
+    /// Rule violations, with up to [`LINT_MAX_EXAMPLES`] examples per
+    /// group.
+    pub violations: Vec<GroupViolations>,
+    /// Race-detector report.
+    pub races: RaceReport,
+    /// Lock-order graph.
+    pub order: OrderGraph,
+    /// The joined, ranked findings.
+    pub report: LintReport,
+}
+
+/// Violation examples [`lint_passes`] materializes per group.
+pub const LINT_MAX_EXAMPLES: usize = 3;
+
+/// Runs the pass sequence the lint joins — documented-rule check →
+/// violations → races → lock order → lint — over one evidence index.
+/// `mined` may be derived from the same index or come from elsewhere
+/// (corpus-wide rules); `documented` are the rules to check.
+pub fn lint_passes(
+    index: &EvidenceIndex<'_>,
+    mined: &MinedRules,
+    documented: &[RuleSpec],
+    statics: Option<&StaticEvidence>,
+    jobs: usize,
+) -> LintPasses {
+    let db = index.db();
+    let checked = check_rules_in(index, documented);
+    let violations = find_violations_in(index, mined, LINT_MAX_EXAMPLES, jobs);
+    let races = find_races_in(index, jobs);
+    let order = OrderGraph::build_par(db, jobs);
+    let report = lint(
+        db,
+        &LintInputs {
+            mined,
+            checked: &checked,
+            violations: &violations,
+            races: &races,
+            order: &order,
+            statics,
+        },
+        jobs,
+    );
+    LintPasses {
+        checked,
+        violations,
+        races,
+        order,
+        report,
+    }
 }
 
 /// Order-graph class name of a lock descriptor (matches

@@ -14,10 +14,16 @@
 //!   already appear in the trace as the `softirq`/`hardirq` pseudo-lock
 //!   acquisitions ([`LockDescriptor::Pseudo`]), so bottom-half mutual
 //!   exclusion falls out of the ordinary intersection. Single-core
-//!   *flow* exclusion — two accesses of the same task can never race
+//!   *flow* exclusion — two accesses of the same flow can never race
 //!   with each other — is encoded the same way: every access implicitly
-//!   holds a `flow:<name>` pseudo-lock, so members touched by a single
-//!   flow keep a non-empty candidate set and are never reported.
+//!   holds the pseudo-lock of its [`FlowKey`], so members touched by a
+//!   single flow keep a non-empty candidate set and are never reported.
+//!   Flow pseudo-locks never coincide with real locks, so the effective
+//!   intersection is empty exactly when the real locksets' intersection
+//!   is empty and at least two flows touched the member; the detector
+//!   tests that directly instead of materializing a pseudo-lock per
+//!   access. Flows are keyed by identity, not name: two tasks both named
+//!   `kworker` are two flows.
 //! * A reported candidate carries a **witness pair**: two concrete
 //!   accesses from different flows, at least one a write, whose real
 //!   locksets are disjoint — everything a developer needs (kind,
@@ -26,15 +32,21 @@
 //!   lock-sharing, no witness pair) are counted but not reported; see
 //!   DESIGN.md §5.4.
 //!
-//! Sharding follows `violation.rs`: one shard per observation group on
+//! Real locksets are the sorted descriptor-id sets of the units' interned
+//! sequences in the shared [`crate::evidence::EvidenceIndex`], so
+//! intersection and disjointness are merges over small integer slices;
+//! descriptors are materialized only for witnesses. Sharding follows
+//! `violation.rs`: one shard per observation group on
 //! [`lockdoc_platform::par`], byte-identical output at any jobs count.
 
-use crate::lockset::{resolve_txn_locks, LockDescriptor};
+use crate::evidence::{DescId, EvidenceIndex, GroupEvidence};
+use crate::lockset::LockDescriptor;
+use lockdoc_platform::hash::{FastMap, FastSet};
 use lockdoc_platform::par::par_map;
-use lockdoc_trace::db::{FlowKey, TraceDb};
+use lockdoc_trace::db::{Access, FlowKey, TraceDb};
 use lockdoc_trace::event::{AccessKind, ContextKind, SourceLoc};
-use lockdoc_trace::ids::{AllocId, DataTypeId, StackId, Sym, TxnId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use lockdoc_trace::ids::{DataTypeId, StackId, Sym};
+use std::collections::BTreeMap;
 
 /// One side of a race witness pair: a fully resolved access.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,53 +222,73 @@ pub fn find_races(db: &TraceDb) -> RaceReport {
     find_races_par(db, 1)
 }
 
-/// Runs the race detector sharded across `jobs` workers, one shard per
-/// observation group (allocations belong to exactly one group, so the
-/// per-group resolution caches lose no sharing and the ordered fan-out
-/// keeps the report identical at any worker count).
+/// Runs the race detector with the evidence index built on `jobs`
+/// workers. The report is identical at any worker count.
 pub fn find_races_par(db: &TraceDb, jobs: usize) -> RaceReport {
-    let groups = db.observation_groups();
+    find_races_in(&EvidenceIndex::build(db, jobs), jobs)
+}
+
+/// Runs the race detector over an evidence index, one shard per
+/// observation group on an ordered [`par_map`].
+pub fn find_races_in(index: &EvidenceIndex<'_>, jobs: usize) -> RaceReport {
     RaceReport {
-        groups: par_map(jobs, &groups, |&g| scan_group(db, g)),
+        groups: par_map(jobs, index.groups(), |g| scan_group(index, g)),
     }
 }
 
-/// Per-access facts the detector aggregates, one representative per
-/// distinct `(flow, is-write, real lockset)` combination.
-struct Rep {
-    flow: FlowKey,
-    write: bool,
-    locks: BTreeSet<LockDescriptor>,
-    access: RaceAccess,
+/// The earliest access of one distinct `(flow, is-write, real lockset)`
+/// combination: a witness-pair candidate.
+struct Rep<'s> {
+    access: Access,
+    /// The access's unit sequence (`None` outside any transaction).
+    seq: Option<u32>,
+    /// The real lockset: sorted descriptor ids.
+    locks: &'s [DescId],
+}
+
+impl Rep<'_> {
+    fn write(&self) -> bool {
+        self.access.kind == AccessKind::Write
+    }
 }
 
 /// Running per-member state.
 #[derive(Default)]
-struct MemberState {
+struct MemberState<'s> {
     accesses: u64,
     writes: u64,
-    flows: BTreeSet<FlowKey>,
-    /// Intersection of effective locksets (real locks plus the per-flow
-    /// pseudo-lock); `None` until the first access.
-    candidate: Option<BTreeSet<LockDescriptor>>,
-    reps: Vec<Rep>,
+    flows: FastSet<FlowKey>,
+    /// Intersection of the real locksets; `None` until the first access.
+    candidate: Option<Vec<DescId>>,
+    /// Representative keys seen: `(flow, is-write, lockset id)`.
+    seen: FastSet<(FlowKey, bool, u32)>,
+    reps: Vec<Rep<'s>>,
 }
 
-fn scan_group(db: &TraceDb, group: (DataTypeId, Option<Sym>)) -> GroupRaces {
-    let group_name = db.group_name(group);
-    let mut resolved: HashMap<(TxnId, AllocId), Vec<LockDescriptor>> = HashMap::new();
-    let mut members: BTreeMap<u32, MemberState> = BTreeMap::new();
-    let no_locks: Vec<LockDescriptor> = Vec::new();
+fn scan_group(index: &EvidenceIndex<'_>, group: &GroupEvidence) -> GroupRaces {
+    let db = index.db();
+    // Real locksets as sorted id sets, interned: `sets[set_of[seq]]`;
+    // set 0 is the empty set of accesses outside any transaction.
+    let mut sets: Vec<Vec<DescId>> = vec![Vec::new()];
+    let mut set_ids: FastMap<Vec<DescId>, u32> = FastMap::default();
+    set_ids.insert(Vec::new(), 0);
+    let set_of: Vec<u32> = (0..group.seq_count() as u32)
+        .map(|seq| {
+            let mut set = group.seq(seq).to_vec();
+            set.sort_unstable();
+            *set_ids.entry(set.clone()).or_insert_with(|| {
+                sets.push(set);
+                sets.len() as u32 - 1
+            })
+        })
+        .collect();
 
-    for access in db.group_accesses(group) {
-        let held: &Vec<LockDescriptor> = match access.txn {
-            Some(txn_id) => resolved.entry((txn_id, access.alloc)).or_insert_with(|| {
-                let txn = db.txn(txn_id);
-                let lock_ids: Vec<_> = txn.locks.iter().map(|h| h.lock).collect();
-                resolve_txn_locks(db, access.alloc, &lock_ids)
-            }),
-            None => &no_locks,
-        };
+    let mut members: BTreeMap<u32, MemberState> = BTreeMap::new();
+    for (pos, &row) in group.rows().iter().enumerate() {
+        let access = db.accesses.get(row as usize);
+        let seq = group.row_seq(pos);
+        let set_id = seq.map_or(0, |s| set_of[s as usize]);
+        let locks = sets[set_id as usize].as_slice();
         let state = members.entry(access.member).or_default();
         state.accesses += 1;
         let write = access.kind == AccessKind::Write;
@@ -264,66 +296,45 @@ fn scan_group(db: &TraceDb, group: (DataTypeId, Option<Sym>)) -> GroupRaces {
             state.writes += 1;
         }
         state.flows.insert(access.flow);
-
-        // Effective lockset: real locks plus the single-core flow
-        // exclusion pseudo-lock.
-        let mut effective: BTreeSet<LockDescriptor> = held.iter().cloned().collect();
-        effective.insert(LockDescriptor::pseudo(&format!(
-            "flow:{}",
-            flow_name(db, access.flow)
-        )));
         match &mut state.candidate {
-            None => state.candidate = Some(effective),
-            Some(cur) => cur.retain(|l| effective.contains(l)),
+            None => state.candidate = Some(locks.to_vec()),
+            Some(cur) => cur.retain(|l| locks.binary_search(l).is_ok()),
         }
-
         // Representative bookkeeping for witness-pair selection: keep the
         // earliest access per (flow, write, real lockset) combination.
-        let real: BTreeSet<LockDescriptor> = held.iter().cloned().collect();
-        let seen = state
-            .reps
-            .iter()
-            .any(|r| r.flow == access.flow && r.write == write && r.locks == real);
-        if !seen {
-            state.reps.push(Rep {
-                flow: access.flow,
-                write,
-                locks: real,
-                access: RaceAccess {
-                    kind: access.kind,
-                    context: access.context,
-                    flow: flow_name(db, access.flow),
-                    held: held.clone(),
-                    loc: access.loc,
-                    stack: access.stack,
-                    access_id: access.id,
-                },
-            });
+        if state.seen.insert((access.flow, write, set_id)) {
+            state.reps.push(Rep { access, seq, locks });
         }
     }
 
     let mut out = GroupRaces {
-        group_name: group_name.clone(),
-        data_type: group.0,
-        subclass: group.1,
+        group_name: group.name.clone(),
+        data_type: group.key.0,
+        subclass: group.key.1,
         members_checked: members.len() as u64,
         pairless: 0,
         candidates: Vec::new(),
     };
     for (member, state) in &members {
-        let empty = state.candidate.as_ref().is_some_and(|c| c.is_empty());
+        // Empty effective intersection: no real lock in common, and no
+        // single flow pseudo-lock held by every access.
+        let empty =
+            state.candidate.as_ref().is_some_and(|c| c.is_empty()) && state.flows.len() >= 2;
         if !empty || state.writes == 0 {
             continue;
         }
         match best_pair(&state.reps) {
-            Some(witness) => out.candidates.push(RaceCandidate {
-                group_name: group_name.clone(),
+            Some((first, second)) => out.candidates.push(RaceCandidate {
+                group_name: group.name.clone(),
                 member: *member,
-                member_name: db.member_name(group.0, *member).to_owned(),
+                member_name: db.member_name(group.key.0, *member).to_owned(),
                 accesses: state.accesses,
                 writes: state.writes,
                 flows: state.flows.len() as u64,
-                witness,
+                witness: RacePair {
+                    first: race_access(index, group, first),
+                    second: race_access(index, group, second),
+                },
             }),
             None => out.pairless += 1,
         }
@@ -331,23 +342,52 @@ fn scan_group(db: &TraceDb, group: (DataTypeId, Option<Sym>)) -> GroupRaces {
     out
 }
 
+/// Materializes one witness side.
+fn race_access(index: &EvidenceIndex<'_>, group: &GroupEvidence, rep: &Rep<'_>) -> RaceAccess {
+    let a = &rep.access;
+    RaceAccess {
+        kind: a.kind,
+        context: a.context,
+        flow: flow_name(index.db(), a.flow),
+        held: rep
+            .seq
+            .map_or_else(Vec::new, |s| index.materialize(group.seq(s))),
+        loc: a.loc,
+        stack: a.stack,
+        access_id: a.id,
+    }
+}
+
+/// Whether two sorted id sets share an element.
+fn intersects(a: &[DescId], b: &[DescId]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
 /// Picks the most damning conflicting pair among the representatives:
 /// maximize (lock-free write sides, write sides, task-context sides),
 /// breaking ties toward the earliest access ids. Preferring task/task
 /// pairs keeps single-core IRQ exclusion caveats out of the primary
 /// witness whenever a cleaner pair exists.
-fn best_pair(reps: &[Rep]) -> Option<RacePair> {
+fn best_pair<'r, 's>(reps: &'r [Rep<'s>]) -> Option<(&'r Rep<'s>, &'r Rep<'s>)> {
     type PairKey = (u32, u32, u32, std::cmp::Reverse<(u64, u64)>);
     let mut best: Option<(PairKey, &Rep, &Rep)> = None;
     for (i, a) in reps.iter().enumerate() {
         for b in &reps[i + 1..] {
-            if a.flow == b.flow || (!a.write && !b.write) {
+            if a.access.flow == b.access.flow || (!a.write() && !b.write()) {
                 continue;
             }
-            if a.locks.intersection(&b.locks).next().is_some() {
+            if intersects(a.locks, b.locks) {
                 continue;
             }
-            let (first, second) = if a.access.access_id <= b.access.access_id {
+            let (first, second) = if a.access.id <= b.access.id {
                 (a, b)
             } else {
                 (b, a)
@@ -356,24 +396,21 @@ fn best_pair(reps: &[Rep]) -> Option<RacePair> {
             let key: PairKey = (
                 sides
                     .iter()
-                    .filter(|r| r.write && r.locks.is_empty())
+                    .filter(|r| r.write() && r.locks.is_empty())
                     .count() as u32,
-                sides.iter().filter(|r| r.write).count() as u32,
+                sides.iter().filter(|r| r.write()).count() as u32,
                 sides
                     .iter()
                     .filter(|r| r.access.context == ContextKind::Task)
                     .count() as u32,
-                std::cmp::Reverse((first.access.access_id, second.access.access_id)),
+                std::cmp::Reverse((first.access.id, second.access.id)),
             );
             if best.as_ref().is_none_or(|(k, _, _)| key > *k) {
                 best = Some((key, first, second));
             }
         }
     }
-    best.map(|(_, first, second)| RacePair {
-        first: first.access.clone(),
-        second: second.access.clone(),
-    })
+    best.map(|(_, first, second)| (first, second))
 }
 
 #[cfg(test)]
@@ -413,11 +450,9 @@ mod tests {
         }
     }
 
-    /// Two tasks, one member: task 0 writes under `guard`, task 1 writes
-    /// with no locks. The candidate lockset empties out and the witness
-    /// pair must include the lock-free write.
-    #[test]
-    fn cross_task_lock_free_write_is_reported_with_witness() {
+    /// Two tasks named `names`, one member: the first writes under
+    /// `guard`, the second writes with no locks.
+    fn two_task_trace(names: [&str; 2]) -> TraceDb {
         use lockdoc_trace::event::{AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, Trace};
         use lockdoc_trace::filter::FilterConfig;
         let mut tr = Trace::new();
@@ -434,8 +469,8 @@ mod tests {
                 is_lock: false,
             }],
         });
-        let t0 = tr.meta_mut().add_task("alpha");
-        let t1 = tr.meta_mut().add_task("beta");
+        let t0 = tr.meta_mut().add_task(names[0]);
+        let t1 = tr.meta_mut().add_task(names[1]);
         let loc = |l| SourceLoc::new(file, l);
         let mut ts = 0;
         let mut push = |tr: &mut Trace, e| {
@@ -498,7 +533,14 @@ mod tests {
                 atomic: false,
             },
         );
-        let db = lockdoc_trace::db::import(&tr, &FilterConfig::with_defaults(), 1);
+        lockdoc_trace::db::import(&tr, &FilterConfig::with_defaults(), 1)
+    }
+
+    /// The candidate lockset empties out and the witness pair must
+    /// include the lock-free write.
+    #[test]
+    fn cross_task_lock_free_write_is_reported_with_witness() {
+        let db = two_task_trace(["alpha", "beta"]);
         let report = find_races(&db);
         assert_eq!(report.candidate_count(), 1);
         let c = report.candidate("obj", "v").expect("obj.v candidate");
@@ -514,5 +556,21 @@ mod tests {
         assert_eq!(lock_free.len(), 1);
         assert_eq!(lock_free[0].flow, "beta");
         assert_eq!(lock_free[0].loc.line, 4);
+    }
+
+    /// Regression: flow exclusion is keyed by flow identity, not by task
+    /// name. Two distinct tasks that share a name (`kworker` is common in
+    /// kernel traces) are two flows, so the lock-free write still races.
+    #[test]
+    fn same_named_tasks_are_distinct_flows() {
+        let db = two_task_trace(["kworker", "kworker"]);
+        let report = find_races(&db);
+        assert_eq!(report.candidate_count(), 1);
+        let c = report.candidate("obj", "v").expect("obj.v candidate");
+        assert_eq!(c.flows, 2);
+        let pair = &c.witness;
+        assert!(pair.has_lock_free_write());
+        assert_eq!(pair.first.flow, "kworker");
+        assert_eq!(pair.second.flow, "kworker");
     }
 }

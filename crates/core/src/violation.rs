@@ -2,15 +2,22 @@
 //! locates memory accesses that contradict the mined locking rules and
 //! reports everything a developer needs to investigate — member, required
 //! locks, actually held locks, source location, and stack trace.
+//!
+//! The scan reads the shared [`crate::evidence::EvidenceIndex`]: each
+//! access's held locks are its unit's interned descriptor-id sequence,
+//! compliance compares id slices, and write-over-read folding reads the
+//! group's access matrix. Descriptors are materialized only for the
+//! example events.
 
 use crate::derive::{GroupRules, MinedRules};
+use crate::evidence::{DescId, EvidenceIndex};
 use crate::hypothesis::complies;
-use crate::lockset::{resolve_txn_locks, LockDescriptor};
+use crate::lockset::LockDescriptor;
 use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::TraceDb;
-use lockdoc_trace::event::{AccessKind, SourceLoc};
-use lockdoc_trace::ids::{AllocId, StackId, TxnId};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use lockdoc_trace::event::{AccessKind, ContextKind, SourceLoc};
+use lockdoc_trace::ids::StackId;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One rule-violating memory access.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,33 +92,57 @@ pub fn find_violations(
     find_violations_par(db, mined, max_examples, 1)
 }
 
-/// [`find_violations`] sharded across `jobs` workers, one shard per
-/// observation group. Allocations belong to exactly one group, so per-group
-/// resolution caches lose no sharing, and the ordered fan-out keeps the
-/// group order (and therefore the report) identical at any worker count.
+/// [`find_violations`] with the evidence index built on `jobs` workers.
+/// Output is identical at any worker count.
 pub fn find_violations_par(
     db: &TraceDb,
     mined: &MinedRules,
     max_examples: usize,
     jobs: usize,
 ) -> Vec<GroupViolations> {
+    find_violations_in(&EvidenceIndex::build(db, jobs), mined, max_examples, jobs)
+}
+
+/// Scans an evidence index for accesses violating the mined rules, one
+/// shard per mined group on an ordered [`par_map`], so the report is
+/// identical at any worker count. Mined groups the index does not know
+/// (rules mined from another trace) scan no accesses.
+pub fn find_violations_in(
+    index: &EvidenceIndex<'_>,
+    mined: &MinedRules,
+    max_examples: usize,
+    jobs: usize,
+) -> Vec<GroupViolations> {
     par_map(jobs, &mined.groups, |group_rules| {
-        scan_group(db, group_rules, max_examples)
+        scan_group(index, group_rules, max_examples)
     })
 }
 
-/// Scans one observation group for accesses violating its mined rules,
-/// with a group-local `(txn, alloc)` lock-resolution cache.
-fn scan_group(db: &TraceDb, group_rules: &GroupRules, max_examples: usize) -> GroupViolations {
-    let group = (group_rules.data_type, group_rules.subclass);
-    // Cache txn lock resolution per (txn, alloc).
-    let mut resolved: HashMap<(TxnId, AllocId), Vec<LockDescriptor>> = HashMap::new();
+/// A lock-requiring rule: the winner's locks, and their interned ids —
+/// `None` when some required lock never occurs in the trace, so no access
+/// can comply.
+struct Required<'a> {
+    locks: &'a Vec<LockDescriptor>,
+    ids: Option<Vec<DescId>>,
+}
+
+/// Scans one observation group for accesses violating its mined rules.
+fn scan_group(
+    index: &EvidenceIndex<'_>,
+    group_rules: &GroupRules,
+    max_examples: usize,
+) -> GroupViolations {
+    let db = index.db();
     // (member idx, kind) -> required locks, for rules with locks.
-    let ruled: HashMap<(u32, AccessKind), &Vec<LockDescriptor>> = group_rules
+    let ruled: HashMap<(u32, AccessKind), Required> = group_rules
         .rules
         .iter()
         .filter(|r| !r.winner.hypothesis.locks.is_empty())
-        .map(|r| ((r.member, r.kind), &r.winner.hypothesis.locks))
+        .map(|r| {
+            let locks = &r.winner.hypothesis.locks;
+            let ids = locks.iter().map(|l| index.lock_id(l)).collect();
+            ((r.member, r.kind), Required { locks, ids })
+        })
         .collect();
     let mut gv = GroupViolations {
         group_name: group_rules.group_name.clone(),
@@ -121,69 +152,65 @@ fn scan_group(db: &TraceDb, group_rules: &GroupRules, max_examples: usize) -> Gr
         per_member: Vec::new(),
         examples: Vec::new(),
     };
-    let mut tallies: std::collections::BTreeMap<(String, AccessKind), (u64, u64)> =
-        std::collections::BTreeMap::new();
-    if !ruled.is_empty() {
-        // Write-over-read folding (paper Sec. 4.2) applies to the scan
-        // as well: a read inside a unit that also writes the member is
-        // covered by the write rule (checked via the unit's writes),
-        // so it must not be reported against the read rule.
-        let written_units: HashSet<(TxnId, AllocId, u32)> = db
-            .group_accesses(group)
-            .filter(|a| a.kind == AccessKind::Write)
-            .filter_map(|a| a.txn.map(|t| (t, a.alloc, a.member)))
-            .collect();
-        for access in db.group_accesses(group) {
-            let Some(&required) = ruled.get(&(access.member, access.kind)) else {
-                continue;
-            };
-            let Some(txn_id) = access.txn else { continue };
-            if access.kind == AccessKind::Read
-                && written_units.contains(&(txn_id, access.alloc, access.member))
-            {
-                continue;
-            }
-            let held = resolved
-                .entry((txn_id, access.alloc))
-                .or_insert_with(|| {
-                    let txn = db.txn(txn_id);
-                    let lock_ids: Vec<_> = txn.locks.iter().map(|h| h.lock).collect();
-                    resolve_txn_locks(db, access.alloc, &lock_ids)
-                })
-                .clone();
-            if complies(&held, required) {
-                continue;
-            }
-            gv.events += 1;
-            let member_name = db.member_name(access.data_type, access.member).to_owned();
-            let tally = tallies
-                .entry((member_name.clone(), access.kind))
-                .or_default();
-            tally.0 += 1;
-            if access.context != lockdoc_trace::event::ContextKind::Task {
-                tally.1 += 1;
-            }
-            gv.members.insert(member_name);
-            gv.contexts.insert((access.loc, access.stack));
-            if gv.examples.len() < max_examples {
-                gv.examples.push(ViolationEvent {
-                    group_name: gv.group_name.clone(),
-                    member_name: db.member_name(access.data_type, access.member).to_owned(),
-                    kind: access.kind,
-                    required: required.clone(),
-                    held,
-                    loc: access.loc,
-                    stack: access.stack,
-                    access_id: access.id,
-                });
-            }
+    let group = index
+        .group((group_rules.data_type, group_rules.subclass))
+        .filter(|_| !ruled.is_empty());
+    let Some(group) = group else {
+        return gv;
+    };
+    let mut tallies: BTreeMap<(&str, AccessKind), (u64, u64)> = BTreeMap::new();
+    for (pos, &row) in group.rows().iter().enumerate() {
+        let access = db.accesses.get(row as usize);
+        let Some(required) = ruled.get(&(access.member, access.kind)) else {
+            continue;
+        };
+        let (Some(txn), Some(seq)) = (access.txn, group.row_seq(pos)) else {
+            continue;
+        };
+        // Write-over-read folding (paper Sec. 4.2) applies to the scan as
+        // well: a read inside a unit that also writes the member is
+        // covered by the write rule (checked via the unit's writes), so
+        // it must not be reported against the read rule.
+        if access.kind == AccessKind::Read
+            && group
+                .matrix
+                .member(access.member)
+                .and_then(|m| m.cells.get(&(txn, access.alloc)))
+                .is_some_and(|c| c.writes > 0)
+        {
+            continue;
+        }
+        let held = group.seq(seq);
+        if required.ids.as_ref().is_some_and(|ids| complies(held, ids)) {
+            continue;
+        }
+        gv.events += 1;
+        let member_name = db.member_name(access.data_type, access.member);
+        let tally = tallies.entry((member_name, access.kind)).or_default();
+        tally.0 += 1;
+        if access.context != ContextKind::Task {
+            tally.1 += 1;
+        }
+        gv.contexts.insert((access.loc, access.stack));
+        if gv.examples.len() < max_examples {
+            gv.examples.push(ViolationEvent {
+                group_name: gv.group_name.clone(),
+                member_name: member_name.to_owned(),
+                kind: access.kind,
+                required: required.locks.clone(),
+                held: index.materialize(held),
+                loc: access.loc,
+                stack: access.stack,
+                access_id: access.id,
+            });
         }
     }
+    gv.members = tallies.keys().map(|(name, _)| (*name).to_owned()).collect();
     gv.per_member = tallies
         .into_iter()
         .map(
             |((member_name, kind), (events, irq_events))| MemberViolationCounts {
-                member_name,
+                member_name: member_name.to_owned(),
                 kind,
                 events,
                 irq_events,

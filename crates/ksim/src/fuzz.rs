@@ -40,10 +40,11 @@
 use crate::config::SimConfig;
 use crate::parallel::run_mix_sharded;
 use crate::rules;
-use lockdoc_core::derive::{derive, DeriveConfig};
+use lockdoc_core::derive::{derive_in, DeriveConfig};
+use lockdoc_core::evidence::EvidenceIndex;
 use lockdoc_core::feedback::AnalysisSignal;
 use lockdoc_core::order::OrderGraph;
-use lockdoc_core::race::find_races;
+use lockdoc_core::race::find_races_in;
 use lockdoc_platform::json::{decode_field, FromJson, Json, JsonError, ToJson};
 use lockdoc_platform::par::par_map;
 use lockdoc_platform::rng::{derive_seed, Rng};
@@ -463,8 +464,9 @@ pub fn evaluate(cand: &CandidateMix, ops: u64, shards: u64) -> Result<Signal, St
     let cfg = SimConfig::with_seed(cand.sim_seed);
     let run = run_mix_sharded(&cfg, Some(&cand.spec()), ops, shards, 1)?;
     let db = import(&run.trace, &rules::filter_config(), 1);
-    let mined = derive(&db, &DeriveConfig::default());
-    let races = find_races(&db);
+    let index = EvidenceIndex::build(&db, 1);
+    let mined = derive_in(&index, &DeriveConfig::default(), 1);
+    let races = find_races_in(&index, 1);
     let order = OrderGraph::build(&db);
     let analysis = AnalysisSignal::compute(&db, &mined, &races, &order);
     Ok(Signal {

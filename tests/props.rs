@@ -6,14 +6,16 @@
 //! * hypothesis support is anti-monotone under sequence extension,
 //! * the selected winner always satisfies the selection contract,
 //! * rule-notation printing and parsing are inverses,
-//! * the write-over-read fold is idempotent and consistent.
+//! * the write-over-read fold is idempotent and consistent,
+//! * the shared evidence index agrees with the paper-level functions.
 //!
 //! A failing property prints its run seed; reproduce with
 //! `LOCKDOC_PROP_SEED=<seed> cargo test -q <test-name>`.
 
 use lockdoc_core::derive::{derive_par, DeriveConfig};
-use lockdoc_core::hypothesis::{complies, enumerate, Observation};
-use lockdoc_core::lockset::LockDescriptor;
+use lockdoc_core::evidence::EvidenceIndex;
+use lockdoc_core::hypothesis::{complies, enumerate, observations_for, Observation};
+use lockdoc_core::lockset::{resolve_txn_locks, LockDescriptor};
 use lockdoc_core::matrix::AccessMatrix;
 use lockdoc_core::order::OrderGraph;
 use lockdoc_core::rulespec::{parse_rule, parse_rules, RuleSpec};
@@ -22,7 +24,11 @@ use lockdoc_platform::prop::{self, vec_of, Shrink};
 use lockdoc_platform::rng::Rng;
 use lockdoc_platform::{prop_assert, prop_assert_eq};
 use lockdoc_trace::codec::{read_trace, write_trace, TraceReader};
-use lockdoc_trace::db::{filter_fingerprint, import, import_stream, read_archive, write_archive};
+use lockdoc_trace::corrupt::{inject, CorruptionClass};
+use lockdoc_trace::db::{
+    filter_fingerprint, import, import_resilient, import_stream, read_archive, write_archive,
+    ResilientConfig, TraceDb,
+};
 use lockdoc_trace::event::{
     AccessKind, AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc, Trace,
 };
@@ -355,6 +361,105 @@ fn derive_is_jobs_invariant() {
         }
         Ok(())
     });
+}
+
+/// The evidence index every analysis pass reads agrees with the direct
+/// transcriptions of the paper's definitions, on random ksim seeds, on
+/// `--racy` traces, and on event-level corruptions imported leniently
+/// (fewer cases — each runs the simulator):
+///
+/// * the descriptor table is strictly sorted, so id order equals
+///   `LockDescriptor`'s `Ord`;
+/// * groups and their rows are `observation_groups` / `group_accesses`;
+/// * every unit's materialized sequence is `resolve_txn_locks` of that
+///   unit, and no unit spans two groups;
+/// * every group's matrix is `AccessMatrix::build`, and every observation
+///   list is the uncached `observations_for`.
+#[test]
+fn evidence_index_matches_paper_definitions() {
+    let cfg = prop::Config {
+        cases: 12,
+        ..prop::Config::from_env()
+    };
+    let gen = |rng: &mut Rng| (rng.gen_range(0u64..1 << 48), rng.gen_range(0u8..3));
+    prop::check_with(
+        &cfg,
+        "evidence_index_matches_paper_definitions",
+        gen,
+        |&(seed, variant)| {
+            let plan = match variant {
+                1 => ksim::rules::racy_fault_plan(),
+                _ => ksim::rules::default_fault_plan(),
+            };
+            let mut machine = ksim::subsys::Machine::boot(
+                ksim::config::SimConfig::with_seed(seed).with_faults(plan),
+            );
+            machine.run_mix(600);
+            let trace = machine.finish();
+            let filter = ksim::rules::filter_config();
+            let db = if variant == 2 {
+                let class = CorruptionClass::EVENT_LEVEL[(seed % 6) as usize];
+                let Some(corrupted) = inject(&trace, class, seed).and_then(|inj| inj.trace) else {
+                    return Ok(()); // no injection site in this trace
+                };
+                import_resilient(&corrupted, &filter, 1, &ResilientConfig::lenient(1.0))
+                    .map_err(|e| format!("lenient import of {class}: {e}"))?
+                    .0
+            } else {
+                import(&trace, &filter, 1)
+            };
+            check_evidence_index(&db)
+        },
+    );
+}
+
+fn check_evidence_index(db: &TraceDb) -> Result<(), String> {
+    let index = EvidenceIndex::build(db, 2);
+    prop_assert!(
+        index.locks().windows(2).all(|w| w[0] < w[1]),
+        "descriptor table is not strictly sorted"
+    );
+    let keys: Vec<_> = index.groups().iter().map(|g| g.key).collect();
+    prop_assert_eq!(keys, db.observation_groups());
+    let mut unit_group = std::collections::HashMap::new();
+    for g in index.groups() {
+        let want_rows: Vec<u32> = db.group_accesses(g.key).map(|a| a.id as u32).collect();
+        prop_assert_eq!(g.rows(), want_rows.as_slice(), "rows of {}", g.name);
+        for (pos, &row) in g.rows().iter().enumerate() {
+            let a = db.accesses.get(row as usize);
+            let Some(txn) = a.txn else {
+                prop_assert!(g.row_seq(pos).is_none(), "lock-free row {} has a unit", row);
+                continue;
+            };
+            let seq = g
+                .row_seq(pos)
+                .ok_or_else(|| format!("row {row} lost its unit"))?;
+            let unit_owner = unit_group.entry((txn, a.alloc)).or_insert(g.key);
+            prop_assert!(
+                *unit_owner == g.key,
+                "unit {:?} spans groups",
+                (txn, a.alloc)
+            );
+            let lock_ids: Vec<_> = db.txn(txn).locks.iter().map(|h| h.lock).collect();
+            prop_assert_eq!(
+                index.materialize(g.seq(seq)),
+                resolve_txn_locks(db, a.alloc, &lock_ids),
+                "sequence of unit {:?}",
+                (txn, a.alloc)
+            );
+        }
+        let matrix = AccessMatrix::build(db, g.key);
+        prop_assert!(g.matrix == matrix, "matrix of {} differs", g.name);
+        prop_assert_eq!(g.members.len(), matrix.members.len());
+        for (&member, mm) in &matrix.members {
+            let mo = g
+                .member(member)
+                .ok_or_else(|| format!("member {member} missing"))?;
+            prop_assert_eq!(&mo.read, &observations_for(db, mm, AccessKind::Read));
+            prop_assert_eq!(&mo.write, &observations_for(db, mm, AccessKind::Write));
+        }
+    }
+    Ok(())
 }
 
 /// One step of the multi-flow trace generator behind
