@@ -6,10 +6,15 @@
 //! mined rules are identical at every worker count — a scaling number for
 //! a wrong answer is worthless.
 //!
+//! Each timed iteration is one `derive_par` call, which builds the shared
+//! evidence index (`lockdoc_core::evidence`: every observation unit's
+//! held locks resolved once, as interned descriptor ids) and mines its
+//! observation lists; the index build is the parallel part.
+//!
 //! Results land in `BENCH_derive.json` at the repository root. The
 //! `jobs1_before_after` field anchors hot-path changes (currently the
-//! per-worker `ResolutionCache` reuse across shards): it compares this
-//! tree's serial derivation against the jobs=1 time recorded in the
+//! evidence index replacing per-pass resolution caches): it compares
+//! this tree's serial derivation against the jobs=1 time recorded in the
 //! committed report, if one exists.
 //!
 //! Runs on the in-tree `lockdoc_platform::timing` harness; set
@@ -83,7 +88,7 @@ fn main() {
         ]));
     }
 
-    // Before/after anchor for the shared-resolution-cache change.
+    // Before/after anchor for derivation hot-path changes.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_derive.json");
     let before_after = match previous_jobs1_ns(out) {
         Some(prev) if prev > 0.0 => {

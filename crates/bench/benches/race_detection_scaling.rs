@@ -20,37 +20,23 @@
 use ksim::config::SimConfig;
 use ksim::parallel::run_mix_sharded;
 use ksim::rules;
-use lockdoc_core::checker::check_rules_par;
-use lockdoc_core::derive::{derive_par, DeriveConfig};
-use lockdoc_core::lint::{lint, LintInputs};
-use lockdoc_core::order::OrderGraph;
+use lockdoc_core::derive::{derive_in, DeriveConfig};
+use lockdoc_core::evidence::EvidenceIndex;
+use lockdoc_core::lint::lint_passes;
 use lockdoc_core::race::find_races_par;
 use lockdoc_core::rulespec::parse_rules;
-use lockdoc_core::violation::find_violations_par;
 use lockdoc_platform::json::Json;
 use lockdoc_platform::par::available_jobs;
 use lockdoc_platform::timing::Bench;
 use lockdoc_trace::db::{import, TraceDb};
 
+/// One `lockdoc lint` question: every pass over one shared evidence
+/// index, as the CLI runs it.
 fn lint_once(db: &TraceDb, jobs: usize) -> lockdoc_core::LintReport {
-    let mined = derive_par(db, &DeriveConfig::default(), jobs);
+    let index = EvidenceIndex::build(db, jobs);
+    let mined = derive_in(&index, &DeriveConfig::default(), jobs);
     let documented = parse_rules(rules::documented_rules()).expect("documented rules parse");
-    let checked = check_rules_par(db, &documented, jobs);
-    let violations = find_violations_par(db, &mined, 3, jobs);
-    let races = find_races_par(db, jobs);
-    let order = OrderGraph::build_par(db, jobs);
-    lint(
-        db,
-        &LintInputs {
-            mined: &mined,
-            checked: &checked,
-            violations: &violations,
-            races: &races,
-            order: &order,
-            statics: None,
-        },
-        jobs,
-    )
+    lint_passes(&index, &mined, &documented, None, jobs).report
 }
 
 fn main() {

@@ -11,7 +11,7 @@
 //! aggregated lists of the shared [`crate::evidence::EvidenceIndex`], so
 //! checking a rule is a sum over a handful of distinct lock sequences.
 
-use crate::evidence::{observations, EvidenceIndex};
+use crate::evidence::EvidenceIndex;
 use crate::hypothesis::complies;
 use crate::rulespec::RuleSpec;
 use lockdoc_trace::db::TraceDb;
@@ -105,7 +105,7 @@ fn check_one_rule(index: &EvidenceIndex<'_>, rule: &RuleSpec) -> CheckedRule {
         let Some(mo) = group.member(member as u32) else {
             continue;
         };
-        for obs in observations(mo, rule.kind) {
+        for obs in mo.observations(rule.kind) {
             total += obs.count;
             if complies(&obs.locks, &rule.locks) {
                 sa += obs.count;

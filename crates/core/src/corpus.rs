@@ -33,7 +33,7 @@ use crate::hypothesis::Observation;
 use crate::lockset::LockDescriptor;
 use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::{fnv1a, TraceDb};
-use lockdoc_trace::event::TraceMeta;
+use lockdoc_trace::event::{AccessKind, TraceMeta};
 use lockdoc_trace::ids::{DataTypeId, Sym};
 use std::collections::BTreeMap;
 
@@ -48,6 +48,16 @@ pub struct MemberObs {
     pub read: Vec<Observation>,
     /// Aggregated write observations, sorted by lock sequence.
     pub write: Vec<Observation>,
+}
+
+impl MemberObs {
+    /// The aggregated observation list of one access kind.
+    pub fn observations(&self, kind: AccessKind) -> &[Observation] {
+        match kind {
+            AccessKind::Read => &self.read,
+            AccessKind::Write => &self.write,
+        }
+    }
 }
 
 /// One observation group's slice of a [`TraceMatrix`]. Groups are keyed

@@ -17,7 +17,7 @@
 //! [`crate::corpus::derive_corpus`] and [`derive_pooled`].
 
 use crate::corpus::{merge_members, MemberObs};
-use crate::evidence::{observations, EvidenceIndex, GroupKey};
+use crate::evidence::{EvidenceIndex, GroupKey};
 use crate::hypothesis::{enumerate, Hypothesis};
 use crate::select::{select, SelectionConfig, Winner};
 use lockdoc_platform::par::par_map;
@@ -199,7 +199,7 @@ pub(crate) fn mine_group(
     let mut truncated_units = 0u64;
     for m in members {
         for kind in [AccessKind::Read, AccessKind::Write] {
-            let obs = observations(m, kind);
+            let obs = m.observations(kind);
             let total: u64 = obs.iter().map(|o| o.count).sum();
             if total < config.min_units || total == 0 {
                 continue;

@@ -25,7 +25,10 @@
 //!
 //! The join is sharded per observation group on
 //! [`lockdoc_platform::par`] with byte-identical output at any jobs
-//! count, like every other pass.
+//! count, like every other pass. [`lint_passes`] runs the whole
+//! sequence — check, violations, races, order, lint — over one shared
+//! [`crate::evidence::EvidenceIndex`]; `lockdoc lint`, `xcheck --trace`
+//! and `serve` all go through it.
 
 use crate::checker::{check_rules_in, CheckedRule, Verdict};
 use crate::derive::MinedRules;

@@ -106,8 +106,8 @@ impl OrderGraph {
     /// first occurrence in transaction order, the result is
     /// byte-identical to `build` at any worker count.
     pub fn build_par(db: &TraceDb, jobs: usize) -> Self {
-        // The columnar txn table has no slice to hand to `chunks_for`;
-        // split the id space into the same contiguous ranges instead.
+        // Split the columnar txn table's id space into at most `jobs`
+        // contiguous ranges.
         let n = db.txns.len();
         let mut ranges: Vec<(usize, usize)> = Vec::new();
         if n > 0 {

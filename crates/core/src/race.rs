@@ -360,15 +360,7 @@ fn race_access(index: &EvidenceIndex<'_>, group: &GroupEvidence, rep: &Rep<'_>) 
 
 /// Whether two sorted id sets share an element.
 fn intersects(a: &[DescId], b: &[DescId]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
+    a.iter().any(|id| b.binary_search(id).is_ok())
 }
 
 /// Picks the most damning conflicting pair among the representatives:

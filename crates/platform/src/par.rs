@@ -108,74 +108,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// [`par_map`] with per-worker scratch state: `init` builds one state per
-/// worker (exactly once on the serial path), and `f` receives `&mut`
-/// access to its worker's state alongside each item.
-///
-/// The state exists for *caches only* — e.g. a resolution cache shared
-/// across however many shards one worker happens to process. Which items
-/// share a state is scheduling-dependent, so `f`'s result for an item must
-/// not observably depend on the state's history; under that contract the
-/// output is byte-identical at any worker count, and `jobs = 1` (one state,
-/// every item, in order) is the exact serial path.
-///
-/// # Panics
-///
-/// If `init` or `f` panics, the payload is re-raised on the calling thread
-/// after the remaining workers wind down.
-pub fn par_map_init<T, R, S, I, F>(jobs: usize, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    if jobs <= 1 || items.len() <= 1 {
-        let mut state = init();
-        return items.iter().map(|item| f(&mut state, item)).collect();
-    }
-    let workers = jobs.min(items.len());
-    let cursor = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, f(&mut state, item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(part) => indexed.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    debug_assert_eq!(indexed.len(), items.len());
-    indexed.sort_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Splits `items` into at most `jobs` contiguous chunks (fewer when there
-/// are fewer items). Used by callers whose shards want to share per-chunk
-/// state (e.g. a resolution cache): `jobs = 1` yields a single chunk, the
-/// exact serial path.
-pub fn chunks_for<T>(jobs: usize, items: &[T]) -> Vec<&[T]> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let size = items.len().div_ceil(jobs.max(1));
-    items.chunks(size).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,75 +186,5 @@ mod tests {
         std::env::set_var("LOCKDOC_JOBS_FORCE", "0");
         assert_eq!(resolve_jobs(Some(cores + 7)), cores);
         std::env::remove_var("LOCKDOC_JOBS_FORCE");
-    }
-
-    #[test]
-    fn par_map_init_matches_par_map_and_reuses_state() {
-        use std::collections::HashMap;
-        let items: Vec<u64> = (0..57).collect();
-        let plain = par_map(4, &items, |&x| x.wrapping_mul(0x9e37_79b9));
-        for jobs in [1usize, 2, 4, 16] {
-            let with_cache = par_map_init(jobs, &items, HashMap::<u64, u64>::new, |cache, &x| {
-                *cache
-                    .entry(x)
-                    .or_insert_with(|| x.wrapping_mul(0x9e37_79b9))
-            });
-            assert_eq!(with_cache, plain, "jobs = {jobs}");
-        }
-        // Serial path: exactly one state is built for all items.
-        let inits = AtomicUsize::new(0);
-        let out = par_map_init(
-            1,
-            &items,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0u64
-            },
-            |state, &x| {
-                *state += 1;
-                *state + x
-            },
-        );
-        assert_eq!(inits.load(Ordering::Relaxed), 1);
-        // With one state the running count is deterministic: item i is the
-        // (i+1)-th call.
-        let want: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| i as u64 + 1 + x)
-            .collect();
-        assert_eq!(out, want);
-    }
-
-    #[test]
-    fn par_map_init_propagates_panics() {
-        let items: Vec<u32> = (0..64).collect();
-        let result = std::panic::catch_unwind(|| {
-            par_map_init(
-                4,
-                &items,
-                || (),
-                |_, &x| {
-                    if x == 13 {
-                        panic!("unlucky shard");
-                    }
-                    x
-                },
-            )
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn chunks_cover_input_in_order() {
-        let items: Vec<u32> = (0..10).collect();
-        for jobs in [1, 2, 3, 4, 10, 99] {
-            let chunks = chunks_for(jobs, &items);
-            assert!(chunks.len() <= jobs.max(1));
-            let flat: Vec<u32> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-            assert_eq!(flat, items, "jobs = {jobs}");
-        }
-        assert!(chunks_for::<u32>(4, &[]).is_empty());
-        assert_eq!(chunks_for(1, &items), vec![&items[..]]);
     }
 }

@@ -49,8 +49,9 @@ echo "fmt + clippy: OK"
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
-# --- races / lint determinism gate -------------------------------------------
-# The race detector and consistency lint must be byte-identical at any
+# --- evidence-index passes determinism gate ----------------------------------
+# derive, check, violations, the race detector and the consistency lint
+# all read one shared evidence index and must be byte-identical at any
 # worker count, in both text and JSON renderings. Exercised through the
 # real CLI on a freshly generated racy-knob trace (quick mode: small op
 # count; the same gate runs at scale in the race_detection_scaling bench).
@@ -58,7 +59,7 @@ LOCKDOC="$(pwd)/target/release/lockdoc"
 GATE_DIR="$(mktemp -d)"
 trap 'rm -rf "$GATE_DIR"' EXIT
 "$LOCKDOC" trace --ops 800 --racy --out "$GATE_DIR/racy.ldoc" > /dev/null
-for cmd in races lint; do
+for cmd in derive check violations races lint; do
     "$LOCKDOC" "$cmd" --trace "$GATE_DIR/racy.ldoc" --jobs 1 > "$GATE_DIR/$cmd.1.txt"
     "$LOCKDOC" "$cmd" --trace "$GATE_DIR/racy.ldoc" --jobs 4 > "$GATE_DIR/$cmd.4.txt"
     "$LOCKDOC" "$cmd" --trace "$GATE_DIR/racy.ldoc" --jobs 1 --json > "$GATE_DIR/$cmd.1.json"
@@ -70,7 +71,7 @@ for cmd in races lint; do
 done
 grep -q "RACE" "$GATE_DIR/races.1.txt" \
     || { echo "racy-knob trace produced no race candidates" >&2; exit 1; }
-echo "races/lint determinism gate: OK (byte-identical at --jobs 1 and 4)"
+echo "derive/check/violations/races/lint determinism gate: OK (byte-identical at --jobs 1 and 4)"
 
 # --- fuzz campaign determinism gate -------------------------------------------
 # A quick coverage-guided fuzzing campaign must be byte-identical at any
