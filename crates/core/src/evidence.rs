@@ -34,12 +34,13 @@
 use crate::corpus::{GroupMatrix, MemberObs, TraceMatrix};
 use crate::hypothesis::Observation;
 use crate::lockset::LockDescriptor;
-use crate::matrix::{AccessMatrix, Unit};
+use crate::matrix::{AccessMatrix, CellCounts, MemberMatrix, Unit};
 use lockdoc_platform::hash::FastMap;
 use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::{LockInstance, TraceDb};
 use lockdoc_trace::event::{AccessKind, LockFlavor};
 use lockdoc_trace::ids::{AllocId, DataTypeId, Sym};
+use std::collections::BTreeMap;
 
 /// Interned lock descriptor: an index into [`EvidenceIndex::locks`].
 pub type DescId = u32;
@@ -281,11 +282,12 @@ fn build_group(
     key: GroupKey,
     rows: &[u32],
 ) -> GroupEvidence {
-    let mut matrix = AccessMatrix::new(key.0, key.1);
     let mut units: FastMap<Unit, SeqId> = FastMap::default();
     let mut interned: FastMap<Vec<DescId>, SeqId> = FastMap::default();
     let mut seqs: Vec<Vec<DescId>> = Vec::new();
     let mut row_seqs: Vec<SeqId> = Vec::with_capacity(rows.len());
+    // (member, unit, is-write, sequence) of every access in a transaction.
+    let mut touches: Vec<(u32, Unit, bool, SeqId)> = Vec::with_capacity(rows.len());
     let mut scratch: Vec<DescId> = Vec::new();
     for &row in rows {
         let a = db.accesses.get(row as usize);
@@ -317,7 +319,7 @@ fn build_group(
             }
         });
         row_seqs.push(seq);
-        matrix.record(&a);
+        touches.push((a.member, (txn, a.alloc), a.kind == AccessKind::Write, seq));
     }
 
     // Renumber sequences in lexicographic order of their id slices — by
@@ -339,36 +341,55 @@ fn build_group(
         seq_locks.extend_from_slice(seq);
     }
 
-    let members = matrix
-        .members
-        .iter()
-        .map(|(&member, mm)| {
-            let aggregate = |kind: AccessKind| {
-                let mut ids: Vec<SeqId> = mm
-                    .cells
+    // Fold the touches into cells, member by member and unit by unit:
+    // sorted cells bulk-build dense B-trees, and each cell's
+    // write-over-read kind counts its unit's sequence once.
+    touches.sort_unstable();
+    let observations = |ids: &mut Vec<SeqId>| -> Vec<Observation> {
+        ids.sort_unstable();
+        ids.chunk_by(|x, y| x == y)
+            .map(|run| Observation {
+                locks: seqs[order[run[0] as usize] as usize]
                     .iter()
-                    .filter(|(_, c)| c.wor_kind() == Some(kind))
-                    .map(|(unit, _)| rank[units[unit] as usize])
-                    .collect();
-                ids.sort_unstable();
-                let mut out: Vec<Observation> = Vec::new();
-                for run in ids.chunk_by(|x, y| x == y) {
-                    let seq = &seqs[order[run[0] as usize] as usize];
-                    out.push(Observation {
-                        locks: seq.iter().map(|&id| locks[id as usize].clone()).collect(),
-                        count: run.len() as u64,
-                    });
+                    .map(|&id| locks[id as usize].clone())
+                    .collect(),
+                count: run.len() as u64,
+            })
+            .collect()
+    };
+    let mut matrix = AccessMatrix {
+        data_type: key.0,
+        subclass: key.1,
+        members: BTreeMap::new(),
+    };
+    let mut members = Vec::new();
+    for member_touches in touches.chunk_by(|x, y| x.0 == y.0) {
+        let member = member_touches[0].0;
+        let (mut read, mut write) = (Vec::new(), Vec::new());
+        let cells = member_touches
+            .chunk_by(|x, y| x.1 == y.1)
+            .map(|cell| {
+                let writes = cell.iter().filter(|t| t.2).count() as u64;
+                let counts = CellCounts {
+                    reads: cell.len() as u64 - writes,
+                    writes,
+                };
+                let seq = rank[cell[0].3 as usize];
+                match counts.wor_kind() {
+                    Some(AccessKind::Write) => write.push(seq),
+                    _ => read.push(seq),
                 }
-                out
-            };
-            MemberObs {
-                member,
-                member_name: db.member_name(key.0, member).to_owned(),
-                read: aggregate(AccessKind::Read),
-                write: aggregate(AccessKind::Write),
-            }
-        })
-        .collect();
+                (cell[0].1, counts)
+            })
+            .collect();
+        matrix.members.insert(member, MemberMatrix { cells });
+        members.push(MemberObs {
+            member,
+            member_name: db.member_name(key.0, member).to_owned(),
+            read: observations(&mut read),
+            write: observations(&mut write),
+        });
+    }
 
     GroupEvidence {
         key,

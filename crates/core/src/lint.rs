@@ -262,8 +262,8 @@ pub struct LintInputs<'a> {
 pub struct LintPasses {
     /// Documented-rule check results.
     pub checked: Vec<CheckedRule>,
-    /// Rule violations, with up to [`LINT_MAX_EXAMPLES`] examples per
-    /// group.
+    /// Rule violations, with up to three examples per group (the lint
+    /// reads only the tallies).
     pub violations: Vec<GroupViolations>,
     /// Race-detector report.
     pub races: RaceReport,
@@ -274,7 +274,7 @@ pub struct LintPasses {
 }
 
 /// Violation examples [`lint_passes`] materializes per group.
-pub const LINT_MAX_EXAMPLES: usize = 3;
+const LINT_MAX_EXAMPLES: usize = 3;
 
 /// Runs the pass sequence the lint joins — documented-rule check →
 /// violations → races → lock order → lint — over one evidence index.

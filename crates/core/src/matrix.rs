@@ -16,7 +16,7 @@
 //!   a member count as *write* units only, because write rules are at least
 //!   as restrictive as read rules.
 
-use lockdoc_trace::db::{Access, TraceDb};
+use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::AccessKind;
 use lockdoc_trace::ids::{AllocId, DataTypeId, Sym, TxnId};
 use std::collections::BTreeMap;
@@ -106,15 +106,6 @@ pub struct AccessMatrix {
 }
 
 impl AccessMatrix {
-    /// An empty matrix for `(data_type, subclass)`.
-    pub fn new(data_type: DataTypeId, subclass: Option<Sym>) -> Self {
-        Self {
-            data_type,
-            subclass,
-            members: BTreeMap::new(),
-        }
-    }
-
     /// Builds the matrix for `group` from the imported trace by scanning
     /// the access table (the analysis passes read the matrices of
     /// [`crate::evidence::EvidenceIndex`] instead).
@@ -122,27 +113,24 @@ impl AccessMatrix {
     /// Every imported access carries a transaction id (lock-free spans are
     /// empty-set transactions), so each access maps to exactly one unit.
     pub fn build(db: &TraceDb, group: (DataTypeId, Option<Sym>)) -> Self {
-        let mut matrix = Self::new(group.0, group.1);
+        let mut members: BTreeMap<u32, MemberMatrix> = BTreeMap::new();
         for a in db.group_accesses(group) {
-            matrix.record(&a);
+            let Some(txn) = a.txn else { continue };
+            let cell = members
+                .entry(a.member)
+                .or_default()
+                .cells
+                .entry((txn, a.alloc))
+                .or_default();
+            match a.kind {
+                AccessKind::Read => cell.reads += 1,
+                AccessKind::Write => cell.writes += 1,
+            }
         }
-        matrix
-    }
-
-    /// Counts one access into its member's cell for its unit; accesses
-    /// outside any transaction have no unit and are skipped.
-    pub fn record(&mut self, a: &Access) {
-        let Some(txn) = a.txn else { return };
-        let cell = self
-            .members
-            .entry(a.member)
-            .or_default()
-            .cells
-            .entry((txn, a.alloc))
-            .or_default();
-        match a.kind {
-            AccessKind::Read => cell.reads += 1,
-            AccessKind::Write => cell.writes += 1,
+        Self {
+            data_type: group.0,
+            subclass: group.1,
+            members,
         }
     }
 
