@@ -442,9 +442,10 @@ mod tests {
         }
     }
 
-    /// Two tasks named `names`, one member: the first writes under
-    /// `guard`, the second writes with no locks.
-    fn two_task_trace(names: [&str; 2]) -> TraceDb {
+    /// One member: a task named `names[0]` writes it under `guard`, then
+    /// a task named `names[1]` — the same task when `names` has one
+    /// entry — writes it with no locks.
+    fn guarded_then_lock_free(names: &[&str]) -> TraceDb {
         use lockdoc_trace::event::{AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, Trace};
         use lockdoc_trace::filter::FilterConfig;
         let mut tr = Trace::new();
@@ -462,7 +463,10 @@ mod tests {
             }],
         });
         let t0 = tr.meta_mut().add_task(names[0]);
-        let t1 = tr.meta_mut().add_task(names[1]);
+        let t1 = match names.get(1) {
+            Some(name) => tr.meta_mut().add_task(name),
+            None => t0,
+        };
         let loc = |l| SourceLoc::new(file, l);
         let mut ts = 0;
         let mut push = |tr: &mut Trace, e| {
@@ -532,7 +536,7 @@ mod tests {
     /// include the lock-free write.
     #[test]
     fn cross_task_lock_free_write_is_reported_with_witness() {
-        let db = two_task_trace(["alpha", "beta"]);
+        let db = guarded_then_lock_free(&["alpha", "beta"]);
         let report = find_races(&db);
         assert_eq!(report.candidate_count(), 1);
         let c = report.candidate("obj", "v").expect("obj.v candidate");
@@ -550,12 +554,21 @@ mod tests {
         assert_eq!(lock_free[0].loc.line, 4);
     }
 
+    /// Single-core flow exclusion: one task's accesses never race, even
+    /// when their real locksets share no lock.
+    #[test]
+    fn one_flow_never_races_with_itself() {
+        let report = find_races(&guarded_then_lock_free(&["alpha"]));
+        assert_eq!(report.candidate_count(), 0);
+        assert_eq!(report.pairless_total(), 0);
+    }
+
     /// Regression: flow exclusion is keyed by flow identity, not by task
     /// name. Two distinct tasks that share a name (`kworker` is common in
     /// kernel traces) are two flows, so the lock-free write still races.
     #[test]
     fn same_named_tasks_are_distinct_flows() {
-        let db = two_task_trace(["kworker", "kworker"]);
+        let db = guarded_then_lock_free(&["kworker", "kworker"]);
         let report = find_races(&db);
         assert_eq!(report.candidate_count(), 1);
         let c = report.candidate("obj", "v").expect("obj.v candidate");

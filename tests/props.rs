@@ -365,8 +365,9 @@ fn derive_is_jobs_invariant() {
 
 /// The evidence index every analysis pass reads agrees with the direct
 /// transcriptions of the paper's definitions, on random ksim seeds, on
-/// `--racy` traces, and on event-level corruptions imported leniently
-/// (fewer cases — each runs the simulator):
+/// `--racy` traces, on event-level corruptions imported leniently, and
+/// on random multi-flow traces whose two same-named static locks make
+/// held sequences deduplicate (fewer cases — most run the simulator):
 ///
 /// * the descriptor table is strictly sorted, so id order equals
 ///   `LockDescriptor`'s `Ord`;
@@ -378,15 +379,24 @@ fn derive_is_jobs_invariant() {
 #[test]
 fn evidence_index_matches_paper_definitions() {
     let cfg = prop::Config {
-        cases: 12,
+        cases: 16,
         ..prop::Config::from_env()
     };
-    let gen = |rng: &mut Rng| (rng.gen_range(0u64..1 << 48), rng.gen_range(0u8..3));
+    let gen = |rng: &mut Rng| (rng.gen_range(0u64..1 << 48), rng.gen_range(0u8..4));
     prop::check_with(
         &cfg,
         "evidence_index_matches_paper_definitions",
         gen,
         |&(seed, variant)| {
+            if variant == 3 {
+                let ops = vec_of(&mut Rng::seed_from_u64(seed), 0..250, flow_op_gen);
+                let db = import(
+                    &build_multiflow_trace(&ops),
+                    &FilterConfig::with_defaults(),
+                    1,
+                );
+                return check_evidence_index(&db);
+            }
             let plan = match variant {
                 1 => ksim::rules::racy_fault_plan(),
                 _ => ksim::rules::default_fault_plan(),
