@@ -123,7 +123,7 @@ impl GroupEvidence {
 }
 
 /// One index per [`TraceDb`]; see the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EvidenceIndex<'db> {
     db: &'db TraceDb,
     locks: Vec<LockDescriptor>,
@@ -154,8 +154,9 @@ impl<'db> EvidenceIndex<'db> {
         });
         // Keep copies made on the calling thread and free the workers'
         // originals now: heap blocks a worker allocated that outlive it
-        // pin its malloc arena, which raised the peak RSS of an 8-member
-        // cold `corpus build` at `--jobs 2` from 113 to 140 MB.
+        // pin its glibc malloc arena, which raised the peak RSS of an
+        // 8-member cold `corpus build` at `--jobs 2` from 113 to 140 MB
+        // on a 2-vCPU VM.
         let mut groups: Vec<GroupEvidence> = built.to_vec();
         drop(built);
         for (group, (_, rows)) in groups.iter_mut().zip(split) {
@@ -288,7 +289,7 @@ fn build_group(
     let mut row_seqs: Vec<SeqId> = Vec::with_capacity(rows.len());
     // (member, unit, is-write, sequence) of every access in a transaction.
     let mut touches: Vec<(u32, Unit, bool, SeqId)> = Vec::with_capacity(rows.len());
-    let mut scratch: Vec<DescId> = Vec::new();
+    let mut held_ids: Vec<DescId> = Vec::new();
     for &row in rows {
         let a = db.accesses.get(row as usize);
         let Some(txn) = a.txn else {
@@ -296,7 +297,7 @@ fn build_group(
             continue;
         };
         let seq = *units.entry((txn, a.alloc)).or_insert_with(|| {
-            scratch.clear();
+            held_ids.clear();
             for held in db.txn(txn).locks {
                 let ids = lock_ids[held.lock.index()];
                 let id = if ids.owner == Some(a.alloc) {
@@ -304,16 +305,16 @@ fn build_group(
                 } else {
                     ids.other
                 };
-                if !scratch.contains(&id) {
-                    scratch.push(id);
+                if !held_ids.contains(&id) {
+                    held_ids.push(id);
                 }
             }
-            match interned.get(scratch.as_slice()) {
+            match interned.get(held_ids.as_slice()) {
                 Some(&s) => s,
                 None => {
                     let s = seqs.len() as SeqId;
-                    interned.insert(scratch.clone(), s);
-                    seqs.push(scratch.clone());
+                    interned.insert(held_ids.clone(), s);
+                    seqs.push(held_ids.clone());
                     s
                 }
             }
