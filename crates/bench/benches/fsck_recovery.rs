@@ -85,8 +85,7 @@ fn repair_opts() -> FsckOptions {
 }
 
 fn run_fsck(store: &CorpusStore) -> lockdoc_trace::corpus::FsckReport {
-    let ctx = CorpusCtx::with_store(store.clone(), 0.9, 1);
-    fsck(store, &ctx.filter, 1, repair_opts()).unwrap()
+    fsck(store, repair_opts()).unwrap()
 }
 
 /// Full pipeline over the store (screen + import + matrix + derive),

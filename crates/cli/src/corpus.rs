@@ -228,7 +228,7 @@ fn load_member(ctx: &CorpusCtx, name: &str, opts: &LoadOpts) -> Result<Member> {
     }
     // Cold path: screen (salvage + quarantine + sanitize), then rebuild
     // the cached artifacts for the next run.
-    let (trace, screen) = screen_trace(&bytes, &ctx.filter, ctx.jobs);
+    let (trace, screen) = screen_trace(&bytes, &ctx.filter, 1);
     if let Some(r) = &screen.import {
         member.events = r.events;
         member.quarantined = r.quarantined.len() as u64;
@@ -241,7 +241,7 @@ fn load_member(ctx: &CorpusCtx, name: &str, opts: &LoadOpts) -> Result<Member> {
     };
     member.meta = Some((*trace.meta).clone());
     if opts.need_matrix {
-        let db = import(&trace, &ctx.filter, ctx.jobs);
+        let db = import(&trace, &ctx.filter, 1);
         let matrix = build_trace_matrix(&db, ctx.jobs);
         ctx.write_cache(
             &mtx_path,
@@ -525,7 +525,7 @@ pub fn cmd_fsck(args: &Args) -> Result<String> {
         repair: args.has("repair"),
         gc: args.has("gc"),
     };
-    let report = store_fsck(&ctx.store, &ctx.filter, ctx.jobs, opts)?;
+    let report = store_fsck(&ctx.store, opts)?;
     if args.has("json") {
         let v = Json::obj(vec![
             (

@@ -48,8 +48,8 @@ use lockdoc_trace::codec::{
     read_trace, read_trace_salvage, write_trace, SalvageReport, TraceReader,
 };
 use lockdoc_trace::db::{
-    filter_fingerprint, fnv1a, import_resilient, import_stream, read_archive, write_archive,
-    ImportError, ImportReport, ResilientConfig, TraceDb,
+    filter_fingerprint, fnv1a, import_resilient, import_stream, quarantine_report, read_archive,
+    write_archive, ImportError, ImportReport, ResilientConfig, TraceDb,
 };
 use lockdoc_trace::event::Trace;
 use std::fs;
@@ -179,9 +179,9 @@ lockdoc — trace-based analysis of locking rules
 USAGE:
   lockdoc trace      [--ops N] [--seed N] [--no-faults | --racy] [--mix SPEC]
                      [--fs LIST] [--shards N] [--jobs N] --out FILE
-  lockdoc import     --trace FILE [--csv-dir DIR] [--jobs N]
+  lockdoc import     --trace FILE [--csv-dir DIR]
                      [--lenient | --strict] [--max-bad-frac X]
-  lockdoc doctor     TRACE|DIR [--json] [--jobs N]
+  lockdoc doctor     TRACE|DIR [--json]
   lockdoc derive     --trace FILE [--t-ac X] [--group NAME] [--jobs N] [--rulespec | --json]
   lockdoc check      --trace FILE [--rules FILE] [--jobs N] [--json]
   lockdoc doc        --trace FILE [--group NAME] [--jobs N]
@@ -199,16 +199,15 @@ USAGE:
   lockdoc corpus     build|status|export|add FILE..|drop NAME.. --dir DIR
                      [--cache-dir DIR] [--t-ac X] [--jobs N] [--json]
                      [--rulespec] [--out FILE]
-  lockdoc fsck       --dir DIR [--cache-dir DIR] [--repair] [--gc]
-                     [--jobs N] [--json]
+  lockdoc fsck       --dir DIR [--cache-dir DIR] [--repair] [--gc] [--json]
   lockdoc serve      --dir DIR (--once [--input FILE] | [--socket PATH])
                      [--cache-dir DIR] [--t-ac X] [--jobs N]
                      [--max-request-bytes N] [--timeout-ms N]
                      [--max-conns N] [--ingest-retries N]
 
-`--jobs N` (or LOCKDOC_JOBS) runs trace generation, import, and the
-analysis phases on N workers; output is byte-identical at any worker
-count. Default: available parallelism.
+`--jobs N` (or LOCKDOC_JOBS) runs trace generation and the analysis
+phases on N workers; output is byte-identical at any worker count.
+Import is always serial. Default: available parallelism.
 
 `--cache-dir DIR` (or LOCKDOC_CACHE_DIR) keeps a columnar archive of the
 imported store per trace: commands that read `--trace FILE` load a valid
@@ -243,7 +242,7 @@ reporting per-pass precision and recall.
 `import --lenient` salvages damaged containers and quarantines corrupt
 events (up to `--max-bad-frac`, default 0.05); `import --strict` refuses
 the first corrupt event with a typed diagnosis. `doctor` reports a trace's
-health (salvage + quarantine summary) without importing it for analysis.
+health (salvage + quarantine summary) without importing it.
 
 `fuzz` runs a coverage-guided campaign over workload mixes: --budget
 mutated candidates (in rounds of --generation), each running --ops
@@ -300,17 +299,16 @@ fn load_db(args: &Args) -> Result<TraceDb> {
 /// directly, a stale/absent one is rewritten after a fresh import.
 fn load_db_from(path: &str, args: &Args) -> Result<TraceDb> {
     let config = rules::filter_config();
-    let jobs = args.jobs()?;
     let cache_dir = args
         .get("cache-dir")
         .map(str::to_owned)
         .or_else(|| std::env::var("LOCKDOC_CACHE_DIR").ok());
     match cache_dir {
-        Some(dir) => load_db_cached(path, Path::new(&dir), &config, jobs),
+        Some(dir) => load_db_cached(path, Path::new(&dir), &config),
         None => {
             let file = fs::File::open(path)?;
             let reader = TraceReader::new(io::BufReader::new(file))?;
-            Ok(import_stream(reader, &config, jobs)?)
+            Ok(import_stream(reader, &config, 1)?)
         }
     }
 }
@@ -333,7 +331,6 @@ fn load_db_cached(
     trace_path: &str,
     cache_dir: &Path,
     config: &lockdoc_trace::filter::FilterConfig,
-    jobs: usize,
 ) -> Result<TraceDb> {
     let bytes = fs::read(trace_path)?;
     let checksum = fnv1a(&bytes);
@@ -346,7 +343,7 @@ fn load_db_cached(
             return Ok(db);
         }
     }
-    let db = import_stream(reader, config, jobs)?;
+    let db = import_stream(reader, config, 1)?;
     fs::create_dir_all(cache_dir)?;
     // Atomic best-effort write: the rename keeps a crashed run from ever
     // leaving a torn archive under the final name (a torn one would fail
@@ -477,7 +474,6 @@ pub fn cmd_import(args: &Args) -> Result<String> {
             .get("trace")
             .ok_or_else(|| CliError::Usage("--trace FILE is required".into()))?;
         let bytes = fs::read(path)?;
-        let jobs = args.jobs()?;
         let (trace, rcfg) = if strict {
             // Strict: the container must decode perfectly before the
             // event stream is even considered.
@@ -493,7 +489,7 @@ pub fn cmd_import(args: &Args) -> Result<String> {
             let max_bad_frac: f64 = args.num("max-bad-frac", 0.05f64)?;
             (trace, ResilientConfig::lenient(max_bad_frac))
         };
-        let (db, report) = import_resilient(&trace, &rules::filter_config(), jobs, &rcfg)?;
+        let (db, report) = import_resilient(&trace, &rules::filter_config(), 1, &rcfg)?;
         if !report.is_clean() {
             out.push_str(&describe_quarantine(&report));
         }
@@ -540,7 +536,6 @@ pub fn cmd_doctor(args: &Args) -> Result<String> {
         return doctor_dir(path, args);
     }
     let bytes = fs::read(path)?;
-    let jobs = args.jobs()?;
     let (trace, salvage) = match read_trace_salvage(&bytes) {
         Ok(ok) => ok,
         Err(e) => {
@@ -557,13 +552,8 @@ pub fn cmd_doctor(args: &Args) -> Result<String> {
             return Ok(format!("{path}: UNREADABLE — {e}\n"));
         }
     };
-    // Budget 1.0: doctor reports damage, it never refuses over it.
-    let (_, report) = import_resilient(
-        &trace,
-        &rules::filter_config(),
-        jobs,
-        &ResilientConfig::lenient(1.0),
-    )?;
+    // Doctor reports damage, it never refuses over it.
+    let report = quarantine_report(&trace);
     let healthy = salvage.is_clean() && report.is_clean();
     if args.has("json") {
         let v = Json::Obj(vec![
@@ -608,11 +598,10 @@ fn doctor_dir(dir: &str, args: &Args) -> Result<String> {
         .collect();
     names.sort();
     let filter = rules::filter_config();
-    let jobs = args.jobs()?;
     let mut rows = Vec::new();
     for name in &names {
         let bytes = fs::read(Path::new(dir).join(name))?;
-        let (_, screen) = lockdoc_trace::corpus::screen_trace(&bytes, &filter, jobs);
+        let (_, screen) = lockdoc_trace::corpus::screen_trace(&bytes, &filter, 1);
         let (events, quarantined) = match &screen.import {
             Some(r) => (r.events, r.quarantined.len() as u64),
             None => (0, 0),

@@ -165,7 +165,7 @@ fn build_snapshot(ctx: &CorpusCtx) -> Result<Snapshot> {
     }
     let merged =
         concat_traces_corpus(traces).map_err(|e| CliError::Usage(format!("corpus merge: {e}")))?;
-    let db = import(&merged, &ctx.filter, ctx.jobs);
+    let db = import(&merged, &ctx.filter, 1);
     let jobs = ctx.jobs;
     let mined = derived.rules;
     let parsed =

@@ -31,11 +31,11 @@ pub fn available_jobs() -> usize {
 /// parallelism. Requests above the core count are clamped to
 /// [`available_jobs`]: every pass is output-identical at any worker count,
 /// so oversubscribing buys nothing and measurably costs wall-clock
-/// (`BENCH_import.json` shows jobs=4 on a 1-core box paying 2.4–2.6× over
-/// serial). Setting `LOCKDOC_JOBS_FORCE=1` disables the clamp — the escape
-/// hatch the identity gates and benches use to exercise the true
-/// multi-worker code path on any machine. The result is always at least 1;
-/// `1` selects the exact serial code path in [`par_map`].
+/// (`BENCH_derive.json` records jobs=4 at 1.45× over serial against 1.66×
+/// at jobs=2 on a 2-core box). Setting `LOCKDOC_JOBS_FORCE=1` disables the
+/// clamp — the escape hatch the identity gates and benches use to exercise
+/// the true multi-worker code path on any machine. The result is always at
+/// least 1; `1` selects the exact serial code path in [`par_map`].
 pub fn resolve_jobs(explicit: Option<usize>) -> usize {
     let requested = explicit.map(|n| n.max(1)).or_else(|| {
         let v = std::env::var("LOCKDOC_JOBS").ok()?;

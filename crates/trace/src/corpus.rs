@@ -12,7 +12,7 @@
 //!
 //! Every member is screened on load with the resilient pipeline
 //! ([`crate::codec::read_trace_salvage`] +
-//! [`crate::db::import_resilient`] with an unlimited error budget):
+//! [`crate::db::quarantine_report`], which imports nothing):
 //! - [`Health::Healthy`] — container and event stream are pristine;
 //! - [`Health::Degraded`] — damage was salvaged and/or events were
 //!   quarantined; the returned trace is *sanitized* (quarantined events
@@ -39,12 +39,11 @@
 //! fsck itself is recovered by running fsck again.
 
 use crate::codec::{read_trace_salvage, SalvageReport};
-use crate::db::{fnv1a, import_resilient, ImportReport, ResilientConfig};
+use crate::db::{fnv1a, quarantine_report, ImportReport};
 use crate::event::Trace;
 use crate::filter::FilterConfig;
 use lockdoc_platform::json::{parse as json_parse, Json};
 use lockdoc_platform::vfs::{is_tmp_path, tmp_path, Vfs};
-use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -109,11 +108,13 @@ pub struct LoadedTrace {
 /// Screens one container: salvage the byte stream, quarantine malformed
 /// events (unlimited budget — screening reports damage, it never refuses
 /// over it), and strip the quarantined events from the returned trace so
-/// all downstream consumers agree on the event stream.
+/// all downstream consumers agree on the event stream. Nothing is
+/// imported, so `_filter` and `_jobs` are unused; they stay so existing
+/// callers keep compiling.
 pub fn screen_trace(
     bytes: &[u8],
-    filter: &FilterConfig,
-    jobs: usize,
+    _filter: &FilterConfig,
+    _jobs: usize,
 ) -> (Option<Trace>, ScreenReport) {
     let (mut trace, salvage) = match read_trace_salvage(bytes) {
         Ok(ok) => ok,
@@ -129,32 +130,10 @@ pub fn screen_trace(
             );
         }
     };
-    let report = match import_resilient(&trace, filter, jobs, &ResilientConfig::lenient(1.0)) {
-        Ok((_, report)) => report,
-        Err(e) => {
-            // Unreachable with an unlimited budget, but a refusal must
-            // still degrade to "unreadable" rather than panic.
-            return (
-                None,
-                ScreenReport {
-                    health: Health::Unreadable,
-                    salvage: Some(salvage),
-                    import: None,
-                    error: Some(e.to_string()),
-                },
-            );
-        }
-    };
-    if !report.is_clean() {
-        let bad: HashSet<u64> = report.quarantined.iter().map(|q| q.event_index).collect();
-        trace.events = trace
-            .events
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !bad.contains(&(*i as u64)))
-            .map(|(_, te)| te.clone())
-            .collect();
-    }
+    let report = quarantine_report(&trace);
+    // `retain` visits the events once each, in order.
+    let mut kept = report.kept_events();
+    trace.events.retain(move |_| kept());
     let health = if salvage.is_clean() && report.is_clean() {
         Health::Healthy
     } else {
@@ -340,10 +319,10 @@ impl CorpusStore {
     }
 
     /// Reads and screens one member.
-    pub fn load(&self, name: &str, filter: &FilterConfig, jobs: usize) -> io::Result<LoadedTrace> {
+    pub fn load(&self, name: &str) -> io::Result<LoadedTrace> {
         let bytes = self.vfs.read(&self.trace_path(name))?;
         let checksum = fnv1a(&bytes);
-        let (trace, screen) = screen_trace(&bytes, filter, jobs);
+        let (trace, screen) = screen_trace(&bytes, &FilterConfig::default(), 1);
         Ok(LoadedTrace {
             name: name.to_owned(),
             checksum,
@@ -484,12 +463,7 @@ impl FsckReport {
 ///
 /// Every step is idempotent and ordered so that a crash *during* fsck is
 /// itself recovered by running fsck again.
-pub fn fsck(
-    store: &CorpusStore,
-    filter: &FilterConfig,
-    jobs: usize,
-    opts: FsckOptions,
-) -> io::Result<FsckReport> {
+pub fn fsck(store: &CorpusStore, opts: FsckOptions) -> io::Result<FsckReport> {
     let vfs = store.vfs().clone();
     let mut report = FsckReport {
         repaired: opts.repair,
@@ -557,7 +531,7 @@ pub fn fsck(
     // 3. Screen members; quarantine the unreadable.
     let mut live: Vec<(String, u64)> = Vec::new();
     for name in store.trace_names()? {
-        let loaded = store.load(&name, filter, jobs)?;
+        let loaded = store.load(&name)?;
         match loaded.screen.health {
             Health::Unreadable => {
                 report.quarantined.push(name.clone());
@@ -721,7 +695,6 @@ mod tests {
 
     #[test]
     fn fsck_rolls_interrupted_adds_forward_and_back() {
-        let filter = FilterConfig::with_defaults();
         let opts = FsckOptions {
             repair: true,
             gc: false,
@@ -739,7 +712,7 @@ mod tests {
             .vfs()
             .atomic_write(&store.journal_path(), rec.render().as_bytes())
             .unwrap();
-        let report = fsck(&store, &filter, 1, opts).unwrap();
+        let report = fsck(&store, opts).unwrap();
         assert!(report.journal_action.unwrap().contains("rolled forward"));
         assert_eq!(store.trace_names().unwrap(), vec!["a.ldoc"]);
 
@@ -759,7 +732,7 @@ mod tests {
             .vfs()
             .write(&tmp_path(&store.trace_path("b.ldoc")), b"partial")
             .unwrap();
-        let report = fsck(&store, &filter, 1, opts).unwrap();
+        let report = fsck(&store, opts).unwrap();
         assert!(report.journal_action.unwrap().contains("rolled back"));
         assert_eq!(report.stray_tmp, vec!["b.ldoc.tmp"]);
         assert!(store.trace_names().unwrap().is_empty());
@@ -776,7 +749,7 @@ mod tests {
             .vfs()
             .atomic_write(&store.journal_path(), rec.render().as_bytes())
             .unwrap();
-        let report = fsck(&store, &filter, 1, opts).unwrap();
+        let report = fsck(&store, opts).unwrap();
         assert!(report.journal_action.unwrap().contains("torn add"));
         assert!(store.trace_names().unwrap().is_empty());
 
@@ -792,7 +765,7 @@ mod tests {
             .vfs()
             .atomic_write(&store.journal_path(), rec.render().as_bytes())
             .unwrap();
-        let report = fsck(&store, &filter, 1, opts).unwrap();
+        let report = fsck(&store, opts).unwrap();
         assert!(report.journal_action.unwrap().contains("drop"));
         assert!(store.trace_names().unwrap().is_empty());
 
@@ -802,19 +775,18 @@ mod tests {
             .vfs()
             .atomic_write(&store.journal_path(), b"{ not json")
             .unwrap();
-        let report = fsck(&store, &filter, 1, opts).unwrap();
+        let report = fsck(&store, opts).unwrap();
         assert_eq!(
             report.journal_action.as_deref(),
             Some("discarded malformed journal")
         );
-        let again = fsck(&store, &filter, 1, opts).unwrap();
+        let again = fsck(&store, opts).unwrap();
         assert!(again.is_clean(), "fsck not idempotent: {again:?}");
         assert_eq!(again.members, (1, 0));
     }
 
     #[test]
     fn fsck_quarantines_unreadable_and_gcs_orphans() {
-        let filter = FilterConfig::with_defaults();
         let store = mem_store(&["a.ldoc"]);
         let vfs = store.vfs().clone();
 
@@ -833,8 +805,6 @@ mod tests {
         // Dry run reports but changes nothing.
         let dry = fsck(
             &store,
-            &filter,
-            1,
             FsckOptions {
                 repair: false,
                 gc: true,
@@ -848,8 +818,6 @@ mod tests {
 
         let report = fsck(
             &store,
-            &filter,
-            1,
             FsckOptions {
                 repair: true,
                 gc: true,
@@ -867,8 +835,6 @@ mod tests {
 
         let again = fsck(
             &store,
-            &filter,
-            1,
             FsckOptions {
                 repair: true,
                 gc: true,
@@ -939,7 +905,7 @@ mod tests {
     #[test]
     fn screening_sanitizes_quarantined_events() {
         // A structurally valid container whose event stream references a
-        // dangling allocation id: the importer quarantines the Free, and
+        // dangling allocation id: the detector quarantines the Free, and
         // the sanitized trace must no longer contain it.
         let mut tr = toy_trace();
         tr.push(5, Event::Free { id: AllocId(99) });

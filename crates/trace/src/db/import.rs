@@ -2,18 +2,13 @@
 //! reconstructing control-flow state, transactions, and stack traces, and
 //! applying the Sec. 5.3 filters.
 //!
-//! Import runs either serially (`jobs = 1`, the reference implementation)
-//! or flow-partitioned on `lockdoc_platform::par` workers (`jobs > 1`).
+//! Import is one serial pass of [`Importer`] over the event stream.
 //! Transactions and shadow stacks are per control flow (task, softirq,
-//! hardirq), so after one cheap serial pre-pass that resolves all *global*
-//! state — the allocation table, lock registrations, task switches and
-//! context nesting — each flow's slice of the event stream can be replayed
-//! independently and the per-flow tables merged back in event order. The
-//! merge reassigns dense row ids in the order the serial importer would
-//! have produced them, so the resulting [`TraceDb`] is byte-identical at
-//! any worker count (see DESIGN.md, "Flow-partitioned parallel import").
+//! hardirq), so the importer keeps one [`FlowState`] per flow key and
+//! switches between them on `TaskSwitch`/`ContextEnter`/`ContextExit`.
+//! DESIGN.md, "Import is serial", records why there is no parallel path.
 //!
-//! Both paths are built for steady-state zero allocation per event:
+//! The importer is built for steady-state zero allocation per event:
 //!
 //! * control flows live in a `Vec` with the current flow's index cached
 //!   across events (recomputed only on `TaskSwitch`/`ContextEnter`/
@@ -30,20 +25,20 @@
 //!   invalidated on `Free`, because consecutive accesses overwhelmingly
 //!   target the same object.
 //!
-//! Both importer halves consume events through a `feed`/`finish` pair, so
-//! [`import_stream`] can drive them straight off a
+//! The importer consumes events through a `feed`/`finish` pair, so
+//! [`import_stream`] can drive it straight off a
 //! [`crate::codec::TraceReader`] without ever materializing the full
-//! event vector.
+//! event vector, and [`crate::db::import_resilient`] can skip quarantined
+//! events without copying the kept ones.
 
 use crate::codec::{CodecError, TraceReader};
 use crate::db::columns::{AccessTable, StackTable, TxnTable};
-use crate::db::schema::{Access, Allocation, FlowKey, HeldLock, LockInstance, StackTrace, Txn};
+use crate::db::schema::{Access, Allocation, FlowKey, HeldLock, LockInstance};
 use crate::db::TraceDb;
 use crate::event::{AccessKind, AcquireMode, ContextKind, Event, SourceLoc, Trace, TraceMeta};
 use crate::filter::{FilterConfig, FilterReason};
 use crate::ids::{Addr, AllocId, DataTypeId, FnId, LockId, StackId, Sym, TaskId, Timestamp, TxnId};
 use lockdoc_platform::hash::{FastMap, FastSet};
-use lockdoc_platform::par::par_map;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Read;
 use std::sync::Arc;
@@ -177,8 +172,7 @@ impl StackInterner {
 }
 
 /// Name-based filter configuration resolved against one trace's metadata,
-/// so the per-event hot path only checks integer sets. Shared read-only by
-/// all import workers.
+/// so the per-event hot path only checks integer sets.
 struct ResolvedFilters {
     global_fn_blacklist: FastSet<FnId>,
     init_teardown: FastMap<DataTypeId, FastSet<FnId>>,
@@ -227,50 +221,34 @@ impl ResolvedFilters {
 
 /// Replays `trace` into a [`TraceDb`], applying `config`.
 ///
-/// `jobs = 1` runs the serial reference importer; `jobs > 1` partitions the
-/// event stream by control flow and replays the flows on worker threads.
-/// The output is byte-identical for every `jobs` value.
-pub fn import(trace: &Trace, config: &FilterConfig, jobs: usize) -> TraceDb {
-    if jobs <= 1 {
-        let mut imp = Importer::new(&trace.meta, config);
-        for te in &trace.events {
-            imp.feed(te.ts, &te.event);
-        }
-        imp.finish(Arc::clone(&trace.meta))
-    } else {
-        let mut pre = PrePassState::new(&trace.meta);
-        for te in &trace.events {
-            pre.feed(te.ts, &te.event);
-        }
-        finish_parallel(&trace.meta, pre.finish(), config, jobs)
+/// `_jobs` is unused: import is one serial pass at any worker count. The
+/// argument stays so existing callers keep compiling.
+pub fn import(trace: &Trace, config: &FilterConfig, _jobs: usize) -> TraceDb {
+    let mut imp = Importer::new(&trace.meta, config);
+    for te in &trace.events {
+        imp.feed(te.ts, &te.event);
     }
+    imp.finish(Arc::clone(&trace.meta))
 }
 
 /// Replays events straight off a [`TraceReader`] without materializing the
 /// event vector; equivalent to `read_trace` followed by [`import`] but with
 /// decode and replay interleaved chunk by chunk, so peak memory stays
 /// proportional to the output tables, not the input stream.
+///
+/// `_jobs` is unused, as in [`import`].
 pub fn import_stream<R: Read>(
     mut reader: TraceReader<R>,
     config: &FilterConfig,
-    jobs: usize,
+    _jobs: usize,
 ) -> Result<TraceDb, CodecError> {
     let meta = Arc::clone(reader.meta());
-    if jobs <= 1 {
-        let mut imp = Importer::new(&meta, config);
-        while let Some(ev) = reader.next_event() {
-            let te = ev?;
-            imp.feed(te.ts, &te.event);
-        }
-        Ok(imp.finish(Arc::clone(&meta)))
-    } else {
-        let mut pre = PrePassState::new(&meta);
-        while let Some(ev) = reader.next_event() {
-            let te = ev?;
-            pre.feed(te.ts, &te.event);
-        }
-        Ok(finish_parallel(&meta, pre.finish(), config, jobs))
+    let mut imp = Importer::new(&meta, config);
+    while let Some(ev) = reader.next_event() {
+        let te = ev?;
+        imp.feed(te.ts, &te.event);
     }
+    Ok(imp.finish(Arc::clone(&meta)))
 }
 
 pub(crate) fn valid_sym(meta: &TraceMeta, sym: Sym) -> bool {
@@ -293,7 +271,8 @@ pub(crate) fn valid_loc(meta: &TraceMeta, loc: &SourceLoc) -> bool {
     valid_sym(meta, loc.file)
 }
 
-struct Importer<'a> {
+/// The serial importer: per-event replay state plus the tables it fills.
+pub(crate) struct Importer<'a> {
     meta: &'a TraceMeta,
     config: &'a FilterConfig,
     stats: ImportStats,
@@ -329,7 +308,7 @@ struct Importer<'a> {
 }
 
 impl<'a> Importer<'a> {
-    fn new(meta: &'a TraceMeta, config: &'a FilterConfig) -> Self {
+    pub(crate) fn new(meta: &'a TraceMeta, config: &'a FilterConfig) -> Self {
         let cur_key = FlowKey::Task(TaskId(0));
         let mut flow_ids = FastMap::default();
         flow_ids.insert(cur_key, 0u32);
@@ -359,7 +338,7 @@ impl<'a> Importer<'a> {
         }
     }
 
-    fn finish(mut self, meta: Arc<TraceMeta>) -> TraceDb {
+    pub(crate) fn finish(mut self, meta: Arc<TraceMeta>) -> TraceDb {
         self.drops.add_to(&mut self.stats.filtered);
         self.stats.txns = self.txns.len() as u64;
         self.stats.locks = self.locks.len() as u64;
@@ -425,7 +404,7 @@ impl<'a> Importer<'a> {
         }
     }
 
-    fn feed(&mut self, ts: Timestamp, event: &Event) {
+    pub(crate) fn feed(&mut self, ts: Timestamp, event: &Event) {
         self.stats.events += 1;
         let meta = self.meta;
         match event {
@@ -743,729 +722,5 @@ impl<'a> Importer<'a> {
             context,
         });
         self.stats.accesses_imported += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel import: serial pre-pass + per-flow replay on workers + ordered
-// merge. See DESIGN.md, "Flow-partitioned parallel import", for the safety
-// argument.
-// ---------------------------------------------------------------------------
-
-/// A flow-routed event, tagged with its position in the global stream.
-/// The index is the time axis of the parallel importer: it is unique and
-/// strictly increasing, unlike timestamps, which may repeat.
-struct FlowItem {
-    idx: u64,
-    ts: Timestamp,
-    ev: FlowEv,
-}
-
-/// The per-flow payload of an event. Lock addresses are pre-resolved to
-/// instance ids by the pre-pass (lock registrations are global state);
-/// access addresses are resolved by the workers against the immutable
-/// [`AllocSpans`] index.
-enum FlowEv {
-    Acquire {
-        lock: Option<LockId>,
-        mode: AcquireMode,
-        loc: SourceLoc,
-    },
-    Release {
-        lock: Option<LockId>,
-        loc: SourceLoc,
-    },
-    Access {
-        kind: AccessKind,
-        addr: Addr,
-        size: u8,
-        loc: SourceLoc,
-        atomic: bool,
-    },
-    Enter {
-        func: FnId,
-    },
-    Exit {
-        func: FnId,
-    },
-}
-
-/// One control flow's slice of the event stream, in stream order.
-struct FlowSlice {
-    key: FlowKey,
-    context: ContextKind,
-    items: Vec<FlowItem>,
-}
-
-/// The lifetime of one allocation-table row on the event-index axis:
-/// the row resolves accesses from right after its `Alloc` event until the
-/// `Free` event that removed it from the live-address map.
-struct AllocSpan {
-    addr: Addr,
-    end: Addr,
-    /// Event index of the `Alloc`.
-    act: u64,
-    /// Event index of the removing `Free` (`u64::MAX` if never removed).
-    deact: u64,
-    /// Row index in the allocations table.
-    row: u32,
-}
-
-impl AllocSpan {
-    #[inline]
-    fn covers(&self, addr: Addr, idx: u64) -> bool {
-        self.addr <= addr && addr < self.end && self.act < idx && idx < self.deact
-    }
-}
-
-/// Immutable address → allocation index built by the pre-pass.
-///
-/// Because the serial importer drops `Alloc` events that overlap a live
-/// allocation, the set of spans live at any one event index is
-/// non-overlapping in address space; the span containing an address (if
-/// any) is therefore unique and equal to what `Importer::resolve_alloc`
-/// finds at that point of the replay.
-struct AllocSpans {
-    /// Sorted by `(addr, act)`.
-    spans: Vec<AllocSpan>,
-    /// `max(spans[..=i].end)`, to prune the leftward walk in `resolve`.
-    prefix_max_end: Vec<Addr>,
-}
-
-impl AllocSpans {
-    fn build(mut spans: Vec<AllocSpan>) -> Self {
-        spans.sort_unstable_by_key(|s| (s.addr, s.act));
-        let mut prefix_max_end = Vec::with_capacity(spans.len());
-        let mut max = 0;
-        for s in &spans {
-            max = max.max(s.end);
-            prefix_max_end.push(max);
-        }
-        Self {
-            spans,
-            prefix_max_end,
-        }
-    }
-
-    /// Index of the span live at event index `idx` containing `addr`.
-    fn resolve(&self, addr: Addr, idx: u64) -> Option<usize> {
-        let mut i = self.spans.partition_point(|s| s.addr <= addr);
-        while i > 0 {
-            i -= 1;
-            if self.prefix_max_end[i] <= addr {
-                return None;
-            }
-            if self.spans[i].covers(addr, idx) {
-                return Some(i);
-            }
-        }
-        None
-    }
-}
-
-/// Everything the serial pre-pass produces: the fully-built global tables
-/// and the per-flow event slices ready for worker replay.
-struct PrePass {
-    allocations: Vec<Allocation>,
-    locks: Vec<LockInstance>,
-    spans: AllocSpans,
-    slices: Vec<FlowSlice>,
-    /// Global-event counters: `events`, `allocs`, `frees`, and the
-    /// `invalid_events` attributable to global events.
-    stats: ImportStats,
-}
-
-/// Feed-driven serial pre-pass: replays exactly the global-state
-/// transitions of the serial importer (allocation table, lock
-/// registrations, task switches, context nesting) and routes every
-/// flow-local event to its flow's slice. Like [`Importer`], it consumes
-/// one event at a time so a streaming reader can drive it.
-struct PrePassState<'a> {
-    meta: &'a TraceMeta,
-    stats: ImportStats,
-    allocations: Vec<Allocation>,
-    alloc_index: FastMap<AllocId, usize>,
-    active_allocs: BTreeMap<Addr, AllocId>,
-    spans: Vec<AllocSpan>,
-    span_of: FastMap<AllocId, usize>,
-    locks: Vec<LockInstance>,
-    active_locks: FastMap<Addr, LockId>,
-    current_task: TaskId,
-    ctx_stack: Vec<ContextKind>,
-    slices: Vec<FlowSlice>,
-    slice_of: FastMap<FlowKey, u32>,
-    /// Cached flow routing; `cur_slice == u32::MAX` means the current flow
-    /// has not received a flow-local event yet (slices are created lazily
-    /// so their order matches the legacy single-pass construction).
-    cur_key: FlowKey,
-    cur_ctx: ContextKind,
-    cur_slice: u32,
-    idx: u64,
-}
-
-impl<'a> PrePassState<'a> {
-    fn new(meta: &'a TraceMeta) -> Self {
-        Self {
-            meta,
-            stats: ImportStats::default(),
-            allocations: Vec::new(),
-            alloc_index: FastMap::default(),
-            active_allocs: BTreeMap::new(),
-            spans: Vec::new(),
-            span_of: FastMap::default(),
-            locks: Vec::new(),
-            active_locks: FastMap::default(),
-            current_task: TaskId(0),
-            ctx_stack: Vec::new(),
-            slices: Vec::new(),
-            slice_of: FastMap::default(),
-            cur_key: FlowKey::Task(TaskId(0)),
-            cur_ctx: ContextKind::Task,
-            cur_slice: u32::MAX,
-            idx: 0,
-        }
-    }
-
-    fn refresh_flow(&mut self) {
-        self.cur_key = match self.ctx_stack.last() {
-            Some(kind) => FlowKey::irq(*kind),
-            None => FlowKey::Task(self.current_task),
-        };
-        self.cur_ctx = self.ctx_stack.last().copied().unwrap_or(ContextKind::Task);
-        self.cur_slice = self
-            .slice_of
-            .get(&self.cur_key)
-            .copied()
-            .unwrap_or(u32::MAX);
-    }
-
-    fn resolve_alloc(&self, addr: Addr) -> Option<usize> {
-        let (_, &id) = self.active_allocs.range(..=addr).next_back()?;
-        let row = self.alloc_index[&id];
-        self.allocations[row].contains(addr).then_some(row)
-    }
-
-    fn feed(&mut self, ts: Timestamp, event: &Event) {
-        let idx = self.idx;
-        self.idx += 1;
-        self.stats.events += 1;
-        let meta = self.meta;
-        // Global events mutate the shared tables here and return; the
-        // remaining (flow-local) events fall through as a routed payload.
-        let ev = match event {
-            Event::LockInit {
-                addr,
-                name,
-                flavor,
-                is_static,
-            } => {
-                if !valid_sym(meta, *name) {
-                    self.stats.invalid_events += 1;
-                    return;
-                }
-                let embedded_in = self.resolve_alloc(*addr).map(|row| {
-                    let alloc = &self.allocations[row];
-                    (alloc.id, (*addr - alloc.addr) as u32)
-                });
-                let id = LockId(self.locks.len() as u32);
-                self.locks.push(LockInstance {
-                    id,
-                    addr: *addr,
-                    name: *name,
-                    flavor: *flavor,
-                    is_static: *is_static,
-                    embedded_in,
-                });
-                self.active_locks.insert(*addr, id);
-                return;
-            }
-            Event::Alloc {
-                id,
-                addr,
-                size,
-                data_type,
-                subclass,
-            } => {
-                if !valid_dt(meta, *data_type)
-                    || subclass.map(|s| !valid_sym(meta, s)).unwrap_or(false)
-                    || self.alloc_index.contains_key(id)
-                {
-                    self.stats.invalid_events += 1;
-                    return;
-                }
-                let end = addr.saturating_add(u64::from(*size));
-                let overlaps = self
-                    .active_allocs
-                    .range(..end)
-                    .next_back()
-                    .map(|(_, &prev)| {
-                        self.allocations[self.alloc_index[&prev]].contains(*addr)
-                            || (*addr..end)
-                                .contains(&self.allocations[self.alloc_index[&prev]].addr)
-                    })
-                    .unwrap_or(false);
-                if overlaps {
-                    self.stats.invalid_events += 1;
-                    return;
-                }
-                self.stats.allocs += 1;
-                let row = self.allocations.len();
-                self.allocations.push(Allocation {
-                    id: *id,
-                    addr: *addr,
-                    size: *size,
-                    data_type: *data_type,
-                    subclass: *subclass,
-                    alloc_ts: ts,
-                    free_ts: None,
-                });
-                self.alloc_index.insert(*id, row);
-                self.active_allocs.insert(*addr, *id);
-                self.span_of.insert(*id, self.spans.len());
-                self.spans.push(AllocSpan {
-                    addr: *addr,
-                    end,
-                    act: idx,
-                    deact: u64::MAX,
-                    row: row as u32,
-                });
-                return;
-            }
-            Event::Free { id } => {
-                self.stats.frees += 1;
-                if let Some(&row) = self.alloc_index.get(id) {
-                    let (addr, size) = {
-                        let alloc = &mut self.allocations[row];
-                        alloc.free_ts = Some(ts);
-                        (alloc.addr, alloc.size)
-                    };
-                    // Note: on a malformed double free this removes whatever
-                    // allocation currently occupies `addr` — exactly like
-                    // the serial importer. The removed entry's span ends
-                    // here, whichever allocation it belongs to. Callers who
-                    // need defined double-free semantics go through
-                    // `db::resilient::import_resilient`, which quarantines
-                    // the second free before it reaches this path.
-                    if let Some(removed) = self.active_allocs.remove(&addr) {
-                        if let Some(&si) = self.span_of.get(&removed) {
-                            self.spans[si].deact = idx;
-                        }
-                    }
-                    self.active_locks
-                        .retain(|&a, _| !(a >= addr && a < addr.saturating_add(u64::from(size))));
-                }
-                return;
-            }
-            Event::TaskSwitch { task } => {
-                if !valid_task(meta, *task) {
-                    self.stats.invalid_events += 1;
-                    return;
-                }
-                self.current_task = *task;
-                self.refresh_flow();
-                return;
-            }
-            Event::ContextEnter { kind } => {
-                self.ctx_stack.push(*kind);
-                self.refresh_flow();
-                return;
-            }
-            Event::ContextExit { kind } => {
-                if self.ctx_stack.last() == Some(kind) {
-                    self.ctx_stack.pop();
-                    self.refresh_flow();
-                }
-                return;
-            }
-            Event::LockAcquire { addr, mode, loc } => FlowEv::Acquire {
-                lock: self.active_locks.get(addr).copied(),
-                mode: *mode,
-                loc: *loc,
-            },
-            Event::LockRelease { addr, loc } => FlowEv::Release {
-                lock: self.active_locks.get(addr).copied(),
-                loc: *loc,
-            },
-            Event::MemAccess {
-                kind,
-                addr,
-                size,
-                loc,
-                atomic,
-            } => FlowEv::Access {
-                kind: *kind,
-                addr: *addr,
-                size: *size,
-                loc: *loc,
-                atomic: *atomic,
-            },
-            Event::FnEnter { func } => FlowEv::Enter { func: *func },
-            Event::FnExit { func } => FlowEv::Exit { func: *func },
-        };
-        let si = if self.cur_slice != u32::MAX {
-            self.cur_slice as usize
-        } else {
-            let si = self.slices.len();
-            self.slices.push(FlowSlice {
-                key: self.cur_key,
-                context: self.cur_ctx,
-                items: Vec::new(),
-            });
-            self.slice_of.insert(self.cur_key, si as u32);
-            self.cur_slice = si as u32;
-            si
-        };
-        self.slices[si].items.push(FlowItem { idx, ts, ev });
-    }
-
-    fn finish(self) -> PrePass {
-        PrePass {
-            allocations: self.allocations,
-            locks: self.locks,
-            spans: AllocSpans::build(self.spans),
-            slices: self.slices,
-            stats: self.stats,
-        }
-    }
-}
-
-/// One flow's replay result, with flow-local transaction and stack ids.
-/// `Access::id` temporarily holds the global event index (the merge key).
-#[derive(Default)]
-struct FlowOutput {
-    accesses: Vec<Access>,
-    txns: Vec<Txn>,
-    stacks: Vec<StackTrace>,
-    accesses_seen: u64,
-    accesses_imported: u64,
-    unresolved: u64,
-    unmatched_releases: u64,
-    unknown_lock_acquires: u64,
-    invalid_events: u64,
-    drops: DropCounters,
-}
-
-/// Replays one flow's slice with private flow state, reading only the
-/// immutable global tables built by the pre-pass. Mirrors the serial
-/// importer's per-event logic — including the order of validity,
-/// resolution, and filter checks, so every counter matches — and uses the
-/// same trie interner and one-entry allocation cache as the serial hot
-/// path.
-fn replay_flow(
-    slice: &FlowSlice,
-    meta: &TraceMeta,
-    config: &FilterConfig,
-    filters: &ResolvedFilters,
-    allocations: &[Allocation],
-    locks: &[LockInstance],
-    spans: &AllocSpans,
-) -> FlowOutput {
-    let mut out = FlowOutput::default();
-    let mut held: Vec<HeldEntry> = Vec::new();
-    let mut open_txn: Option<usize> = None;
-    let mut fn_stack: Vec<FnId> = Vec::new();
-    let mut node_stack: Vec<u32> = Vec::new();
-    let mut interner = StackInterner::new();
-    // One-entry span cache; validity is per (addr, idx) and checked on
-    // every hit, so staleness is impossible.
-    let mut last_span: usize = usize::MAX;
-
-    fn close_open_txn(open_txn: &mut Option<usize>, txns: &mut [Txn], ts: Timestamp) {
-        if let Some(i) = open_txn.take() {
-            let txn = &mut txns[i];
-            txn.end_ts = txn.end_ts.max(ts);
-        }
-    }
-
-    for item in &slice.items {
-        match &item.ev {
-            FlowEv::Acquire { lock, mode, loc } => {
-                if !valid_loc(meta, loc) {
-                    out.invalid_events += 1;
-                    continue;
-                }
-                let Some(lock_id) = *lock else {
-                    out.unknown_lock_acquires += 1;
-                    continue;
-                };
-                let flavor = locks[lock_id.index()].flavor;
-                if flavor.reentrant() {
-                    if let Some(entry) = held.iter_mut().find(|h| h.lock == lock_id) {
-                        entry.count += 1;
-                        continue;
-                    }
-                }
-                held.push(HeldEntry {
-                    lock: lock_id,
-                    mode: *mode,
-                    loc: *loc,
-                    ts: item.ts,
-                    count: 1,
-                });
-                close_open_txn(&mut open_txn, &mut out.txns, item.ts);
-            }
-            FlowEv::Release { lock, loc } => {
-                if !valid_loc(meta, loc) {
-                    out.invalid_events += 1;
-                    continue;
-                }
-                let Some(lock_id) = *lock else {
-                    out.unmatched_releases += 1;
-                    continue;
-                };
-                match held.iter().rposition(|h| h.lock == lock_id) {
-                    Some(pos) => {
-                        if held[pos].count > 1 {
-                            held[pos].count -= 1;
-                            continue;
-                        }
-                        held.remove(pos);
-                        close_open_txn(&mut open_txn, &mut out.txns, item.ts);
-                    }
-                    None => out.unmatched_releases += 1,
-                }
-            }
-            FlowEv::Access {
-                kind,
-                addr,
-                size,
-                loc,
-                atomic,
-            } => {
-                if !valid_loc(meta, loc) {
-                    out.invalid_events += 1;
-                    continue;
-                }
-                out.accesses_seen += 1;
-                let span =
-                    if last_span != usize::MAX && spans.spans[last_span].covers(*addr, item.idx) {
-                        Some(last_span)
-                    } else {
-                        spans.resolve(*addr, item.idx)
-                    };
-                let Some(si) = span else {
-                    out.unresolved += 1;
-                    continue;
-                };
-                last_span = si;
-                let alloc = &allocations[spans.spans[si].row as usize];
-                let data_type = alloc.data_type;
-                let subclass = alloc.subclass;
-                let offset = (*addr - alloc.addr) as u32;
-                let def = &meta.data_types[data_type.index()];
-                let Some(member_idx) = def.member_at(offset) else {
-                    out.unresolved += 1;
-                    continue;
-                };
-                let member = &def.members[member_idx];
-
-                if config.drop_atomic_accesses && *atomic {
-                    out.drops.bump(FilterReason::AtomicAccess);
-                    continue;
-                }
-                if config.drop_atomic_members && (member.atomic || member.is_lock) {
-                    out.drops.bump(FilterReason::AtomicOrLockMember);
-                    continue;
-                }
-                if filters
-                    .member_blacklist
-                    .contains(&(data_type, member_idx as u32))
-                {
-                    out.drops.bump(FilterReason::BlacklistedMember);
-                    continue;
-                }
-                if let Some(&innermost) = fn_stack.last() {
-                    if filters.global_fn_blacklist.contains(&innermost) {
-                        out.drops.bump(FilterReason::IgnoredFunction);
-                        continue;
-                    }
-                }
-                if let Some(funcs) = filters.init_teardown.get(&data_type) {
-                    if fn_stack.iter().any(|f| funcs.contains(f)) {
-                        out.drops.bump(FilterReason::InitTeardownContext);
-                        continue;
-                    }
-                }
-
-                let txn_local = match open_txn {
-                    Some(i) => {
-                        let t = &mut out.txns[i];
-                        t.end_ts = t.end_ts.max(item.ts);
-                        i
-                    }
-                    None => {
-                        let i = out.txns.len();
-                        let locks = held
-                            .iter()
-                            .map(|h| HeldLock {
-                                lock: h.lock,
-                                mode: h.mode,
-                                acquired_at: h.loc,
-                                acquired_ts: h.ts,
-                            })
-                            .collect();
-                        out.txns.push(Txn {
-                            id: TxnId(i as u64),
-                            flow: slice.key,
-                            locks,
-                            start_ts: item.ts,
-                            end_ts: item.ts,
-                        });
-                        open_txn = Some(i);
-                        i
-                    }
-                };
-
-                let node = node_stack.last().copied().unwrap_or(ROOT_NODE) as usize;
-                let assigned = interner.assigned[node];
-                let stack = if assigned == u32::MAX {
-                    let id = out.stacks.len() as u32;
-                    interner.assigned[node] = id;
-                    out.stacks.push(StackTrace {
-                        frames: fn_stack.clone(),
-                    });
-                    StackId(id)
-                } else {
-                    StackId(assigned)
-                };
-
-                out.accesses.push(Access {
-                    id: item.idx,
-                    ts: item.ts,
-                    kind: *kind,
-                    alloc: alloc.id,
-                    data_type,
-                    subclass,
-                    member: member_idx as u32,
-                    size: *size,
-                    loc: *loc,
-                    txn: Some(TxnId(txn_local as u64)),
-                    stack,
-                    flow: slice.key,
-                    context: slice.context,
-                });
-                out.accesses_imported += 1;
-            }
-            FlowEv::Enter { func } => {
-                if !valid_fn(meta, *func) {
-                    out.invalid_events += 1;
-                    continue;
-                }
-                let parent = node_stack.last().copied().unwrap_or(ROOT_NODE);
-                let node = interner.child(parent, *func);
-                fn_stack.push(*func);
-                node_stack.push(node);
-            }
-            FlowEv::Exit { func } => {
-                if let Some(pos) = fn_stack.iter().rposition(|f| f == func) {
-                    fn_stack.truncate(pos);
-                    node_stack.truncate(pos);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Replays the pre-pass slices on workers and merges the per-flow tables
-/// back in global event order. Dense row ids (accesses, txns, stacks) are
-/// reassigned in the order the serial importer produces them: access ids
-/// in stream order, and txn/stack ids at the first access that references
-/// them. Byte-identical to the serial path.
-fn finish_parallel(
-    meta: &Arc<TraceMeta>,
-    pre: PrePass,
-    config: &FilterConfig,
-    jobs: usize,
-) -> TraceDb {
-    let filters = ResolvedFilters::resolve(meta, config);
-    let outputs: Vec<FlowOutput> = par_map(jobs, &pre.slices, |slice| {
-        replay_flow(
-            slice,
-            meta,
-            config,
-            &filters,
-            &pre.allocations,
-            &pre.locks,
-            &pre.spans,
-        )
-    });
-
-    let total: usize = outputs.iter().map(|o| o.accesses.len()).sum();
-    let mut order: Vec<(u64, u32, u32)> = Vec::with_capacity(total);
-    for (fi, o) in outputs.iter().enumerate() {
-        for (ai, a) in o.accesses.iter().enumerate() {
-            order.push((a.id, fi as u32, ai as u32));
-        }
-    }
-    order.sort_unstable();
-
-    let mut accesses = AccessTable::default();
-    let mut txns = TxnTable::default();
-    let mut stacks = StackTable::default();
-    let mut stack_index: FastMap<Vec<FnId>, StackId> = FastMap::default();
-    let mut txn_map: Vec<Vec<Option<TxnId>>> =
-        outputs.iter().map(|o| vec![None; o.txns.len()]).collect();
-    let mut stack_map: Vec<Vec<Option<StackId>>> =
-        outputs.iter().map(|o| vec![None; o.stacks.len()]).collect();
-
-    for (_, fi, ai) in order {
-        let (fi, ai) = (fi as usize, ai as usize);
-        let mut a = outputs[fi].accesses[ai];
-        let local_txn = a.txn.expect("workers always assign a txn").0 as usize;
-        a.txn = Some(match txn_map[fi][local_txn] {
-            Some(id) => id,
-            None => {
-                let t = &outputs[fi].txns[local_txn];
-                let id = txns.push(t.flow, t.start_ts, t.end_ts, t.locks.iter().copied());
-                txn_map[fi][local_txn] = Some(id);
-                id
-            }
-        });
-        let local_stack = a.stack.index();
-        a.stack = match stack_map[fi][local_stack] {
-            Some(id) => id,
-            None => {
-                let frames = &outputs[fi].stacks[local_stack].frames;
-                let id = match stack_index.get(frames) {
-                    Some(&id) => id,
-                    None => {
-                        let id = stacks.push(frames);
-                        stack_index.insert(frames.clone(), id);
-                        id
-                    }
-                };
-                stack_map[fi][local_stack] = Some(id);
-                id
-            }
-        };
-        a.id = accesses.len() as u64;
-        accesses.push(a);
-    }
-
-    let mut stats = pre.stats;
-    for o in &outputs {
-        stats.accesses_seen += o.accesses_seen;
-        stats.accesses_imported += o.accesses_imported;
-        stats.unresolved += o.unresolved;
-        stats.unmatched_releases += o.unmatched_releases;
-        stats.unknown_lock_acquires += o.unknown_lock_acquires;
-        stats.invalid_events += o.invalid_events;
-        o.drops.add_to(&mut stats.filtered);
-    }
-    stats.txns = txns.len() as u64;
-    stats.locks = pre.locks.len() as u64;
-    stats.static_locks = pre.locks.iter().filter(|l| l.is_static).count() as u64;
-    stats.embedded_locks = pre.locks.iter().filter(|l| l.embedded_in.is_some()).count() as u64;
-    stats.stacks = stacks.len() as u64;
-
-    TraceDb {
-        meta: Arc::clone(meta),
-        allocations: pre.allocations,
-        locks: pre.locks,
-        txns,
-        accesses,
-        stacks,
-        stats,
     }
 }

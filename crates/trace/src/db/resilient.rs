@@ -3,34 +3,33 @@
 //! [`crate::db::import`] is the fast path: it assumes a well-formed trace
 //! from our own tracer and silently absorbs the few anomaly kinds it can
 //! detect into counters. This module is the curated path for *untrusted*
-//! traces — archived files, foreign tools, salvaged streams. A serial
+//! traces — archived files, foreign tools, salvaged streams. One serial
 //! detector pass classifies every malformed event into a
-//! [`QuarantineClass`], per-flow lock balance is checked on `jobs` workers
-//! (mirroring the flow partitioning of the parallel importer), and the
-//! caller picks a policy:
+//! [`QuarantineClass`] ([`quarantine_report`]), and the caller picks a
+//! policy:
 //!
 //! * [`ImportPolicy::Strict`] — the first malformed event aborts the
 //!   import with a typed [`ImportError`] naming its class and event index.
 //! * [`ImportPolicy::Lenient`] — malformed events are dropped
 //!   (quarantined), their exact indices and classes are reported in the
-//!   [`ImportReport`], and the sanitized remainder is imported normally.
+//!   [`ImportReport`], and the remaining events are imported normally.
 //!   An error budget ([`ResilientConfig::max_bad_frac`]) bounds how much
 //!   quarantining is acceptable before the trace is rejected wholesale.
 //!
-//! On a clean trace the detector finds nothing and the sanitized trace
-//! *is* the input, so the resulting [`TraceDb`] is structurally identical
-//! to the fast path's at every `jobs` count — resilience costs one extra
-//! read pass, never a different answer.
+//! On a clean trace the detector finds nothing and every event reaches
+//! the fast importer, so the resulting [`TraceDb`] is structurally
+//! identical to the fast path's — resilience costs one extra read pass,
+//! never a different answer.
 
-use crate::db::import::{import, valid_dt, valid_fn, valid_loc, valid_sym, valid_task};
+use crate::db::import::{valid_dt, valid_fn, valid_loc, valid_sym, valid_task, Importer};
 use crate::db::schema::FlowKey;
 use crate::db::TraceDb;
 use crate::event::{ContextKind, Event, Trace};
 use crate::filter::FilterConfig;
 use crate::ids::{Addr, AllocId, LockId, TaskId};
-use lockdoc_platform::par::par_map;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// The kinds of malformed events the detector quarantines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -112,6 +111,19 @@ impl ImportReport {
             *m.entry(q.class).or_insert(0) += 1;
         }
         m
+    }
+
+    /// A predicate to call once per event of the reported stream, in
+    /// order: true when the event was kept, false when it was quarantined.
+    /// One walk of the sorted quarantine list, no per-event lookup.
+    pub(crate) fn kept_events(&self) -> impl FnMut() -> bool + '_ {
+        let mut dropped = self.quarantined.iter().map(|q| q.event_index).peekable();
+        let mut index = 0u64;
+        move || {
+            let kept = dropped.next_if_eq(&index).is_none();
+            index += 1;
+            kept
+        }
     }
 }
 
@@ -210,23 +222,13 @@ impl fmt::Display for ImportError {
 
 impl std::error::Error for ImportError {}
 
-/// A lock operation routed to its control flow for the parallel balance
-/// check, tagged with its global event index.
-struct LockOp {
-    idx: u64,
-    acquire: bool,
-    lock: LockId,
-    reentrant: bool,
-    addr: Addr,
-}
-
-/// Detects malformed events, mirroring the fast importer's per-event check
-/// order so strict mode names exactly the event the fast path would have
-/// mishandled first. Global state (allocation table, lock registry, task
-/// and context routing) is replayed serially; per-flow lock balance is
-/// checked on up to `jobs` workers and merged back by event index. The
-/// result is a pure function of the trace — `jobs` never changes it.
-fn detect(trace: &Trace, jobs: usize) -> Vec<QuarantineEntry> {
+/// Detects malformed events in one serial pass, mirroring the fast
+/// importer's per-event check order so strict mode names exactly the event
+/// the fast path would have mishandled first. Global state (allocation
+/// table, lock registry, task and context routing) and each flow's held
+/// locks are replayed side by side, so entries come out in event-index
+/// order with at most one per event.
+fn detect(trace: &Trace) -> Vec<QuarantineEntry> {
     let meta = &trace.meta;
     let mut entries: Vec<QuarantineEntry> = Vec::new();
 
@@ -245,10 +247,9 @@ fn detect(trace: &Trace, jobs: usize) -> Vec<QuarantineEntry> {
     let mut n_locks = 0u32;
     let mut current_task = TaskId(0);
     let mut ctx_stack: Vec<ContextKind> = Vec::new();
-    // Per-flow slices of lock operations, in first-appearance order so the
-    // worker partition is deterministic.
-    let mut slices: Vec<Vec<LockOp>> = Vec::new();
-    let mut slice_of: HashMap<FlowKey, usize> = HashMap::new();
+    // Held locks per control flow, with reentrancy counts, in acquisition
+    // order (the fast importer's `FlowState::held`).
+    let mut held: HashMap<FlowKey, Vec<(LockId, u32)>> = HashMap::new();
 
     macro_rules! quarantine {
         ($idx:expr, $class:expr, $($fmt:tt)*) => {{
@@ -408,14 +409,11 @@ fn detect(trace: &Trace, jobs: usize) -> Vec<QuarantineEntry> {
                 // fast path counts them in `unknown_lock_acquires`); only
                 // registered locks take part in the balance check.
                 if let Some(&(lock, reentrant)) = active_locks.get(addr) {
-                    let key = flow_key(&ctx_stack, current_task);
-                    route(&mut slices, &mut slice_of, key).push(LockOp {
-                        idx,
-                        acquire: true,
-                        lock,
-                        reentrant,
-                        addr: *addr,
-                    });
+                    let stack = held.entry(flow_key(&ctx_stack, current_task)).or_default();
+                    match stack.iter_mut().find(|(l, _)| *l == lock) {
+                        Some(entry) if reentrant => entry.1 += 1,
+                        _ => stack.push((lock, 1)),
+                    }
                 }
             }
             Event::LockRelease { addr, loc } => {
@@ -428,19 +426,26 @@ fn detect(trace: &Trace, jobs: usize) -> Vec<QuarantineEntry> {
                         meta.strings.len()
                     );
                 }
-                if let Some(&(lock, reentrant)) = active_locks.get(addr) {
-                    let key = flow_key(&ctx_stack, current_task);
-                    route(&mut slices, &mut slice_of, key).push(LockOp {
-                        idx,
-                        acquire: false,
-                        lock,
-                        reentrant,
-                        addr: *addr,
-                    });
-                }
                 // Releases of unregistered addresses are tolerated like
                 // the fast path's `unmatched_releases` counter: with no
                 // registration there is no flow to balance against.
+                if let Some(&(lock, _)) = active_locks.get(addr) {
+                    let stack = held.entry(flow_key(&ctx_stack, current_task)).or_default();
+                    // Most recent acquisition first, as the fast importer
+                    // matches. An unmatched release is quarantined without
+                    // `continue`: it still advances the high-water mark.
+                    match stack.iter().rposition(|(l, _)| *l == lock) {
+                        Some(pos) if stack[pos].1 > 1 => stack[pos].1 -= 1,
+                        Some(pos) => {
+                            stack.remove(pos);
+                        }
+                        None => entries.push(QuarantineEntry {
+                            event_index: idx,
+                            class: QuarantineClass::UnbalancedRelease,
+                            detail: format!("release of lock {addr:#x} not held by this flow"),
+                        }),
+                    }
+                }
             }
             Event::MemAccess { loc, .. } => {
                 if !valid_loc(meta, loc) {
@@ -486,13 +491,6 @@ fn detect(trace: &Trace, jobs: usize) -> Vec<QuarantineEntry> {
         }
         max_ts = te.ts;
     }
-
-    // Per-flow balance check: flows are independent by construction (the
-    // same partitioning the parallel importer relies on), so each slice's
-    // unmatched releases can be found on its own worker.
-    let flow_entries: Vec<Vec<QuarantineEntry>> = par_map(jobs, &slices, |ops| balance_flow(ops));
-    entries.extend(flow_entries.into_iter().flatten());
-    entries.sort_by_key(|e| e.event_index);
     entries
 }
 
@@ -503,79 +501,46 @@ fn flow_key(ctx_stack: &[ContextKind], current_task: TaskId) -> FlowKey {
     }
 }
 
-fn route<'a>(
-    slices: &'a mut Vec<Vec<LockOp>>,
-    slice_of: &mut HashMap<FlowKey, usize>,
-    key: FlowKey,
-) -> &'a mut Vec<LockOp> {
-    let i = *slice_of.entry(key).or_insert_with(|| {
-        slices.push(Vec::new());
-        slices.len() - 1
-    });
-    &mut slices[i]
-}
-
-/// Replays one flow's lock operations with the fast importer's held-lock
-/// semantics (reentrancy counts, most-recent-acquisition matching) and
-/// reports every release that finds nothing to match.
-fn balance_flow(ops: &[LockOp]) -> Vec<QuarantineEntry> {
-    let mut held: Vec<(LockId, u32)> = Vec::new();
-    let mut out = Vec::new();
-    for op in ops {
-        if op.acquire {
-            if op.reentrant {
-                if let Some(entry) = held.iter_mut().find(|(l, _)| *l == op.lock) {
-                    entry.1 += 1;
-                    continue;
-                }
-            }
-            held.push((op.lock, 1));
-        } else {
-            match held.iter().rposition(|(l, _)| *l == op.lock) {
-                Some(pos) => {
-                    if held[pos].1 > 1 {
-                        held[pos].1 -= 1;
-                    } else {
-                        held.remove(pos);
-                    }
-                }
-                None => out.push(QuarantineEntry {
-                    event_index: op.idx,
-                    class: QuarantineClass::UnbalancedRelease,
-                    detail: format!("release of lock {:#x} not held by this flow", op.addr),
-                }),
-            }
-        }
-    }
-    out
-}
-
-/// Imports `trace` with malformed-event detection and quarantining.
-///
-/// Strict policy: returns [`ImportError::Corrupt`] naming the class and
-/// event index of the first malformed event. Lenient policy: quarantines
-/// malformed events, imports the sanitized remainder with the fast path at
-/// the requested `jobs` count, and returns the [`TraceDb`] together with
-/// an [`ImportReport`] listing every quarantined event — unless the
-/// quarantined fraction exceeds [`ResilientConfig::max_bad_frac`], which
-/// returns [`ImportError::BudgetExceeded`].
-///
-/// A clean trace yields a `TraceDb` identical to `import(trace, config,
-/// jobs)` and an empty report.
-pub fn import_resilient(
-    trace: &Trace,
-    config: &FilterConfig,
-    jobs: usize,
-    rcfg: &ResilientConfig,
-) -> Result<(TraceDb, ImportReport), ImportError> {
-    let quarantined = detect(trace, jobs);
+/// Runs the detector over `trace` and reports every malformed event,
+/// without importing anything. This is the screening half of
+/// [`import_resilient`]: the report equals the one a lenient import with
+/// an unlimited budget returns.
+pub fn quarantine_report(trace: &Trace) -> ImportReport {
+    let quarantined = detect(trace);
     let events = trace.events.len() as u64;
     let bad_frac = if events == 0 {
         0.0
     } else {
         quarantined.len() as f64 / events as f64
     };
-    if let Some(first) = quarantined.first() {
+    ImportReport {
+        events,
+        bad_frac,
+        quarantined,
+    }
+}
+
+/// Imports `trace` with malformed-event detection and quarantining.
+///
+/// Strict policy: returns [`ImportError::Corrupt`] naming the class and
+/// event index of the first malformed event. Lenient policy: quarantines
+/// malformed events, feeds every other event to the fast importer, and
+/// returns the [`TraceDb`] together with the [`quarantine_report`] —
+/// unless the quarantined fraction exceeds
+/// [`ResilientConfig::max_bad_frac`], which returns
+/// [`ImportError::BudgetExceeded`].
+///
+/// A clean trace yields a `TraceDb` identical to `import(trace, config,
+/// jobs)` and an empty report. `_jobs` is unused, as in
+/// [`crate::db::import`].
+pub fn import_resilient(
+    trace: &Trace,
+    config: &FilterConfig,
+    _jobs: usize,
+    rcfg: &ResilientConfig,
+) -> Result<(TraceDb, ImportReport), ImportError> {
+    let report = quarantine_report(trace);
+    if let Some(first) = report.quarantined.first() {
         match rcfg.policy {
             ImportPolicy::Strict => {
                 return Err(ImportError::Corrupt {
@@ -585,56 +550,28 @@ pub fn import_resilient(
                 });
             }
             ImportPolicy::Lenient => {
-                if bad_frac > rcfg.max_bad_frac {
+                if report.bad_frac > rcfg.max_bad_frac {
                     return Err(ImportError::BudgetExceeded {
-                        quarantined: quarantined.len() as u64,
-                        events,
+                        quarantined: report.quarantined.len() as u64,
+                        events: report.events,
                         max_bad_frac: rcfg.max_bad_frac,
                     });
                 }
             }
         }
     }
-    let db = if quarantined.is_empty() {
-        // Clean trace: the sanitized trace would be the input itself, so
-        // skip the copy — identity with the fast path is structural.
-        import(trace, config, jobs)
-    } else {
-        let drop: HashSet<u64> = quarantined.iter().map(|q| q.event_index).collect();
-        let sanitized = Trace {
-            meta: trace.meta.clone(),
-            events: trace
-                .events
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !drop.contains(&(*i as u64)))
-                .map(|(_, te)| te.clone())
-                .collect(),
-        };
-        import(&sanitized, config, jobs)
-    };
-    Ok((
-        db,
-        ImportReport {
-            events,
-            bad_frac,
-            quarantined,
-        },
-    ))
-}
-
-/// Convenience wrapper: strict import, returning only the database.
-pub fn import_strict(
-    trace: &Trace,
-    config: &FilterConfig,
-    jobs: usize,
-) -> Result<TraceDb, ImportError> {
-    import_resilient(trace, config, jobs, &ResilientConfig::strict()).map(|(db, _)| db)
+    let mut imp = Importer::new(&trace.meta, config);
+    let mut kept = report.kept_events();
+    for te in trace.events.iter().filter(move |_| kept()) {
+        imp.feed(te.ts, &te.event);
+    }
+    Ok((imp.finish(Arc::clone(&trace.meta)), report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::import;
     use crate::event::{AccessKind, AcquireMode, DataTypeDef, LockFlavor, MemberDef, SourceLoc};
     use crate::ids::Sym;
 
@@ -713,18 +650,16 @@ mod tests {
     }
 
     #[test]
-    fn clean_trace_matches_fast_path_at_any_jobs() {
+    fn clean_trace_matches_fast_path() {
         let tr = clean_trace();
-        for jobs in [1usize, 4] {
-            let fast = import(&tr, &cfg(), jobs);
-            let (db, report) =
-                import_resilient(&tr, &cfg(), jobs, &ResilientConfig::default()).unwrap();
-            assert!(report.is_clean());
-            assert_eq!(report.events, tr.len() as u64);
-            assert_eq!(db, fast);
-            let strict = import_strict(&tr, &cfg(), jobs).unwrap();
-            assert_eq!(strict, fast);
-        }
+        let fast = import(&tr, &cfg(), 1);
+        let (db, report) = import_resilient(&tr, &cfg(), 1, &ResilientConfig::default()).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(report.events, tr.len() as u64);
+        assert_eq!(report, quarantine_report(&tr));
+        assert_eq!(db, fast);
+        let (strict, _) = import_resilient(&tr, &cfg(), 1, &ResilientConfig::strict()).unwrap();
+        assert_eq!(strict, fast);
     }
 
     /// The satellite-defining test: a double free of id 1 *after* its
@@ -790,7 +725,7 @@ mod tests {
         assert_eq!(fast.stats.accesses_imported, 0);
 
         // Strict: typed refusal naming class and index.
-        let err = import_strict(&tr, &cfg(), 1).unwrap_err();
+        let err = import_resilient(&tr, &cfg(), 1, &ResilientConfig::strict()).unwrap_err();
         assert_eq!(
             err,
             ImportError::Corrupt {
@@ -867,7 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn detector_is_jobs_invariant() {
+    fn detector_reports_in_event_order() {
         let mut tr = clean_trace();
         let last_ts = tr.events.last().unwrap().ts;
         tr.push(last_ts, Event::Free { id: AllocId(900) });
@@ -878,10 +813,53 @@ mod tests {
                 loc: SourceLoc::new(Sym(0), 99),
             },
         );
-        let a = detect(&tr, 1);
-        let b = detect(&tr, 4);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a[1].class, QuarantineClass::UnbalancedRelease);
+        let n = tr.events.len() as u64;
+        assert_eq!(
+            detect(&tr)
+                .iter()
+                .map(|q| (q.class, q.event_index))
+                .collect::<Vec<_>>(),
+            vec![
+                (QuarantineClass::DanglingFree, n - 2),
+                (QuarantineClass::UnbalancedRelease, n - 1),
+            ]
+        );
+    }
+
+    /// An unbalanced release is quarantined but still moves the timestamp
+    /// high-water mark, so a later event older than it is a regression.
+    #[test]
+    fn unbalanced_release_advances_the_high_water_mark() {
+        let mut tr = clean_trace();
+        let last_ts = tr.events.last().unwrap().ts;
+        let loc = SourceLoc::new(Sym(0), 99);
+        tr.push(last_ts + 10, Event::LockRelease { addr: 0x2000, loc });
+        tr.push(
+            last_ts + 10,
+            Event::LockAcquire {
+                addr: 0x2000,
+                mode: AcquireMode::Exclusive,
+                loc,
+            },
+        );
+        // `Trace::push` refuses time travel; rewind the acquire directly.
+        tr.events.last_mut().unwrap().ts = last_ts + 5;
+        let n = tr.events.len() as u64;
+        let report = quarantine_report(&tr);
+        assert_eq!(
+            report
+                .quarantined
+                .iter()
+                .map(|q| (q.class, q.event_index))
+                .collect::<Vec<_>>(),
+            vec![
+                (QuarantineClass::UnbalancedRelease, n - 2),
+                (QuarantineClass::TimestampRegression, n - 1),
+            ]
+        );
+        assert_eq!(
+            report.quarantined[1].detail,
+            format!("ts {} after high-water mark {}", last_ts + 5, last_ts + 10)
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! `subclasses`.
 
 use crate::event::{AccessKind, AcquireMode, ContextKind, LockFlavor, SourceLoc};
-use crate::ids::{Addr, AllocId, DataTypeId, FnId, LockId, StackId, Sym, TaskId, Timestamp, TxnId};
+use crate::ids::{Addr, AllocId, DataTypeId, LockId, StackId, Sym, TaskId, Timestamp, TxnId};
 
 /// One observed allocation of a traced data structure (paper table
 /// `allocations`).
@@ -140,20 +140,6 @@ pub struct Access {
     pub context: ContextKind,
 }
 
-/// A deduplicated stack trace (paper table `stack_traces`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct StackTrace {
-    /// Frames from outermost to innermost.
-    pub frames: Vec<FnId>,
-}
-
-impl StackTrace {
-    /// The innermost frame, if the stack is non-empty.
-    pub fn innermost(&self) -> Option<FnId> {
-        self.frames.last().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,14 +165,5 @@ mod tests {
     fn flow_key_for_irq_kinds() {
         assert_eq!(FlowKey::irq(ContextKind::Softirq), FlowKey::Irq(0));
         assert_eq!(FlowKey::irq(ContextKind::Hardirq), FlowKey::Irq(1));
-    }
-
-    #[test]
-    fn stack_trace_innermost() {
-        let s = StackTrace {
-            frames: vec![FnId(1), FnId(2), FnId(3)],
-        };
-        assert_eq!(s.innermost(), Some(FnId(3)));
-        assert_eq!(StackTrace { frames: vec![] }.innermost(), None);
     }
 }

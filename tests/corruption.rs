@@ -2,10 +2,10 @@
 //! labelled corruption into generated traces and the resilient pipeline
 //! must observe *exactly* what the oracle says — strict mode refuses with
 //! the precise class and event index, lenient mode's quarantine report
-//! matches the injected oracle entry-for-entry, salvage recovers the exact
+//! matches the injected oracle entry-for-entry (as do the import-free
+//! `quarantine_report` and corpus screening), salvage recovers the exact
 //! intact prefix of a truncated container, and a clean trace pushed
-//! through the resilient path is byte-identical to the fast path at any
-//! worker count.
+//! through the resilient path is byte-identical to the fast path.
 //!
 //! Property tests run on the in-tree `lockdoc_platform::prop` harness.
 //! A failing property prints its run seed; reproduce with
@@ -16,8 +16,12 @@ use lockdoc_platform::prop;
 use lockdoc_platform::rng::Rng;
 use lockdoc_platform::{prop_assert, prop_assert_eq};
 use lockdoc_trace::codec::{read_trace, read_trace_salvage, write_trace};
+use lockdoc_trace::corpus::screen_trace;
 use lockdoc_trace::corrupt::{inject, CorruptionClass, Oracle};
-use lockdoc_trace::db::{import, import_resilient, import_strict, ImportError, ResilientConfig};
+use lockdoc_trace::db::{
+    import, import_resilient, quarantine_report, ImportError, ImportReport, ResilientConfig,
+    TraceDb,
+};
 use lockdoc_trace::event::{
     AccessKind, AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc, Trace,
 };
@@ -121,20 +125,24 @@ fn gen_trace(seed: u64) -> Trace {
 
 /// Lenient import with a wide-open budget, as quarantine-report oracle
 /// checks require (one bad event in a tiny trace exceeds any real budget).
-fn lenient(trace: &Trace, jobs: usize) -> (lockdoc_trace::TraceDb, Vec<(String, u64)>) {
-    let (db, report) =
-        import_resilient(trace, &cfg(), jobs, &ResilientConfig::lenient(1.0)).expect("lenient");
-    let entries = report
+fn lenient(trace: &Trace) -> (TraceDb, ImportReport) {
+    import_resilient(trace, &cfg(), 1, &ResilientConfig::lenient(1.0)).expect("lenient")
+}
+
+/// A report's entries as `(class name, event index)` pairs.
+fn entries(report: &ImportReport) -> Vec<(String, u64)> {
+    report
         .quarantined
         .iter()
         .map(|q| (q.class.name().to_owned(), q.event_index))
-        .collect();
-    (db, entries)
+        .collect()
 }
 
 /// The tentpole property: for every event-level corruption class, strict
-/// mode refuses with the oracle's first entry and lenient mode's
-/// quarantine report equals the oracle exactly — at any worker count.
+/// mode refuses with the oracle's first entry, lenient mode's quarantine
+/// report equals the oracle exactly, the import-free `quarantine_report`
+/// equals the lenient report, and corpus screening's sanitized trace
+/// imports to the lenient database.
 #[test]
 fn event_level_oracles_are_exact() {
     prop::check(
@@ -155,7 +163,7 @@ fn event_level_oracles_are_exact() {
                 .collect();
 
             // Strict: typed refusal naming the first injected defect.
-            let err = import_strict(corrupted, &cfg(), 1)
+            let err = import_resilient(corrupted, &cfg(), 1, &ResilientConfig::strict())
                 .err()
                 .ok_or_else(|| format!("{class}: strict import accepted corruption"))?;
             match &err {
@@ -174,21 +182,51 @@ fn event_level_oracles_are_exact() {
                 other => return Err(format!("{class}: unexpected error {other}")),
             }
 
-            // Lenient: the quarantine report IS the oracle, and both the
-            // report and the imported database are jobs-invariant.
-            let (db1, got1) = lenient(corrupted, 1);
-            prop_assert_eq!(&got1, &expected, "lenient report != oracle for {}", class);
-            let (db4, got4) = lenient(corrupted, 4);
-            prop_assert_eq!(&got1, &got4, "lenient report differs across jobs");
-            prop_assert!(db1 == db4, "lenient database differs across jobs");
+            // Lenient: the quarantine report IS the oracle.
+            let (db, report) = lenient(corrupted);
+            prop_assert_eq!(
+                &entries(&report),
+                &expected,
+                "lenient report != oracle for {}",
+                class
+            );
+            prop_assert_eq!(
+                &quarantine_report(corrupted),
+                &report,
+                "quarantine_report != lenient report for {}",
+                class
+            );
+
+            // Screening: the same report, and a sanitized trace that the
+            // fast importer turns into the lenient database. The delta
+            // codec cannot encode time travel, so that class has no
+            // container to screen.
+            let mut bytes = Vec::new();
+            if write_trace(corrupted, &mut bytes).is_err() {
+                prop_assert_eq!(class, CorruptionClass::TimestampRegression);
+                return Ok(());
+            }
+            let (screened, screen) = screen_trace(&bytes, &cfg(), 1);
+            let screened = screened.ok_or_else(|| format!("{class}: screening lost the trace"))?;
+            prop_assert_eq!(
+                screen.import.as_ref(),
+                Some(&report),
+                "screen report for {}",
+                class
+            );
+            prop_assert!(
+                import(&screened, &cfg(), 1) == db,
+                "screened trace does not import to the lenient database for {}",
+                class
+            );
             Ok(())
         },
     );
 }
 
 /// A clean trace through the resilient path is indistinguishable from the
-/// fast path — same database at jobs 1 and 4, clean report, and the
-/// salvage reader reproduces the container byte-for-byte.
+/// fast path — same database, clean report, and the salvage reader
+/// reproduces the container byte-for-byte.
 #[test]
 fn clean_traces_pass_through_unchanged() {
     prop::check(
@@ -196,16 +234,14 @@ fn clean_traces_pass_through_unchanged() {
         |rng| rng.next_u64(),
         |&seed| {
             let base = gen_trace(seed);
-            for jobs in [1usize, 4] {
-                let fast = import(&base, &cfg(), jobs);
-                let (db, report) =
-                    import_resilient(&base, &cfg(), jobs, &ResilientConfig::default())
-                        .map_err(|e| e.to_string())?;
-                prop_assert!(report.is_clean(), "clean trace quarantined: {:?}", report);
-                prop_assert!(db == fast, "resilient db != fast db at jobs {}", jobs);
-                let strict = import_strict(&base, &cfg(), jobs).map_err(|e| e.to_string())?;
-                prop_assert!(strict == fast, "strict db != fast db at jobs {}", jobs);
-            }
+            let fast = import(&base, &cfg(), 1);
+            let (db, report) = import_resilient(&base, &cfg(), 1, &ResilientConfig::default())
+                .map_err(|e| e.to_string())?;
+            prop_assert!(report.is_clean(), "clean trace quarantined: {:?}", report);
+            prop_assert!(db == fast, "resilient db != fast db");
+            let (strict, _) = import_resilient(&base, &cfg(), 1, &ResilientConfig::strict())
+                .map_err(|e| e.to_string())?;
+            prop_assert!(strict == fast, "strict db != fast db");
             let mut bytes = Vec::new();
             write_trace(&base, &mut bytes).map_err(|e| e.to_string())?;
             let (salvaged, sreport) = read_trace_salvage(&bytes).map_err(|e| e.to_string())?;
@@ -361,8 +397,9 @@ fn every_class_end_to_end_on_canonical_trace() {
         match &inj.oracle {
             Oracle::Quarantine(expected) => {
                 let corrupted = inj.trace.as_ref().expect("trace");
-                assert!(import_strict(corrupted, &cfg(), 1).is_err(), "{class}");
-                let (_, got) = lenient(corrupted, 1);
+                let strict = import_resilient(corrupted, &cfg(), 1, &ResilientConfig::strict());
+                assert!(strict.is_err(), "{class}");
+                let got = entries(&lenient(corrupted).1);
                 let want: Vec<(String, u64)> = expected
                     .iter()
                     .map(|&(c, i)| (c.name().to_owned(), i))

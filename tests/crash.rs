@@ -213,8 +213,6 @@ fn every_crash_point_recovers_to_pre_or_post_op_state() {
             vfs.reboot();
             let report = fsck(
                 &store,
-                &CorpusCtx::with_store(store.clone(), 0.9, 1).filter,
-                1,
                 FsckOptions {
                     repair: true,
                     gc: true,
@@ -236,8 +234,6 @@ fn every_crash_point_recovers_to_pre_or_post_op_state() {
             // fsck converged: a second run finds nothing left to repair.
             let again = fsck(
                 &store,
-                &CorpusCtx::with_store(store.clone(), 0.9, 1).filter,
-                1,
                 FsckOptions {
                     repair: true,
                     gc: true,

@@ -34,10 +34,11 @@ const GOLDEN_SEED: u64 = 0x601d_5eed;
 const GOLDEN_OPS: u64 = 2_000;
 
 /// Runs the full pipeline once — sharded ksim generation, trace encode,
-/// import, derivation, documentation — with every phase on `jobs`
-/// workers: returns the encoded trace bytes and the generated
-/// documentation artifact. `shards` is part of the trace content (see
-/// `ksim::parallel`); `jobs` must never change a byte of either output.
+/// import, derivation, documentation — with every parallel phase on
+/// `jobs` workers (import is serial): returns the encoded trace bytes and
+/// the generated documentation artifact. `shards` is part of the trace
+/// content (see `ksim::parallel`); `jobs` must never change a byte of
+/// either output.
 fn run_pipeline_sharded(shards: u64, jobs: usize) -> (Vec<u8>, String) {
     let cfg = SimConfig::with_seed(GOLDEN_SEED).with_faults(rules::default_fault_plan());
     let run = run_mix_sharded(&cfg, None, GOLDEN_OPS, shards, jobs).expect("generation succeeds");
@@ -221,8 +222,8 @@ fn identical_seeds_yield_byte_identical_pipeline() {
 }
 
 /// Determinism contract of the parallel pipeline: the encoded trace and
-/// the generated documentation are byte-identical whether generation,
-/// import, and derivation run serially or across a thread pool. The
+/// the generated documentation are byte-identical whether generation and
+/// derivation run serially or across a thread pool. The
 /// golden file therefore pins the output of every worker count at once.
 #[test]
 fn parallel_derivation_is_byte_identical_to_serial() {

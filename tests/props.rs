@@ -473,11 +473,11 @@ fn check_evidence_index(db: &TraceDb) -> Result<(), String> {
 }
 
 /// One step of the multi-flow trace generator behind
-/// [`import_is_jobs_invariant`]: unlike [`Op`] it exercises task
-/// switches, interrupt contexts, allocation churn (including adversarial
-/// double frees and overlapping allocs), function frames, and lock ops on
-/// both static and unknown addresses — every partitioning decision the
-/// parallel importer makes.
+/// [`import_stream_matches_import`] and the archive and evidence-index
+/// properties: unlike [`Op`] it exercises task switches, interrupt
+/// contexts, allocation churn (including adversarial double frees and
+/// overlapping allocs), function frames, and lock ops on both static and
+/// unknown addresses — every per-flow decision the importer makes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum FlowOp {
     Switch(u8),
@@ -628,37 +628,10 @@ fn build_multiflow_trace(ops: &[FlowOp]) -> Trace {
     tr
 }
 
-/// The flow-partitioned parallel importer is output-invariant in the
-/// worker count: for arbitrary (including malformed) multi-flow traces,
-/// `import` at jobs ∈ {2, 3, 5, 8} equals the serial jobs=1 database —
-/// accesses, txns, stacks, allocations, locks, and statistics alike.
-#[test]
-fn import_is_jobs_invariant() {
-    let cfg = prop::Config {
-        cases: 40,
-        ..prop::Config::from_env()
-    };
-    let gen = |rng: &mut Rng| vec_of(rng, 0..250, flow_op_gen);
-    prop::check_with(&cfg, "import_is_jobs_invariant", gen, |ops| {
-        let trace = build_multiflow_trace(ops);
-        let serial = import(&trace, &FilterConfig::with_defaults(), 1);
-        for jobs in [2usize, 3, 5, 8] {
-            prop_assert_eq!(
-                &serial,
-                &import(&trace, &FilterConfig::with_defaults(), jobs),
-                "import output differs at jobs = {}",
-                jobs
-            );
-        }
-        Ok(())
-    });
-}
-
 /// Streaming import equals materialized import: driving the importer
 /// straight off a chunked `TraceReader` (with a tiny chunk size, so
 /// records straddle chunk boundaries constantly) produces the same
-/// database as decoding the full event vector first — serial and
-/// parallel alike.
+/// database as decoding the full event vector first.
 #[test]
 fn import_stream_matches_import() {
     let cfg = prop::Config {
@@ -670,17 +643,14 @@ fn import_stream_matches_import() {
         let trace = build_multiflow_trace(ops);
         let mut bytes = Vec::new();
         write_trace(&trace, &mut bytes).expect("encode");
-        for jobs in [1usize, 4] {
-            let reader = TraceReader::with_chunk_size(bytes.as_slice(), 7).expect("header");
-            let streamed = import_stream(reader, &FilterConfig::with_defaults(), jobs)
-                .expect("clean container streams");
-            prop_assert_eq!(
-                &import(&trace, &FilterConfig::with_defaults(), jobs),
-                &streamed,
-                "streamed import differs at jobs = {}",
-                jobs
-            );
-        }
+        let reader = TraceReader::with_chunk_size(bytes.as_slice(), 7).expect("header");
+        let streamed = import_stream(reader, &FilterConfig::with_defaults(), 1)
+            .expect("clean container streams");
+        prop_assert_eq!(
+            &import(&trace, &FilterConfig::with_defaults(), 1),
+            &streamed,
+            "streamed import differs"
+        );
         Ok(())
     });
 }
