@@ -141,7 +141,7 @@ pub struct Injection {
     /// Corrupted encoded container. `None` for
     /// [`CorruptionClass::TimestampRegression`]: the delta codec cannot
     /// represent time travel, which is exactly why that class exists only
-    /// at the event level (JSON input, programmatic construction).
+    /// at the event level (programmatic construction).
     pub bytes: Option<Vec<u8>>,
     /// What recovery must observe.
     pub oracle: Oracle,

@@ -98,23 +98,11 @@ pub type Timestamp = u64;
 /// assert_eq!(a, b);
 /// assert_eq!(interner.resolve(a), "i_lock");
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Interner {
     strings: Vec<String>,
-    // Derived lookup index; rebuilt lazily after construction from a
-    // serialized string table (see `from_strings`).
     index: HashMap<String, Sym>,
 }
-
-// Equality ignores the derived lookup index: a deserialized interner with
-// a lazily-built index equals the original it was serialized from.
-impl PartialEq for Interner {
-    fn eq(&self, other: &Self) -> bool {
-        self.strings == other.strings
-    }
-}
-
-impl Eq for Interner {}
 
 impl Interner {
     /// Creates an empty interner.
@@ -124,9 +112,6 @@ impl Interner {
 
     /// Interns `s`, returning its symbol. Idempotent per string value.
     pub fn intern(&mut self, s: &str) -> Sym {
-        if self.index.is_empty() && !self.strings.is_empty() {
-            self.rebuild_index();
-        }
         if let Some(&sym) = self.index.get(s) {
             return sym;
         }
@@ -156,14 +141,6 @@ impl Interner {
 
     /// Looks up a string without interning it.
     pub fn get(&self, s: &str) -> Option<Sym> {
-        if self.index.is_empty() && !self.strings.is_empty() {
-            // Read-only lookup on a deserialized interner: fall back to scan.
-            return self
-                .strings
-                .iter()
-                .position(|x| x == s)
-                .map(|i| Sym(i as u32));
-        }
         self.index.get(s).copied()
     }
 
@@ -185,27 +162,9 @@ impl Interner {
             .map(|(i, s)| (Sym(i as u32), s.as_str()))
     }
 
-    /// Rebuilds an interner from a serialized string table. The lookup
-    /// index is left empty and rebuilt lazily on first `intern`.
-    pub fn from_strings(strings: Vec<String>) -> Self {
-        Self {
-            strings,
-            index: HashMap::new(),
-        }
-    }
-
     /// The interned strings in symbol order (the serialized form).
     pub fn strings(&self) -> &[String] {
         &self.strings
-    }
-
-    fn rebuild_index(&mut self) {
-        self.index = self
-            .strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), Sym(i as u32)))
-            .collect();
     }
 }
 
@@ -238,20 +197,6 @@ mod tests {
         let s = i.intern("present");
         assert_eq!(i.get("present"), Some(s));
         assert_eq!(i.len(), 1);
-    }
-
-    #[test]
-    fn deserialized_interner_still_interns() {
-        use lockdoc_platform::json::{FromJson, ToJson};
-
-        let mut i = Interner::new();
-        i.intern("x");
-        i.intern("y");
-        let json = i.to_json().compact();
-        let mut j = Interner::from_json(&lockdoc_platform::json::parse(&json).unwrap()).unwrap();
-        assert_eq!(j.get("x"), Some(Sym(0)));
-        assert_eq!(j.intern("y"), Sym(1));
-        assert_eq!(j.intern("z"), Sym(2));
     }
 
     #[test]

@@ -1,23 +1,17 @@
-//! JSON serialization for the trace layer, built on the derive-free
-//! [`ToJson`]/[`FromJson`] traits from `lockdoc_platform`.
+//! JSON projections of the trace layer's report types, built on the
+//! derive-free [`ToJson`]/[`FromJson`] traits from `lockdoc_platform`.
 //!
-//! The JSON form is an interchange/debugging format alongside the binary
-//! `LDOC1` codec ([`crate::codec`]): human-readable, self-describing
-//! (events carry a `"type"` tag), and loss-free — every id, address, and
-//! timestamp round-trips exactly, including `u64` addresses beyond 2^53.
-//! Field order is fixed, so serializing the same trace twice yields
-//! byte-identical text.
+//! These are the pieces every `--json` output and `lockdoc doctor` emit:
+//! ids, access and context kinds, source locations, and the quarantine,
+//! salvage and import reports. Traces themselves have one encoding, the
+//! binary `LDOC1` container ([`crate::codec`]). Field order is fixed, so
+//! serializing the same value twice yields byte-identical text.
 
 use crate::codec::{SalvageDiag, SalvageReport};
 use crate::db::resilient::{ImportReport, QuarantineClass, QuarantineEntry};
-use crate::event::{
-    AccessKind, AcquireMode, ContextKind, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc,
-    Trace, TraceEvent, TraceMeta, TraceSummary,
-};
-use crate::ids::{
-    AllocId, DataTypeId, FnId, Interner, LockId, MemberId, StackId, Sym, TaskId, TxnId,
-};
-use lockdoc_platform::json::{decode_field, field, FromJson, Json, JsonError, ToJson};
+use crate::event::{AccessKind, ContextKind, SourceLoc};
+use crate::ids::{AllocId, DataTypeId, FnId, LockId, MemberId, StackId, Sym, TaskId, TxnId};
+use lockdoc_platform::json::{decode_field, FromJson, Json, JsonError, ToJson};
 
 macro_rules! json_id {
     ($($ty:ident),+ $(,)?) => {$(
@@ -81,23 +75,6 @@ macro_rules! json_unit_enum {
     };
 }
 
-json_unit_enum!(LockFlavor {
-    Spinlock => "spinlock_t",
-    Rwlock => "rwlock_t",
-    Mutex => "mutex",
-    Semaphore => "semaphore",
-    RwSemaphore => "rw_semaphore",
-    Seqlock => "seqlock_t",
-    Rcu => "rcu",
-    Softirq => "softirq",
-    Hardirq => "hardirq",
-});
-
-json_unit_enum!(AcquireMode {
-    Shared => "shared",
-    Exclusive => "exclusive",
-});
-
 json_unit_enum!(AccessKind {
     Read => "r",
     Write => "w",
@@ -110,29 +87,6 @@ json_unit_enum!(ContextKind {
 });
 
 json_struct!(SourceLoc { file, line });
-json_struct!(MemberDef {
-    name,
-    offset,
-    size,
-    atomic,
-    is_lock
-});
-json_struct!(DataTypeDef {
-    name,
-    size,
-    members
-});
-json_struct!(TraceEvent { ts, event });
-json_struct!(Trace { meta, events });
-json_struct!(TraceSummary {
-    total,
-    allocs,
-    frees,
-    lock_ops,
-    mem_accesses,
-    lock_inits,
-    other
-});
 
 // --- Robustness reports (resilient import + salvage decode) -------------
 
@@ -197,372 +151,10 @@ impl FromJson for ImportReport {
     }
 }
 
-impl ToJson for Interner {
-    fn to_json(&self) -> Json {
-        // Only the string table is persisted; the lookup index is derived
-        // state and rebuilds lazily on the decoded side.
-        self.strings().to_json()
-    }
-}
-
-impl FromJson for Interner {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Vec::<String>::from_json(v).map(Interner::from_strings)
-    }
-}
-
-impl ToJson for TraceMeta {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("strings", self.strings.to_json()),
-            ("data_types", self.data_types.to_json()),
-            ("functions", self.functions.to_json()),
-            ("tasks", self.tasks.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TraceMeta {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            strings: decode_field(v, "strings")?,
-            data_types: decode_field(v, "data_types")?,
-            functions: decode_field(v, "functions")?,
-            tasks: decode_field(v, "tasks")?,
-        })
-    }
-}
-
-impl ToJson for Event {
-    fn to_json(&self) -> Json {
-        let tag = |name: &str| ("type", Json::Str(name.to_owned()));
-        match self {
-            Event::LockInit {
-                addr,
-                name,
-                flavor,
-                is_static,
-            } => Json::obj(vec![
-                tag("lock_init"),
-                ("addr", addr.to_json()),
-                ("name", name.to_json()),
-                ("flavor", flavor.to_json()),
-                ("is_static", is_static.to_json()),
-            ]),
-            Event::Alloc {
-                id,
-                addr,
-                size,
-                data_type,
-                subclass,
-            } => Json::obj(vec![
-                tag("alloc"),
-                ("id", id.to_json()),
-                ("addr", addr.to_json()),
-                ("size", size.to_json()),
-                ("data_type", data_type.to_json()),
-                ("subclass", subclass.to_json()),
-            ]),
-            Event::Free { id } => Json::obj(vec![tag("free"), ("id", id.to_json())]),
-            Event::LockAcquire { addr, mode, loc } => Json::obj(vec![
-                tag("lock_acquire"),
-                ("addr", addr.to_json()),
-                ("mode", mode.to_json()),
-                ("loc", loc.to_json()),
-            ]),
-            Event::LockRelease { addr, loc } => Json::obj(vec![
-                tag("lock_release"),
-                ("addr", addr.to_json()),
-                ("loc", loc.to_json()),
-            ]),
-            Event::MemAccess {
-                kind,
-                addr,
-                size,
-                loc,
-                atomic,
-            } => Json::obj(vec![
-                tag("mem_access"),
-                ("kind", kind.to_json()),
-                ("addr", addr.to_json()),
-                ("size", size.to_json()),
-                ("loc", loc.to_json()),
-                ("atomic", atomic.to_json()),
-            ]),
-            Event::FnEnter { func } => Json::obj(vec![tag("fn_enter"), ("func", func.to_json())]),
-            Event::FnExit { func } => Json::obj(vec![tag("fn_exit"), ("func", func.to_json())]),
-            Event::TaskSwitch { task } => {
-                Json::obj(vec![tag("task_switch"), ("task", task.to_json())])
-            }
-            Event::ContextEnter { kind } => {
-                Json::obj(vec![tag("context_enter"), ("kind", kind.to_json())])
-            }
-            Event::ContextExit { kind } => {
-                Json::obj(vec![tag("context_exit"), ("kind", kind.to_json())])
-            }
-        }
-    }
-}
-
-impl FromJson for Event {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let tag = field(v, "type")?
-            .as_str()
-            .ok_or_else(|| JsonError::new("event 'type' must be a string"))?;
-        match tag {
-            "lock_init" => Ok(Event::LockInit {
-                addr: decode_field(v, "addr")?,
-                name: decode_field(v, "name")?,
-                flavor: decode_field(v, "flavor")?,
-                is_static: decode_field(v, "is_static")?,
-            }),
-            "alloc" => Ok(Event::Alloc {
-                id: decode_field(v, "id")?,
-                addr: decode_field(v, "addr")?,
-                size: decode_field(v, "size")?,
-                data_type: decode_field(v, "data_type")?,
-                subclass: decode_field(v, "subclass")?,
-            }),
-            "free" => Ok(Event::Free {
-                id: decode_field(v, "id")?,
-            }),
-            "lock_acquire" => Ok(Event::LockAcquire {
-                addr: decode_field(v, "addr")?,
-                mode: decode_field(v, "mode")?,
-                loc: decode_field(v, "loc")?,
-            }),
-            "lock_release" => Ok(Event::LockRelease {
-                addr: decode_field(v, "addr")?,
-                loc: decode_field(v, "loc")?,
-            }),
-            "mem_access" => Ok(Event::MemAccess {
-                kind: decode_field(v, "kind")?,
-                addr: decode_field(v, "addr")?,
-                size: decode_field(v, "size")?,
-                loc: decode_field(v, "loc")?,
-                atomic: decode_field(v, "atomic")?,
-            }),
-            "fn_enter" => Ok(Event::FnEnter {
-                func: decode_field(v, "func")?,
-            }),
-            "fn_exit" => Ok(Event::FnExit {
-                func: decode_field(v, "func")?,
-            }),
-            "task_switch" => Ok(Event::TaskSwitch {
-                task: decode_field(v, "task")?,
-            }),
-            "context_enter" => Ok(Event::ContextEnter {
-                kind: decode_field(v, "kind")?,
-            }),
-            "context_exit" => Ok(Event::ContextExit {
-                kind: decode_field(v, "kind")?,
-            }),
-            other => Err(JsonError::new(format!("unknown event type '{other}'"))),
-        }
-    }
-}
-
-/// Serializes a trace to pretty JSON text.
-pub fn trace_to_json(trace: &Trace) -> String {
-    trace.to_json().pretty()
-}
-
-/// Parses a trace from JSON text.
-pub fn trace_from_json(text: &str) -> Result<Trace, JsonError> {
-    lockdoc_platform::json::from_str(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{read_trace, write_trace};
     use lockdoc_platform::json::parse;
-
-    /// A trace exercising every one of the 11 event variants.
-    fn all_variant_trace() -> Trace {
-        let mut t = Trace::new();
-        let file = t.meta_mut().strings.intern("fs/inode.c");
-        let lock_name = t.meta_mut().strings.intern("i_lock");
-        let sub = t.meta_mut().strings.intern("ext4");
-        let dt = t.meta_mut().add_data_type(DataTypeDef {
-            name: "inode".into(),
-            size: 64,
-            members: vec![MemberDef {
-                name: "i_state".into(),
-                offset: 0,
-                size: 8,
-                atomic: false,
-                is_lock: false,
-            }],
-        });
-        let f = t.meta_mut().add_function("ext4_evict_inode");
-        let task = t.meta_mut().add_task("kworker/0:1");
-        let loc = SourceLoc::new(file, 42);
-        t.push(
-            0,
-            Event::LockInit {
-                addr: 0xffff_8800_0000_0010,
-                name: lock_name,
-                flavor: LockFlavor::Spinlock,
-                is_static: false,
-            },
-        );
-        t.push(
-            1,
-            Event::Alloc {
-                id: AllocId(1),
-                addr: 0xffff_8800_0000_0000,
-                size: 64,
-                data_type: dt,
-                subclass: Some(sub),
-            },
-        );
-        t.push(2, Event::TaskSwitch { task });
-        t.push(3, Event::FnEnter { func: f });
-        t.push(
-            4,
-            Event::LockAcquire {
-                addr: 0xffff_8800_0000_0010,
-                mode: AcquireMode::Exclusive,
-                loc,
-            },
-        );
-        t.push(
-            5,
-            Event::MemAccess {
-                kind: AccessKind::Write,
-                addr: 0xffff_8800_0000_0000,
-                size: 8,
-                loc,
-                atomic: false,
-            },
-        );
-        t.push(
-            6,
-            Event::LockRelease {
-                addr: 0xffff_8800_0000_0010,
-                loc,
-            },
-        );
-        t.push(
-            7,
-            Event::ContextEnter {
-                kind: ContextKind::Hardirq,
-            },
-        );
-        t.push(
-            8,
-            Event::MemAccess {
-                kind: AccessKind::Read,
-                addr: 0xffff_8800_0000_0000,
-                size: 4,
-                loc,
-                atomic: true,
-            },
-        );
-        t.push(
-            9,
-            Event::ContextExit {
-                kind: ContextKind::Hardirq,
-            },
-        );
-        t.push(10, Event::FnExit { func: f });
-        t.push(11, Event::Free { id: AllocId(1) });
-        t
-    }
-
-    #[test]
-    fn every_event_variant_round_trips_through_json() {
-        let trace = all_variant_trace();
-        for ev in &trace.events {
-            let text = ev.event.to_json().compact();
-            let back = Event::from_json(&parse(&text).unwrap())
-                .unwrap_or_else(|e| panic!("decode {text}: {e}"));
-            assert_eq!(back, ev.event, "variant did not round-trip: {text}");
-        }
-    }
-
-    #[test]
-    fn whole_trace_round_trips_and_matches_codec() {
-        let trace = all_variant_trace();
-        // JSON round trip.
-        let text = trace_to_json(&trace);
-        let from_json = trace_from_json(&text).unwrap();
-        assert_eq!(from_json, trace);
-        // Binary codec round trip of the same trace.
-        let mut buf = Vec::new();
-        write_trace(&trace, &mut buf).unwrap();
-        let from_codec = read_trace(&mut buf.as_slice()).unwrap();
-        // Both codecs must agree with each other event-for-event.
-        assert_eq!(from_json.events, from_codec.events);
-        assert_eq!(from_json.meta.data_types, from_codec.meta.data_types,);
-    }
-
-    #[test]
-    fn json_form_is_byte_stable() {
-        let trace = all_variant_trace();
-        assert_eq!(trace_to_json(&trace), trace_to_json(&trace));
-        let reparsed = trace_from_json(&trace_to_json(&trace)).unwrap();
-        assert_eq!(trace_to_json(&reparsed), trace_to_json(&trace));
-    }
-
-    #[test]
-    fn big_addresses_survive_exactly() {
-        let trace = all_variant_trace();
-        let back = trace_from_json(&trace_to_json(&trace)).unwrap();
-        match &back.events[0].event {
-            Event::LockInit { addr, .. } => assert_eq!(*addr, 0xffff_8800_0000_0010),
-            other => panic!("unexpected event {other:?}"),
-        }
-    }
-
-    #[test]
-    fn malformed_event_json_is_rejected() {
-        for text in [
-            // Not JSON at all.
-            "not json",
-            // Wrong shape.
-            "[]",
-            "42",
-            // Missing type tag.
-            r#"{"addr":1}"#,
-            // Unknown type tag.
-            r#"{"type":"warp_drive","addr":1}"#,
-            // Missing required field.
-            r#"{"type":"free"}"#,
-            // Field with wrong type.
-            r#"{"type":"free","id":"one"}"#,
-            // Out-of-range numeric field (size is u32).
-            r#"{"type":"alloc","id":1,"addr":2,"size":99999999999,"data_type":0,"subclass":null}"#,
-            // Bad enum string.
-            r#"{"type":"mem_access","kind":"x","addr":1,"size":1,"loc":{"file":0,"line":1},"atomic":false}"#,
-        ] {
-            let decoded = parse(text).and_then(|v| Event::from_json(&v));
-            assert!(decoded.is_err(), "accepted malformed event: {text}");
-        }
-    }
-
-    #[test]
-    fn malformed_trace_json_is_rejected() {
-        assert!(trace_from_json("").is_err());
-        assert!(trace_from_json("{}").is_err());
-        assert!(trace_from_json(r#"{"meta":{},"events":[]}"#).is_err());
-        // Events must be an array.
-        let text =
-            r#"{"meta":{"strings":[],"data_types":[],"functions":[],"tasks":[]},"events":{}}"#;
-        assert!(trace_from_json(text).is_err());
-        // Truncated document.
-        let good = trace_to_json(&all_variant_trace());
-        assert!(trace_from_json(&good[..good.len() / 2]).is_err());
-    }
-
-    #[test]
-    fn summary_round_trips() {
-        let s = all_variant_trace().summary();
-        let text = s.to_json().compact();
-        let back: TraceSummary = lockdoc_platform::json::from_str(&text).unwrap();
-        assert_eq!(back, s);
-    }
 
     #[test]
     fn import_report_round_trips_and_exposes_counts() {

@@ -241,20 +241,6 @@ fn codec_round_trips() {
     });
 }
 
-/// JSON codec round trip for the same arbitrary traces (the in-tree
-/// `jsonio` layer must agree with the binary codec's event model).
-#[test]
-fn json_round_trips() {
-    prop::check("json_round_trips", ops_gen(150), |ops| {
-        let (trace, _) = build_trace(ops);
-        let text = lockdoc_trace::jsonio::trace_to_json(&trace);
-        let back = lockdoc_trace::jsonio::trace_from_json(&text)
-            .map_err(|e| format!("decode failed: {e}"))?;
-        prop_assert_eq!(trace, back);
-        Ok(())
-    });
-}
-
 /// Hypothesis support never increases when a lock is appended (support
 /// anti-monotonicity), and `sa <= total` always holds.
 #[test]

@@ -50,9 +50,7 @@ fn bitflip_property(pos_frac: f64, value: u8) -> Result<(), String> {
             | CodecError::BadTag(_)
             | CodecError::VarintOverflow
             | CodecError::BadUtf8
-            | CodecError::BadCsv(_)
             | CodecError::NonMonotonic { .. }
-            | CodecError::DanglingId(_)
             | CodecError::CountOverflow,
         ) => {}
     }
