@@ -26,10 +26,11 @@ use lockdoc_core::{
     build_trace_matrix, derive_corpus, read_matrix_artifact, write_matrix_artifact, CorpusDerive,
     CorpusRulesCache, CorpusTrace, TraceMatrix,
 };
+use lockdoc_platform::hash::fnv1a;
 use lockdoc_platform::json::{self, Json, ToJson};
 use lockdoc_trace::codec::{write_trace, TraceReader};
 use lockdoc_trace::corpus::{fsck as store_fsck, screen_trace, CorpusStore, FsckOptions, Health};
-use lockdoc_trace::db::{filter_fingerprint, fnv1a, import};
+use lockdoc_trace::db::{filter_fingerprint, import};
 use lockdoc_trace::event::{Trace, TraceMeta};
 use lockdoc_trace::filter::FilterConfig;
 use lockdoc_trace::merge::{concat_traces_corpus, corpus_meta};

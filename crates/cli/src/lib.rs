@@ -42,13 +42,14 @@ use lockdoc_core::order::OrderGraph;
 use lockdoc_core::race::find_races_par;
 use lockdoc_core::rulespec::parse_rules;
 use lockdoc_core::violation::find_violations_in;
+use lockdoc_platform::hash::fnv1a;
 use lockdoc_platform::json::{Json, ToJson};
 use lockdoc_platform::par::resolve_jobs;
 use lockdoc_trace::codec::{
     read_trace, read_trace_salvage, write_trace, SalvageReport, TraceReader,
 };
 use lockdoc_trace::db::{
-    filter_fingerprint, fnv1a, import_resilient, import_stream, quarantine_report, read_archive,
+    filter_fingerprint, import_resilient, import_stream, quarantine_report, read_archive,
     write_archive, ImportError, ImportReport, ResilientConfig, TraceDb,
 };
 use lockdoc_trace::event::Trace;

@@ -31,8 +31,9 @@ use crate::derive::{mine_group, DeriveConfig, GroupRules, MinedRules};
 use crate::evidence::EvidenceIndex;
 use crate::hypothesis::Observation;
 use crate::lockset::LockDescriptor;
+use lockdoc_platform::hash::fnv1a;
 use lockdoc_platform::par::par_map;
-use lockdoc_trace::db::{fnv1a, TraceDb};
+use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::{AccessKind, TraceMeta};
 use lockdoc_trace::ids::{DataTypeId, Sym};
 use std::collections::BTreeMap;

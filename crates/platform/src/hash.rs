@@ -1,5 +1,6 @@
-//! A fast, deterministic, non-cryptographic hasher for integer-keyed
-//! interior hash maps.
+//! Deterministic, non-cryptographic hashing: a fast hasher for
+//! integer-keyed interior hash maps, and [`fnv1a`], the checksum every
+//! persisted artifact uses.
 //!
 //! `std`'s default SipHash is DoS-resistant but costs tens of nanoseconds
 //! per small key, which dominates per-event work in hot import loops whose
@@ -69,6 +70,19 @@ impl Hasher for FastHasher {
     fn write_usize(&mut self, v: usize) {
         self.add(v as u64);
     }
+}
+
+/// FNV-1a 64-bit over a byte string; the checksum primitive of the cached
+/// archives, matrix artifacts and corpus store (fast, dependency-free, and
+/// stable across platforms — it guards against *staleness*, not
+/// adversaries).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// `HashMap` with [`FastHasher`].

@@ -39,9 +39,10 @@
 //! fsck itself is recovered by running fsck again.
 
 use crate::codec::{read_trace_salvage, SalvageReport};
-use crate::db::{fnv1a, quarantine_report, ImportReport};
+use crate::db::{quarantine_report, ImportReport};
 use crate::event::Trace;
 use crate::filter::FilterConfig;
+use lockdoc_platform::hash::fnv1a;
 use lockdoc_platform::json::{parse as json_parse, Json};
 use lockdoc_platform::vfs::{is_tmp_path, tmp_path, Vfs};
 use std::io;

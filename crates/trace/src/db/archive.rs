@@ -67,6 +67,7 @@ use crate::db::TraceDb;
 use crate::event::{AccessKind, AcquireMode, ContextKind, LockFlavor, SourceLoc, TraceMeta};
 use crate::filter::FilterConfig;
 use crate::ids::{AllocId, DataTypeId, FnId, LockId, StackId, Sym, TaskId};
+use lockdoc_platform::hash::fnv1a;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -80,18 +81,6 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Fixed header size: magic + version + trace/filter/payload checksums.
 /// The payload checksum covers every byte from this offset to the end.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
-
-/// FNV-1a 64-bit over a byte string; the archive's checksum primitive
-/// (fast, dependency-free, and stable across platforms — this guards
-/// against *staleness*, not adversaries).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Deterministic fingerprint of a filter configuration.
 ///
