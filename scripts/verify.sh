@@ -8,8 +8,7 @@
 #   * any default-feature dependency would need crates.io (offline build),
 #   * the tree is not rustfmt-clean or clippy raises any warning,
 #   * any workspace test fails,
-#   * a Cargo.toml reintroduces a registry dependency outside an
-#     explicitly external-gated feature.
+#   * a Cargo.toml reintroduces a registry dependency.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
