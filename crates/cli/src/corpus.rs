@@ -12,11 +12,14 @@
 //!   stream at all.
 //!
 //! Corpus-level rules are derived group by group from the merged
-//! matrices; the rules cache (`corpus.rules.json`) lets an incremental
-//! `add`/`drop` re-derive only the groups whose contributor set actually
-//! changed — untouched groups are reused byte-identically. Any
-//! mismatched, truncated, or damaged artifact is a clean cache miss: the
-//! pipeline falls back to a full decode, never a wrong answer.
+//! matrices; the rules cache (`corpus.rules.json`, keyed by the derive
+//! and filter fingerprints) lets an incremental `add`/`drop` re-derive
+//! only the groups whose contributor set actually changed — untouched
+//! groups are reused byte-identically. All three are written in the
+//! [`lockdoc_platform::artifact`] frame (the two `.json` files carry a
+//! JSON payload), so any mismatched, truncated, or damaged file is a
+//! clean cache miss: the pipeline falls back to a full decode, never a
+//! wrong answer.
 
 use crate::{render_rules_text, Args, CliError, Result};
 use ksim::rules;
@@ -26,8 +29,9 @@ use lockdoc_core::{
     build_trace_matrix, derive_corpus, read_matrix_artifact, write_matrix_artifact, CorpusDerive,
     CorpusRulesCache, CorpusTrace, TraceMatrix,
 };
+use lockdoc_platform::artifact;
 use lockdoc_platform::hash::fnv1a;
-use lockdoc_platform::json::{self, Json, ToJson};
+use lockdoc_platform::json::{self, FromJson, Json, ToJson};
 use lockdoc_trace::codec::{write_trace, TraceReader};
 use lockdoc_trace::corpus::{fsck as store_fsck, screen_trace, CorpusStore, FsckOptions, Health};
 use lockdoc_trace::db::{filter_fingerprint, import};
@@ -40,6 +44,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File name of the corpus-level rules cache inside the cache directory.
 pub const RULES_CACHE_FILE: &str = "corpus.rules.json";
+
+/// Frame magics of the two JSON caches, the screening sidecar and the
+/// rules cache; both payloads are at version 1.
+const SCREEN_MAGIC: &[u8; 8] = b"LDSCRN1\0";
+const RULES_MAGIC: &[u8; 8] = b"LDRULES\0";
+const JSON_CACHE_VERSION: u32 = 1;
 
 /// Shared knobs of one corpus (or serve) invocation.
 ///
@@ -117,6 +127,20 @@ impl CorpusCtx {
     pub fn cache_write_errors(&self) -> u64 {
         self.cache_write_errors.load(Ordering::Relaxed)
     }
+
+    /// Writes a JSON cache file in its frame.
+    fn write_json_cache(&self, path: &Path, magic: &[u8; 8], keys: &[u64], v: &Json) {
+        let payload = v.pretty();
+        let framed = artifact::seal(magic, JSON_CACHE_VERSION, keys, payload.as_bytes());
+        self.write_cache(path, &framed);
+    }
+
+    /// The JSON payload of a cache file whose frame opens, else `None`.
+    fn read_json_cache(&self, path: &Path, magic: &[u8; 8], keys: &[u64]) -> Option<Json> {
+        let bytes = self.store.vfs().read(path).ok()?;
+        let payload = artifact::open(&bytes, magic, JSON_CACHE_VERSION, keys)?;
+        json::parse(std::str::from_utf8(payload).ok()?).ok()
+    }
 }
 
 /// One corpus member as the CLI sees it after loading.
@@ -162,12 +186,15 @@ fn write_screen_sidecar(ctx: &CorpusCtx, path: &Path, m: &Member) {
         pairs.push(("error", Json::Str(e.clone())));
     }
     // Best-effort: a failed cache write only costs the next run a rescan.
-    ctx.write_cache(path, Json::obj(pairs).pretty().as_bytes());
+    ctx.write_json_cache(path, SCREEN_MAGIC, &[m.checksum], &Json::obj(pairs));
 }
 
-fn read_screen_sidecar(ctx: &CorpusCtx, path: &Path) -> Option<(Health, u64, u64, Option<String>)> {
-    let bytes = ctx.store.vfs().read(path).ok()?;
-    let v = json::parse(std::str::from_utf8(&bytes).ok()?).ok()?;
+fn read_screen_sidecar(
+    ctx: &CorpusCtx,
+    path: &Path,
+    checksum: u64,
+) -> Option<(Health, u64, u64, Option<String>)> {
+    let v = ctx.read_json_cache(path, SCREEN_MAGIC, &[checksum])?;
     let health = match v.get("health").and_then(Json::as_str)? {
         "healthy" => Health::Healthy,
         "degraded" => Health::Degraded,
@@ -202,7 +229,9 @@ fn load_member(ctx: &CorpusCtx, name: &str, opts: &LoadOpts) -> Result<Member> {
     // Warm path: a content-matched screening verdict (and, when needed, a
     // content+config-matched matrix) lets us skip the event decode.
     if !opts.need_trace {
-        if let Some((health, events, quarantined, error)) = read_screen_sidecar(ctx, &scr_path) {
+        if let Some((health, events, quarantined, error)) =
+            read_screen_sidecar(ctx, &scr_path, checksum)
+        {
             member.health = health;
             member.events = events;
             member.quarantined = quarantined;
@@ -281,13 +310,10 @@ pub fn derive_members(ctx: &CorpusCtx, members: &[Member]) -> Result<CorpusDeriv
         })
         .collect();
     let cache_path = ctx.store.corpus_file(RULES_CACHE_FILE);
-    let prev: Option<CorpusRulesCache> = ctx
-        .store
-        .vfs()
-        .read(&cache_path)
-        .ok()
-        .and_then(|b| String::from_utf8(b).ok())
-        .and_then(|s| json::from_str(&s).ok());
+    let keys = [ctx.derive_fp, ctx.filter_fp];
+    let prev = ctx
+        .read_json_cache(&cache_path, RULES_MAGIC, &keys)
+        .and_then(|v| CorpusRulesCache::from_json(&v).ok());
     let derived = derive_corpus(
         &traces,
         &meta,
@@ -296,10 +322,7 @@ pub fn derive_members(ctx: &CorpusCtx, members: &[Member]) -> Result<CorpusDeriv
         ctx.jobs,
         prev.as_ref(),
     );
-    ctx.write_cache(
-        &cache_path,
-        json::to_string_pretty(&derived.cache).as_bytes(),
-    );
+    ctx.write_json_cache(&cache_path, RULES_MAGIC, &keys, &derived.cache.to_json());
     Ok(derived)
 }
 

@@ -31,6 +31,7 @@ use crate::derive::{mine_group, DeriveConfig, GroupRules, MinedRules};
 use crate::evidence::EvidenceIndex;
 use crate::hypothesis::Observation;
 use crate::lockset::LockDescriptor;
+use lockdoc_platform::artifact::{self, Reader, Writer};
 use lockdoc_platform::hash::fnv1a;
 use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::TraceDb;
@@ -150,80 +151,77 @@ pub fn derive_fingerprint(config: &DeriveConfig) -> u64 {
 /// Magic prefix of a serialized matrix artifact.
 const MATRIX_MAGIC: &[u8; 8] = b"LDMATX1\0";
 /// Bump on any layout change; readers reject other versions.
-const MATRIX_VERSION: u32 = 1;
-/// magic + version + trace checksum + filter fp + derive fp + payload fp.
-const MATRIX_HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
+const MATRIX_VERSION: u32 = 2;
 
-struct MatrixWriter {
-    buf: Vec<u8>,
-}
-
-impl MatrixWriter {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn lock(&mut self, l: &LockDescriptor) {
-        match l {
-            LockDescriptor::Global { name } => {
-                self.u8(0);
-                self.str(name);
-            }
-            LockDescriptor::EmbeddedSame { member, type_name } => {
-                self.u8(1);
-                self.str(member);
-                self.str(type_name);
-            }
-            LockDescriptor::EmbeddedOther { member, type_name } => {
-                self.u8(2);
-                self.str(member);
-                self.str(type_name);
-            }
-            LockDescriptor::Pseudo { name } => {
-                self.u8(3);
-                self.str(name);
-            }
-        }
-    }
-    fn obs_list(&mut self, obs: &[Observation]) {
-        self.u32(obs.len() as u32);
-        for o in obs {
-            self.u32(o.locks.len() as u32);
-            for l in &o.locks {
-                self.lock(l);
-            }
-            self.u64(o.count);
-        }
+fn write_lock(w: &mut Writer, l: &LockDescriptor) {
+    let (tag, name, type_name) = match l {
+        LockDescriptor::Global { name } => (0, name, None),
+        LockDescriptor::EmbeddedSame { member, type_name } => (1, member, Some(type_name)),
+        LockDescriptor::EmbeddedOther { member, type_name } => (2, member, Some(type_name)),
+        LockDescriptor::Pseudo { name } => (3, name, None),
+    };
+    w.u8(tag);
+    w.str(name);
+    if let Some(t) = type_name {
+        w.str(t);
     }
 }
 
-/// Serializes a [`TraceMatrix`] as an `LDMATX` artifact keyed by the
-/// source trace's byte checksum, the import filter fingerprint, and the
-/// derivation-config fingerprint. The payload carries its own FNV-1a
-/// checksum, verified before a single payload byte is parsed.
+fn read_lock(r: &mut Reader) -> Option<LockDescriptor> {
+    Some(match r.u8()? {
+        0 => LockDescriptor::Global { name: r.str()? },
+        1 => LockDescriptor::EmbeddedSame {
+            member: r.str()?,
+            type_name: r.str()?,
+        },
+        2 => LockDescriptor::EmbeddedOther {
+            member: r.str()?,
+            type_name: r.str()?,
+        },
+        3 => LockDescriptor::Pseudo { name: r.str()? },
+        _ => return None,
+    })
+}
+
+fn write_obs_list(w: &mut Writer, obs: &[Observation]) {
+    w.len(obs.len());
+    for o in obs {
+        w.len(o.locks.len());
+        for l in &o.locks {
+            write_lock(w, l);
+        }
+        w.u64(o.count);
+    }
+}
+
+fn read_obs_list(r: &mut Reader) -> Option<Vec<Observation>> {
+    let n = r.len(16)?; // locks count + unit count
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        let n_locks = r.len(9)?; // tag + one length prefix
+        let mut locks = Vec::with_capacity(n_locks);
+        for _ in 0..n_locks {
+            locks.push(read_lock(r)?);
+        }
+        let count = r.u64()?;
+        out.push(Observation { locks, count });
+    }
+    Some(out)
+}
+
+/// Serializes a [`TraceMatrix`] as an `LDMATX` artifact: a
+/// [`lockdoc_platform::artifact`] frame keyed by the source trace's byte
+/// checksum, the import filter fingerprint, and the derivation-config
+/// fingerprint.
 pub fn write_matrix_artifact(
     matrix: &TraceMatrix,
     trace_checksum: u64,
     filter_fp: u64,
     derive_fp: u64,
 ) -> Vec<u8> {
-    let mut w = MatrixWriter { buf: Vec::new() };
-    w.buf.extend_from_slice(MATRIX_MAGIC);
-    w.u32(MATRIX_VERSION);
-    w.u64(trace_checksum);
-    w.u64(filter_fp);
-    w.u64(derive_fp);
-    w.u64(0); // payload checksum, patched below
-    w.u32(matrix.groups.len() as u32);
+    let keys = [trace_checksum, filter_fp, derive_fp];
+    let mut w = Writer::new(MATRIX_MAGIC, MATRIX_VERSION, &keys, 0);
+    w.len(matrix.groups.len());
     for g in &matrix.groups {
         w.str(&g.type_name);
         match &g.subclass {
@@ -233,116 +231,30 @@ pub fn write_matrix_artifact(
             }
             None => w.u8(0),
         }
-        w.u32(g.members.len() as u32);
+        w.len(g.members.len());
         for m in &g.members {
             w.u32(m.member);
             w.str(&m.member_name);
-            w.obs_list(&m.read);
-            w.obs_list(&m.write);
+            write_obs_list(&mut w, &m.read);
+            write_obs_list(&mut w, &m.write);
         }
     }
-    let payload = fnv1a(&w.buf[MATRIX_HEADER_LEN..]);
-    w.buf[MATRIX_HEADER_LEN - 8..MATRIX_HEADER_LEN].copy_from_slice(&payload.to_le_bytes());
-    w.buf
-}
-
-/// Bounds-checked cursor over an artifact payload. Every length prefix
-/// is validated against the bytes actually remaining (given a minimum
-/// per-item size), so a corrupted count cannot trigger an allocation or
-/// a scan past the buffer.
-struct MatrixReader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> MatrixReader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.buf.len() < n {
-            return None;
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Some(head)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-    fn len(&mut self, per_item: usize) -> Option<usize> {
-        let n = self.u32()? as usize;
-        if n.checked_mul(per_item)? > self.buf.len() {
-            return None;
-        }
-        Some(n)
-    }
-    fn str(&mut self) -> Option<String> {
-        let n = self.len(1)?;
-        String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
-    fn lock(&mut self) -> Option<LockDescriptor> {
-        Some(match self.u8()? {
-            0 => LockDescriptor::Global { name: self.str()? },
-            1 => LockDescriptor::EmbeddedSame {
-                member: self.str()?,
-                type_name: self.str()?,
-            },
-            2 => LockDescriptor::EmbeddedOther {
-                member: self.str()?,
-                type_name: self.str()?,
-            },
-            3 => LockDescriptor::Pseudo { name: self.str()? },
-            _ => return None,
-        })
-    }
-    fn obs_list(&mut self) -> Option<Vec<Observation>> {
-        let n = self.len(12)?; // locks count + unit count
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let n_locks = self.len(5)?; // tag + one length prefix
-            let mut locks = Vec::with_capacity(n_locks);
-            for _ in 0..n_locks {
-                locks.push(self.lock()?);
-            }
-            let count = self.u64()?;
-            out.push(Observation { locks, count });
-        }
-        Some(out)
-    }
+    w.seal()
 }
 
 /// Deserializes an `LDMATX` artifact, returning `None` — a clean cache
-/// miss, triggering re-derivation from the trace — on *any* anomaly:
-/// wrong magic or version, key mismatch (trace checksum, filter
-/// fingerprint, derive fingerprint), payload checksum mismatch,
-/// truncation, out-of-range lengths, or trailing bytes.
+/// miss, triggering re-derivation from the trace — on *any* anomaly: a
+/// frame that does not open under these keys, out-of-range lengths, bad
+/// tags, or trailing bytes.
 pub fn read_matrix_artifact(
     bytes: &[u8],
     trace_checksum: u64,
     filter_fp: u64,
     derive_fp: u64,
 ) -> Option<TraceMatrix> {
-    if bytes.len() < MATRIX_HEADER_LEN || &bytes[..8] != MATRIX_MAGIC {
-        return None;
-    }
-    let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
-    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-    if u32_at(8) != MATRIX_VERSION
-        || u64_at(12) != trace_checksum
-        || u64_at(20) != filter_fp
-        || u64_at(28) != derive_fp
-    {
-        return None;
-    }
-    let payload = &bytes[MATRIX_HEADER_LEN..];
-    if fnv1a(payload) != u64_at(36) {
-        return None;
-    }
-    let mut r = MatrixReader { buf: payload };
-    let n_groups = r.len(9)?; // name prefix + subclass flag + member count
+    let keys = [trace_checksum, filter_fp, derive_fp];
+    let mut r = Reader::new(artifact::open(bytes, MATRIX_MAGIC, MATRIX_VERSION, &keys)?);
+    let n_groups = r.len(17)?; // name prefix + subclass flag + member count
     let mut groups = Vec::with_capacity(n_groups);
     for _ in 0..n_groups {
         let type_name = r.str()?;
@@ -351,13 +263,13 @@ pub fn read_matrix_artifact(
             1 => Some(r.str()?),
             _ => return None,
         };
-        let n_members = r.len(16)?; // member + name prefix + two list prefixes
+        let n_members = r.len(28)?; // member + name prefix + two list prefixes
         let mut members = Vec::with_capacity(n_members);
         for _ in 0..n_members {
             let member = r.u32()?;
             let member_name = r.str()?;
-            let read = r.obs_list()?;
-            let write = r.obs_list()?;
+            let read = read_obs_list(&mut r)?;
+            let write = read_obs_list(&mut r)?;
             members.push(MemberObs {
                 member,
                 member_name,
@@ -371,10 +283,7 @@ pub fn read_matrix_artifact(
             members,
         });
     }
-    if !r.buf.is_empty() {
-        return None;
-    }
-    Some(TraceMatrix { groups })
+    r.is_empty().then_some(TraceMatrix { groups })
 }
 
 /// One corpus member: a trace's identity (checksum over its raw bytes)
@@ -401,13 +310,10 @@ pub struct CorpusGroupEntry {
 }
 
 /// The corpus-level rules cache carried between [`derive_corpus`] runs.
-/// Valid for reuse only when both top-level fingerprints match.
+/// An entry is reused only when its group fingerprint matches, and that
+/// fingerprint already covers the derive config and the import filter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorpusRulesCache {
-    /// [`derive_fingerprint`] of the config the entries were mined with.
-    pub derive_fp: u64,
-    /// Import-filter fingerprint of the traces' databases.
-    pub filter_fp: u64,
     /// Per-group cached results, in group order.
     pub entries: Vec<CorpusGroupEntry>,
 }
@@ -459,7 +365,6 @@ pub fn derive_corpus(
     prev: Option<&CorpusRulesCache>,
 ) -> CorpusDerive {
     let derive_fp = derive_fingerprint(config);
-    let prev = prev.filter(|p| p.derive_fp == derive_fp && p.filter_fp == filter_fp);
 
     // Contributors per merged group key; the BTreeMap reproduces the
     // merged database's observation_groups() order.
@@ -542,11 +447,7 @@ pub fn derive_corpus(
             groups: results.into_iter().map(|(g, _)| g).collect(),
             config: *config,
         },
-        cache: CorpusRulesCache {
-            derive_fp,
-            filter_fp,
-            entries,
-        },
+        cache: CorpusRulesCache { entries },
         groups_total,
         groups_reused,
     }
@@ -558,6 +459,8 @@ mod tests {
     use crate::clock::clock_trace;
     use crate::derive::derive_par;
     use lockdoc_platform::json::{parse, FromJson, ToJson};
+    use lockdoc_platform::prop::{self, vec_of};
+    use lockdoc_platform::rng::Rng;
     use lockdoc_trace::db::{filter_fingerprint, import};
     use lockdoc_trace::event::{
         AccessKind, AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc, Trace,
@@ -794,29 +697,38 @@ mod tests {
     }
 
     #[test]
-    fn matrix_artifact_rejects_any_anomaly_as_clean_miss() {
+    fn matrix_key_mismatch_is_a_miss() {
         let db = import_default(&toy("alpha", 3));
-        let matrix = build_trace_matrix(&db, 1);
-        let bytes = write_matrix_artifact(&matrix, 11, 22, 33);
-        // Key mismatches: wrong trace, wrong filter, wrong derive config.
+        let bytes = write_matrix_artifact(&build_trace_matrix(&db, 1), 11, 22, 33);
+        // Wrong trace, wrong filter, wrong derive config.
         assert_eq!(read_matrix_artifact(&bytes, 12, 22, 33), None);
         assert_eq!(read_matrix_artifact(&bytes, 11, 23, 33), None);
         assert_eq!(read_matrix_artifact(&bytes, 11, 22, 34), None);
-        // Any flipped payload bit fails the checksum before parsing.
-        for i in [44usize, bytes.len() / 2, bytes.len() - 1] {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert_eq!(read_matrix_artifact(&bad, 11, 22, 33), None, "byte {i}");
-        }
-        // Truncation and trailing garbage are misses, not answers.
-        assert_eq!(
-            read_matrix_artifact(&bytes[..bytes.len() - 1], 11, 22, 33),
-            None
-        );
-        assert_eq!(read_matrix_artifact(&bytes[..10], 11, 22, 33), None);
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert_eq!(read_matrix_artifact(&extended, 11, 22, 33), None);
+    }
+
+    /// A payload damaged and then resealed, so the frame's checksum
+    /// passes, still parses to a clean miss or some matrix, never a panic.
+    #[test]
+    fn resealed_matrix_payloads_never_panic() {
+        let db =
+            import_default(&concat_traces_corpus(vec![clock_trace(90, 1), toy("a", 2)]).unwrap());
+        let keys = [11, 22, 33];
+        let bytes = write_matrix_artifact(&build_trace_matrix(&db, 1), 11, 22, 33);
+        let payload = artifact::open(&bytes, MATRIX_MAGIC, MATRIX_VERSION, &keys).unwrap();
+        let gen = |rng: &mut Rng| {
+            vec_of(rng, 1..4, |r| {
+                (r.gen_range(0..payload.len()), r.gen_range(1u8..255))
+            })
+        };
+        prop::check("resealed_matrix_payloads_never_panic", gen, |edits| {
+            let mut damaged = payload.to_vec();
+            for &(at, mask) in edits {
+                damaged[at] ^= mask;
+            }
+            let resealed = artifact::seal(MATRIX_MAGIC, MATRIX_VERSION, &keys, &damaged);
+            let _ = read_matrix_artifact(&resealed, 11, 22, 33);
+            Ok(())
+        });
     }
 
     #[test]

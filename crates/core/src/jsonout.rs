@@ -171,11 +171,7 @@ json_struct!(GroupRules {
 });
 json_struct!(MinedRules { groups, config });
 json_struct!(CorpusGroupEntry { fingerprint, rules });
-json_struct!(CorpusRulesCache {
-    derive_fp,
-    filter_fp,
-    entries
-});
+json_struct!(CorpusRulesCache { entries });
 json_struct!(RuleSpec {
     type_name,
     subclass,

@@ -19,11 +19,16 @@
 //! * [`vfs`] — a filesystem shim with a real-backed mode and a
 //!   deterministic fault-injecting in-memory mode that enumerates crash
 //!   points, for crash-consistency testing of persistent state.
+//! * [`hash`] — a fast hasher for trusted integer keys, and the FNV-1a
+//!   checksum.
+//! * [`artifact`] — the one checksummed frame every cache file is
+//!   written in, with the bounds-checked cursor its payloads use.
 //!
 //! Every module is deterministic: identical seeds produce identical
 //! streams, values, and reports (timing measurements excepted); [`par`]
 //! returns results in input order at any worker count.
 
+pub mod artifact;
 pub mod hash;
 pub mod json;
 pub mod par;

@@ -10,16 +10,10 @@
 //!
 //! ## Format (`LDARCH1\0`, version [`FORMAT_VERSION`])
 //!
-//! A fixed header followed by column slabs:
-//!
-//! ```text
-//! magic        [u8; 8] = b"LDARCH1\0"
-//! version      u32     — bumped on ANY layout change; mismatch = miss
-//! trace_fnv    u64     — FNV-1a over the source container bytes
-//! filter_fnv   u64     — FNV-1a over the canonicalized filter config
-//! payload_fnv  u64     — FNV-1a over every byte after this header
-//! ...sections: allocations, locks, txns, accesses, stacks, stats
-//! ```
+//! A [`lockdoc_platform::artifact`] frame keyed by `[trace_fnv,
+//! filter_fnv]` — FNV-1a over the source container bytes and over the
+//! canonicalized filter config — whose payload is the sections
+//! allocations, locks, txns, accesses, stacks, stats.
 //!
 //! Every column is a length-prefixed contiguous array of fixed-width
 //! little-endian values — the layout an `mmap`-based loader could hand to
@@ -38,15 +32,12 @@
 //! the header without touching the event stream). That makes the source
 //! trace file the single source of truth: a cache hit requires
 //!
-//! 1. magic and `version` to match this build's writer exactly,
-//! 2. `trace_fnv` to match the FNV-1a checksum of the *current* container
-//!    bytes (so an overwritten/truncated/regenerated trace misses), and
-//! 3. `filter_fnv` to match the fingerprint of the *current* filter
-//!    config (so changing blacklists invalidates), and
-//! 4. `payload_fnv` to match the checksum of the archive's own body — a
-//!    bit flip anywhere in the slabs (a torn write, disk rot) misses
-//!    *before* any section is parsed, so corruption can never smuggle a
-//!    structurally-plausible-but-wrong value into the store.
+//! the frame to open: magic and `version` match this build's writer,
+//! `trace_fnv` matches the *current* container bytes (so an
+//! overwritten/truncated/regenerated trace misses), `filter_fnv` matches
+//! the *current* filter config (so changing blacklists invalidates), and
+//! the payload checksum verifies (so a torn write or disk rot misses
+//! *before* any section is parsed).
 //!
 //! Any mismatch — or any structural inconsistency while reading — returns
 //! `None` and the caller falls back to a fresh import (and typically
@@ -67,6 +58,7 @@ use crate::db::TraceDb;
 use crate::event::{AccessKind, AcquireMode, ContextKind, LockFlavor, SourceLoc, TraceMeta};
 use crate::filter::FilterConfig;
 use crate::ids::{AllocId, DataTypeId, FnId, LockId, StackId, Sym, TaskId};
+use lockdoc_platform::artifact::{self, Reader, Writer};
 use lockdoc_platform::hash::fnv1a;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -77,10 +69,6 @@ pub const ARCHIVE_MAGIC: [u8; 8] = *b"LDARCH1\0";
 /// Bumped whenever the column layout, sentinel encoding, or section order
 /// changes. An archive written by any other version is a cache miss.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Fixed header size: magic + version + trace/filter/payload checksums.
-/// The payload checksum covers every byte from this offset to the end.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
 
 /// Deterministic fingerprint of a filter configuration.
 ///
@@ -131,46 +119,24 @@ pub fn filter_fingerprint(config: &FilterConfig) -> u64 {
     fnv1a(canon.as_bytes())
 }
 
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-struct ArchiveWriter {
-    buf: Vec<u8>,
-}
-
-impl ArchiveWriter {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn len(&mut self, n: usize) {
-        self.u64(n as u64);
-    }
-    fn flow(&mut self, f: FlowKey) {
-        match f {
-            FlowKey::Task(t) => {
-                self.u8(0);
-                self.u32(t.0);
-            }
-            FlowKey::Irq(i) => {
-                self.u8(1);
-                self.u32(u32::from(i));
-            }
+fn write_flow(w: &mut Writer, f: FlowKey) {
+    match f {
+        FlowKey::Task(t) => {
+            w.u8(0);
+            w.u32(t.0);
+        }
+        FlowKey::Irq(i) => {
+            w.u8(1);
+            w.u32(u32::from(i));
         }
     }
-    fn loc(&mut self, l: SourceLoc) {
-        self.u32(l.file.0);
-        self.u32(l.line);
-    }
-    fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+}
+
+fn read_flow(r: &mut Reader) -> Option<FlowKey> {
+    match r.u8()? {
+        0 => Some(FlowKey::Task(TaskId(r.u32()?))),
+        1 => Some(FlowKey::Irq(u8::try_from(r.u32()?).ok()?)),
+        _ => None,
     }
 }
 
@@ -208,14 +174,12 @@ fn flavor_from(tag: u8) -> Option<LockFlavor> {
 /// cache key.
 pub fn write_archive(db: &TraceDb, trace_checksum: u64, filter_fp: u64) -> Vec<u8> {
     // Rough pre-size: the access table dominates at ~64 B/row.
-    let mut w = ArchiveWriter {
-        buf: Vec::with_capacity(256 + db.accesses.len() * 64),
-    };
-    w.buf.extend_from_slice(&ARCHIVE_MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.u64(trace_checksum);
-    w.u64(filter_fp);
-    w.u64(0); // payload_fnv slot, patched once the body is complete
+    let mut w = Writer::new(
+        &ARCHIVE_MAGIC,
+        FORMAT_VERSION,
+        &[trace_checksum, filter_fp],
+        256 + db.accesses.len() * 64,
+    );
 
     // Allocations (cold row table; Options get presence bytes).
     w.len(db.allocations.len());
@@ -262,7 +226,7 @@ pub fn write_archive(db: &TraceDb, trace_checksum: u64, filter_fp: u64) -> Vec<u
     // Transactions: columns + held-lock arena.
     w.len(db.txns.len());
     for i in 0..db.txns.len() {
-        w.flow(db.txns.flow[i]);
+        write_flow(&mut w, db.txns.flow[i]);
     }
     for &t in &db.txns.start_ts {
         w.u64(t);
@@ -281,7 +245,8 @@ pub fn write_archive(db: &TraceDb, trace_checksum: u64, filter_fp: u64) -> Vec<u
             AcquireMode::Shared => 0,
             AcquireMode::Exclusive => 1,
         });
-        w.loc(h.acquired_at);
+        w.u32(h.acquired_at.file.0);
+        w.u32(h.acquired_at.line);
         w.u64(h.acquired_ts);
     }
 
@@ -308,7 +273,7 @@ pub fn write_archive(db: &TraceDb, trace_checksum: u64, filter_fp: u64) -> Vec<u
     for &v in &db.accesses.member {
         w.u32(v);
     }
-    w.buf.extend_from_slice(&db.accesses.size);
+    w.bytes(&db.accesses.size);
     for &v in &db.accesses.loc_file {
         w.u32(v.0);
     }
@@ -322,7 +287,7 @@ pub fn write_archive(db: &TraceDb, trace_checksum: u64, filter_fp: u64) -> Vec<u
         w.u32(v.0);
     }
     for i in 0..db.accesses.len() {
-        w.flow(db.accesses.flow[i]);
+        write_flow(&mut w, db.accesses.flow[i]);
     }
     for &c in &db.accesses.context {
         w.u8(match c {
@@ -371,60 +336,7 @@ pub fn write_archive(db: &TraceDb, trace_checksum: u64, filter_fp: u64) -> Vec<u
         w.u64(n);
     }
 
-    let payload_fnv = fnv1a(&w.buf[HEADER_LEN..]);
-    w.buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&payload_fnv.to_le_bytes());
-    w.buf
-}
-
-// ---------------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------------
-
-struct ArchiveReader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> ArchiveReader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.buf.len() < n {
-            return None;
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Some(head)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-    /// A length prefix, bounded by `per_item`: a corrupt length cannot
-    /// allocate more than the remaining input could possibly back.
-    fn len(&mut self, per_item: usize) -> Option<usize> {
-        let n = usize::try_from(self.u64()?).ok()?;
-        if n.checked_mul(per_item.max(1))? > self.buf.len() {
-            return None;
-        }
-        Some(n)
-    }
-    fn flow(&mut self) -> Option<FlowKey> {
-        match self.u8()? {
-            0 => Some(FlowKey::Task(TaskId(self.u32()?))),
-            1 => Some(FlowKey::Irq(u8::try_from(self.u32()?).ok()?)),
-            _ => None,
-        }
-    }
-    fn loc(&mut self) -> Option<SourceLoc> {
-        Some(SourceLoc::new(Sym(self.u32()?), self.u32()?))
-    }
-    fn str(&mut self) -> Option<String> {
-        let n = self.len(1)?;
-        String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
+    w.seal()
 }
 
 /// Deserializes an archive previously produced by [`write_archive`].
@@ -439,22 +351,12 @@ pub fn read_archive(
     filter_fp: u64,
     meta: Arc<TraceMeta>,
 ) -> Option<TraceDb> {
-    let mut r = ArchiveReader { buf: bytes };
-    if r.take(8)? != ARCHIVE_MAGIC {
-        return None;
-    }
-    if r.u32()? != FORMAT_VERSION {
-        return None;
-    }
-    if r.u64()? != trace_checksum || r.u64()? != filter_fp {
-        return None;
-    }
-    // The body checksum is verified before a single section is parsed:
-    // a flipped bit anywhere in the slabs is a clean miss, never a
-    // structurally-plausible wrong value.
-    if r.u64()? != fnv1a(r.buf) {
-        return None;
-    }
+    let mut r = Reader::new(artifact::open(
+        bytes,
+        &ARCHIVE_MAGIC,
+        FORMAT_VERSION,
+        &[trace_checksum, filter_fp],
+    )?);
 
     let n_allocs = r.len(30)?;
     let mut allocations = Vec::with_capacity(n_allocs);
@@ -516,7 +418,7 @@ pub fn read_archive(
     let mut txns = TxnTable::default();
     txns.flow.reserve(n_txns);
     for _ in 0..n_txns {
-        txns.flow.push(r.flow()?);
+        txns.flow.push(read_flow(&mut r)?);
     }
     txns.start_ts.reserve(n_txns);
     for _ in 0..n_txns {
@@ -539,7 +441,7 @@ pub fn read_archive(
             1 => AcquireMode::Exclusive,
             _ => return None,
         };
-        let acquired_at = r.loc()?;
+        let acquired_at = SourceLoc::new(Sym(r.u32()?), r.u32()?);
         let acquired_ts = r.u64()?;
         txns.locks.push(HeldLock {
             lock,
@@ -605,7 +507,7 @@ pub fn read_archive(
     }
     accesses.flow.reserve(n_acc);
     for _ in 0..n_acc {
-        accesses.flow.push(r.flow()?);
+        accesses.flow.push(read_flow(&mut r)?);
     }
     accesses.context.reserve(n_acc);
     for _ in 0..n_acc {
@@ -660,7 +562,7 @@ pub fn read_archive(
         stats.filtered.insert(name, n);
     }
 
-    if !r.buf.is_empty() {
+    if !r.is_empty() {
         return None; // trailing garbage: treat as corrupt
     }
 
@@ -896,50 +798,6 @@ mod tests {
         let bytes = write_archive(&db, 0xabcd, 0x1234);
         assert!(read_archive(&bytes, 0xabce, 0x1234, Arc::clone(&db.meta)).is_none());
         assert!(read_archive(&bytes, 0xabcd, 0x1235, Arc::clone(&db.meta)).is_none());
-    }
-
-    #[test]
-    fn version_and_magic_guard() {
-        let db = sample_db();
-        let mut bytes = write_archive(&db, 1, 2);
-        bytes[8] ^= 0xff; // version byte
-        assert!(read_archive(&bytes, 1, 2, Arc::clone(&db.meta)).is_none());
-        let mut bytes = write_archive(&db, 1, 2);
-        bytes[0] ^= 0xff; // magic byte
-        assert!(read_archive(&bytes, 1, 2, Arc::clone(&db.meta)).is_none());
-    }
-
-    #[test]
-    fn truncation_and_trailing_bytes_are_misses() {
-        let db = sample_db();
-        let bytes = write_archive(&db, 7, 7);
-        for cut in [bytes.len() - 1, bytes.len() / 2, 12] {
-            assert!(
-                read_archive(&bytes[..cut], 7, 7, Arc::clone(&db.meta)).is_none(),
-                "truncated at {cut} must miss"
-            );
-        }
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(read_archive(&padded, 7, 7, Arc::clone(&db.meta)).is_none());
-    }
-
-    #[test]
-    fn corrupt_bytes_never_panic() {
-        let db = sample_db();
-        let bytes = write_archive(&db, 3, 9);
-        // Flip every byte position (in the header and spread through the
-        // body) and require a clean miss or an equal hit, never a panic.
-        let step = (bytes.len() / 97).max(1);
-        for i in (0..bytes.len()).step_by(step) {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x5a;
-            if let Some(back) = read_archive(&bad, 3, 9, Arc::clone(&db.meta)) {
-                // A flip that still parses must decode to *some* table
-                // set; structural invariants were checked by the reader.
-                let _ = back.accesses.len();
-            }
-        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! * incremental adds actually reuse untouched groups (the perf claim
 //!   behind the matrix + rules caches);
 //! * a flipped byte in a cached matrix artifact is a clean miss — the
-//!   member is rebuilt and the rules stay correct;
+//!   member is rebuilt and the rules stay correct — and so is a flipped
+//!   bit in the rules cache or in a screening sidecar;
 //! * `serve --once` answers queries byte-identically to the batch
 //!   subcommands on the merged corpus, before and after an ingest.
 
@@ -47,6 +48,21 @@ fn record(path: &Path, seed: &str, mix: Option<&str>) {
 /// hit/miss counts legitimately differ between cold and warm runs.
 fn rules_of(report: &str) -> &str {
     &report[report.find('[').expect("rules section")..]
+}
+
+/// Flips the low bit of the last digit of the number after the first
+/// `key` in `bytes`, so `"sa": 18` becomes `"sa": 19`.
+fn flip_number_after(bytes: &mut [u8], key: &str) {
+    let at = bytes
+        .windows(key.len())
+        .position(|w| w == key.as_bytes())
+        .expect("key present")
+        + key.len();
+    let digits = bytes[at..]
+        .iter()
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    bytes[at + digits - 1] ^= 0x01;
 }
 
 /// Parses `groups: T total, R reused, D re-derived` out of a report.
@@ -187,9 +203,34 @@ fn stale_matrix_artifact_is_a_clean_miss() {
     assert_eq!(rules_of(&cold), rules_of(&rebuilt));
 
     // A corrupt rules cache is equally harmless: rules still correct.
-    fs::write(cache.join("corpus.rules.json"), b"{ not json").unwrap();
+    let rules_cache = cache.join("corpus.rules.json");
+    fs::write(&rules_cache, b"{ not json").unwrap();
     let after = run(&s(&["corpus", "build", "--dir", d])).unwrap();
     assert_eq!(rules_of(&cold), rules_of(&after));
+
+    // So is one flipped bit in a support count of a well-formed rules
+    // cache: no group may be reused with the wrong count.
+    let mut bytes = fs::read(&rules_cache).unwrap();
+    flip_number_after(&mut bytes, "\"sa\": ");
+    fs::write(&rules_cache, &bytes).unwrap();
+    let after = run(&s(&["corpus", "build", "--dir", d])).unwrap();
+    assert_eq!(rules_of(&cold), rules_of(&after));
+
+    // And one flipped bit in a screening sidecar's event count: `status`
+    // answers as if the sidecar were absent.
+    let sidecar = fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.to_str().unwrap().ends_with(".screen.json"))
+        .min()
+        .expect("screening sidecar");
+    let status = s(&["corpus", "status", "--dir", d, "--json"]);
+    fs::remove_file(&sidecar).unwrap();
+    let cold_status = run(&status).unwrap();
+    let mut bytes = fs::read(&sidecar).unwrap();
+    flip_number_after(&mut bytes, "\"events\": ");
+    fs::write(&sidecar, &bytes).unwrap();
+    assert_eq!(cold_status, run(&status).unwrap());
     fs::remove_dir_all(&base).ok();
 }
 

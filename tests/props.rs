@@ -671,6 +671,45 @@ fn archive_round_trips_imported_stores() {
     });
 }
 
+/// An archive payload damaged and then resealed, so the frame's checksum
+/// passes, reads as a clean miss or as a store the analyses can run on;
+/// it never panics.
+#[test]
+fn resealed_archive_payloads_never_panic() {
+    use lockdoc_platform::artifact;
+    use lockdoc_trace::db::archive::{ARCHIVE_MAGIC, FORMAT_VERSION};
+    let gen = |rng: &mut Rng| {
+        let ops = vec_of(rng, 0..120, flow_op_gen);
+        let edits = vec_of(rng, 1..4, |r| (r.next_u64(), r.gen_range(1u8..255)));
+        (ops, edits)
+    };
+    prop::check(
+        "resealed_archive_payloads_never_panic",
+        gen,
+        |(ops, edits)| {
+            let config = FilterConfig::with_defaults();
+            let db = import(&build_multiflow_trace(ops), &config, 1);
+            let keys = [0xfeed, filter_fingerprint(&config)];
+            let bytes = write_archive(&db, keys[0], keys[1]);
+            let mut payload = artifact::open(&bytes, &ARCHIVE_MAGIC, FORMAT_VERSION, &keys)
+                .expect("fresh archive opens")
+                .to_vec();
+            for &(at, mask) in edits {
+                let i = (at % payload.len() as u64) as usize;
+                payload[i] ^= mask;
+            }
+            let resealed = artifact::seal(&ARCHIVE_MAGIC, FORMAT_VERSION, &keys, &payload);
+            if let Some(back) = read_archive(&resealed, keys[0], keys[1], db.meta.clone()) {
+                derive_par(&back, &DeriveConfig::default(), 1);
+                OrderGraph::build(&back);
+                lockdoc_core::race::find_races_par(&back, 1);
+                back.export_csv_tables();
+            }
+            Ok(())
+        },
+    );
+}
+
 /// Sharded workload generation is reproducible and jobs-invariant: the
 /// same (seed, shards) pair yields a byte-identical trace and fault
 /// oracle at any worker count (fewer cases — each runs the simulator
