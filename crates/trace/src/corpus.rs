@@ -460,7 +460,7 @@ impl FsckReport {
 /// 4. **GC** (opt-in). Per-member cache artifacts
 ///    (`<name>.<checksum>.<ext>`) whose (name, checksum) no longer
 ///    matches a live member are removed; non-member-keyed cache files
-///    (e.g. the rules cache, which validates by fingerprint) are kept.
+///    (e.g. the rules cache, whose frame keys validate it) are kept.
 ///
 /// Every step is idempotent and ordered so that a crash *during* fsck is
 /// itself recovered by running fsck again.
@@ -576,19 +576,18 @@ pub fn fsck(store: &CorpusStore, opts: FsckOptions) -> io::Result<FsckReport> {
     Ok(report)
 }
 
-/// Splits a per-member artifact file name `<member>.<checksum:016x>.<ext>`
-/// into its member name and checksum; `None` for any other shape.
+/// Splits a per-member artifact file name `<member>.ldoc.<checksum:016x>.<ext>`,
+/// where `<ext>` may itself contain dots (`screen.json`), into its member
+/// name and checksum; `None` for any other shape.
 fn parse_artifact_name(file: &str) -> Option<(String, u64)> {
-    let (stem, _ext) = file.rsplit_once('.')?;
-    let (name, hex) = stem.rsplit_once('.')?;
-    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    let checksum = u64::from_str_radix(hex, 16).ok()?;
-    if !name.ends_with(".ldoc") {
-        return None;
-    }
-    Some((name.to_owned(), checksum))
+    file.rmatch_indices(".ldoc.").find_map(|(i, _)| {
+        let (name, rest) = file.split_at(i + ".ldoc".len());
+        let (hex, _ext) = rest[1..].split_once('.')?;
+        if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
+        }
+        Some((name.to_owned(), u64::from_str_radix(hex, 16).ok()?))
+    })
 }
 
 #[cfg(test)]
@@ -800,6 +799,11 @@ mod tests {
             .unwrap();
         vfs.write(&store.artifact_path("a.ldoc", 0x1234, "ldmtx"), b"stale")
             .unwrap();
+        vfs.write(
+            &store.artifact_path("a.ldoc", 0x1234, "screen.json"),
+            b"stale",
+        )
+        .unwrap();
         vfs.write(&store.corpus_file("corpus.rules.json"), b"{}")
             .unwrap();
 
@@ -813,7 +817,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(dry.quarantined, vec!["junk.ldoc"]);
-        assert_eq!(dry.orphaned.len(), 1);
+        assert_eq!(dry.orphaned.len(), 2);
         assert!(!dry.repaired);
         assert_eq!(store.trace_names().unwrap().len(), 2);
 
@@ -826,12 +830,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.quarantined, vec!["junk.ldoc"]);
-        assert_eq!(report.orphaned.len(), 1);
-        assert!(report.orphaned[0].contains("0000000000001234"));
+        assert_eq!(report.orphaned.len(), 2);
+        assert!(report
+            .orphaned
+            .iter()
+            .all(|o| o.contains("0000000000001234")));
         assert_eq!(store.trace_names().unwrap(), vec!["a.ldoc"]);
         assert!(vfs.exists(&store.dir().join(QUARANTINE_DIR).join("junk.ldoc")));
         assert!(vfs.exists(&store.artifact_path("a.ldoc", live_sum, "ldmtx")));
         assert!(!vfs.exists(&store.artifact_path("a.ldoc", 0x1234, "ldmtx")));
+        assert!(!vfs.exists(&store.artifact_path("a.ldoc", 0x1234, "screen.json")));
         assert!(vfs.exists(&store.corpus_file("corpus.rules.json")));
 
         let again = fsck(
@@ -873,6 +881,10 @@ mod tests {
     fn artifact_names_parse_only_member_keyed_files() {
         assert_eq!(
             parse_artifact_name("a.ldoc.000000000000abcd.ldmtx"),
+            Some(("a.ldoc".to_owned(), 0xabcd))
+        );
+        assert_eq!(
+            parse_artifact_name("a.ldoc.000000000000abcd.screen.json"),
             Some(("a.ldoc".to_owned(), 0xabcd))
         );
         assert_eq!(parse_artifact_name("corpus.rules.json"), None);
