@@ -345,13 +345,14 @@ fn load_db_cached(
         }
     }
     let db = import_stream(reader, config, 1)?;
-    fs::create_dir_all(cache_dir)?;
     // Atomic best-effort write: the rename keeps a crashed run from ever
     // leaving a torn archive under the final name (a torn one would fail
-    // validation and merely miss), and failure to cache must not fail
-    // the run.
-    let _ = lockdoc_platform::vfs::Vfs::real_from_env()
-        .atomic_write(&apath, &write_archive(&db, checksum, fp));
+    // validation and merely miss), and failure to cache — including a
+    // cache directory that cannot be created — must not fail the run.
+    if fs::create_dir_all(cache_dir).is_ok() {
+        let _ = lockdoc_platform::vfs::Vfs::real_from_env()
+            .atomic_write(&apath, &write_archive(&db, checksum, fp));
+    }
     Ok(db)
 }
 
@@ -1286,6 +1287,23 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(fresh, after_corrupt, "corrupt archive must fall back");
+        // A cache directory that cannot be created costs the cache, not
+        // the run.
+        let blocker = dir.join("not-a-dir");
+        fs::write(&blocker, b"").unwrap();
+        let uncreatable = blocker.join("sub");
+        let u = uncreatable.to_str().unwrap();
+        let answer = run(&s(&[
+            "races",
+            "--trace",
+            t,
+            "--jobs",
+            "1",
+            "--cache-dir",
+            u,
+        ]))
+        .unwrap();
+        assert_eq!(fresh, answer, "an uncreatable --cache-dir must not fail");
         fs::remove_dir_all(&dir).ok();
     }
 
