@@ -30,10 +30,11 @@ use lockdoc_core::{
     CorpusRulesCache, CorpusTrace, TraceMatrix,
 };
 use lockdoc_platform::artifact;
-use lockdoc_platform::hash::fnv1a;
 use lockdoc_platform::json::{self, FromJson, Json, ToJson};
 use lockdoc_trace::codec::{write_trace, TraceReader};
-use lockdoc_trace::corpus::{fsck as store_fsck, screen_trace, CorpusStore, FsckOptions, Health};
+use lockdoc_trace::corpus::{
+    fsck as store_fsck, member_key, screen_trace, CorpusStore, FsckOptions, Health,
+};
 use lockdoc_trace::db::{filter_fingerprint, import};
 use lockdoc_trace::event::{Trace, TraceMeta};
 use lockdoc_trace::filter::FilterConfig;
@@ -46,10 +47,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const RULES_CACHE_FILE: &str = "corpus.rules.json";
 
 /// Frame magics of the two JSON caches, the screening sidecar and the
-/// rules cache; both payloads are at version 1.
+/// rules cache, and their shared version, bumped on any payload or frame
+/// checksum change.
 const SCREEN_MAGIC: &[u8; 8] = b"LDSCRN1\0";
 const RULES_MAGIC: &[u8; 8] = b"LDRULES\0";
-const JSON_CACHE_VERSION: u32 = 1;
+const JSON_CACHE_VERSION: u32 = 2;
 
 /// Shared knobs of one corpus (or serve) invocation.
 ///
@@ -147,7 +149,7 @@ impl CorpusCtx {
 pub struct Member {
     /// Member file name.
     pub name: String,
-    /// FNV-1a over the container bytes (artifact cache key).
+    /// [`member_key`] of the container bytes (artifact cache key).
     pub checksum: u64,
     /// Screening verdict.
     pub health: Health,
@@ -211,7 +213,7 @@ fn read_screen_sidecar(
 
 fn load_member(ctx: &CorpusCtx, name: &str, opts: &LoadOpts) -> Result<Member> {
     let bytes = ctx.store.vfs().read(&ctx.store.trace_path(name))?;
-    let checksum = fnv1a(&bytes);
+    let checksum = member_key(&bytes);
     let scr_path = ctx.store.artifact_path(name, checksum, "screen.json");
     let mtx_path = ctx.store.artifact_path(name, checksum, "ldmtx");
     let mut member = Member {

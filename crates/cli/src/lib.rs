@@ -42,7 +42,7 @@ use lockdoc_core::order::OrderGraph;
 use lockdoc_core::race::find_races_par;
 use lockdoc_core::rulespec::parse_rules;
 use lockdoc_core::violation::find_violations_in;
-use lockdoc_platform::hash::fnv1a;
+use lockdoc_platform::hash::{checksum, fnv1a};
 use lockdoc_platform::json::{Json, ToJson};
 use lockdoc_platform::par::resolve_jobs;
 use lockdoc_trace::codec::{
@@ -316,7 +316,9 @@ fn load_db_from(path: &str, args: &Args) -> Result<TraceDb> {
 
 /// Archive location for a trace path: keyed by file name for readability
 /// plus an FNV-1a hash of the full path so same-named traces in different
-/// directories cannot collide.
+/// directories cannot collide. Older builds named archives the same way,
+/// so a rebuilt archive overwrites the one they left instead of
+/// orphaning it.
 fn archive_path(cache_dir: &Path, trace_path: &str) -> std::path::PathBuf {
     let name = Path::new(trace_path)
         .file_name()
@@ -334,13 +336,13 @@ fn load_db_cached(
     config: &lockdoc_trace::filter::FilterConfig,
 ) -> Result<TraceDb> {
     let bytes = fs::read(trace_path)?;
-    let checksum = fnv1a(&bytes);
+    let trace_sum = checksum(&bytes);
     let fp = filter_fingerprint(config);
     let apath = archive_path(cache_dir, trace_path);
     let reader = TraceReader::new(bytes.as_slice())?;
     let meta = std::sync::Arc::clone(reader.meta());
     if let Ok(abytes) = fs::read(&apath) {
-        if let Some(db) = read_archive(&abytes, checksum, fp, std::sync::Arc::clone(&meta)) {
+        if let Some(db) = read_archive(&abytes, trace_sum, fp, std::sync::Arc::clone(&meta)) {
             return Ok(db);
         }
     }
@@ -351,7 +353,7 @@ fn load_db_cached(
     // cache directory that cannot be created — must not fail the run.
     if fs::create_dir_all(cache_dir).is_ok() {
         let _ = lockdoc_platform::vfs::Vfs::real_from_env()
-            .atomic_write(&apath, &write_archive(&db, checksum, fp));
+            .atomic_write(&apath, &write_archive(&db, trace_sum, fp));
     }
     Ok(db)
 }

@@ -150,8 +150,9 @@ pub fn derive_fingerprint(config: &DeriveConfig) -> u64 {
 
 /// Magic prefix of a serialized matrix artifact.
 const MATRIX_MAGIC: &[u8; 8] = b"LDMATX1\0";
-/// Bump on any layout change; readers reject other versions.
-const MATRIX_VERSION: u32 = 2;
+/// Bump on any layout or frame checksum change; readers reject other
+/// versions.
+const MATRIX_VERSION: u32 = 3;
 
 fn write_lock(w: &mut Writer, l: &LockDescriptor) {
     let (tag, name, type_name) = match l {
@@ -290,8 +291,9 @@ pub fn read_matrix_artifact(
 /// plus its observation matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorpusTrace {
-    /// FNV-1a over the trace file's raw bytes — the identity the matrix
-    /// artifact and the group fingerprints are keyed by.
+    /// The member key ([`lockdoc_trace::corpus::member_key`]) of the
+    /// trace file's raw bytes — the identity the matrix artifact and the
+    /// group fingerprints are keyed by.
     pub checksum: u64,
     /// The trace's aggregated observations.
     pub matrix: TraceMatrix,

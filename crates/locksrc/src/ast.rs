@@ -313,8 +313,10 @@ fn lex(src: &str) -> Vec<Token> {
             }
             _ => {
                 at_line_start = false;
-                let two = &src[i..bytes.len().min(i + 2)];
-                if let Some(op) = TWO_CHAR_OPS.iter().find(|&&o| o == two) {
+                // Compare bytes: `src[i..i + 2]` could end inside a
+                // multi-byte character.
+                let two = &bytes[i..bytes.len().min(i + 2)];
+                if let Some(op) = TWO_CHAR_OPS.iter().find(|o| o.as_bytes() == two) {
                     out.push(Token {
                         kind: TokKind::Op(op),
                         line,
@@ -713,9 +715,10 @@ fn classify_simple(toks: &[Token], out: &mut Vec<Stmt>) {
     // whole statement.
     if let TokKind::Ident(func) = &toks[0].kind {
         if toks.get(1).map(|t| &t.kind) == Some(&TokKind::Char('(')) {
-            let inner = &toks[2..toks.len().saturating_sub(1)];
             let whole_call = toks.last().map(|t| &t.kind) == Some(&TokKind::Char(')'));
             if whole_call {
+                // `(` at 1 and `)` last: at least three tokens.
+                let inner = &toks[2..toks.len() - 1];
                 let args = split_commas(inner);
                 if ACQUIRE_FNS.contains(&func.as_str()) || RELEASE_FNS.contains(&func.as_str()) {
                     if let Some(target) = args.first().and_then(|a| parse_lock_target(a)) {

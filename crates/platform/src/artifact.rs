@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! magic     [u8; 8]  — names the format
-//! version   u32      — bumped on any payload layout change
+//! version   u32      — bumped on any payload layout or checksum change
 //! keys      u64 × n  — what the artifact was derived from (trace
 //!                      checksum, filter and config fingerprints, ...)
-//! checksum  u64      — FNV-1a over every byte after the header
+//! checksum  u64      — hash::checksum over every byte after the header
 //! payload   ...
 //! ```
 //!
@@ -18,7 +18,7 @@
 //! that passes the checksum but is still malformed fails, never panics or
 //! over-allocates.
 
-use crate::hash::fnv1a;
+use crate::hash::checksum;
 
 /// Frame header length for `n_keys` keys.
 fn header_len(n_keys: usize) -> usize {
@@ -76,7 +76,7 @@ impl Writer {
     }
     /// Fills in the payload checksum and returns the finished artifact.
     pub fn seal(mut self) -> Vec<u8> {
-        let sum = fnv1a(&self.buf[self.header..]);
+        let sum = checksum(&self.buf[self.header..]);
         self.buf[self.header - 8..self.header].copy_from_slice(&sum.to_le_bytes());
         self.buf
     }
@@ -102,7 +102,7 @@ pub fn open<'a>(bytes: &'a [u8], magic: &[u8; 8], version: u32, keys: &[u64]) ->
         }
     }
     let sum = r.u64()?;
-    (fnv1a(r.buf) == sum).then_some(r.buf)
+    (checksum(r.buf) == sum).then_some(r.buf)
 }
 
 /// Bounds-checked cursor over a payload; every read returns `None` once

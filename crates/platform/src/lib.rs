@@ -19,8 +19,9 @@
 //! * [`vfs`] — a filesystem shim with a real-backed mode and a
 //!   deterministic fault-injecting in-memory mode that enumerates crash
 //!   points, for crash-consistency testing of persistent state.
-//! * [`hash`] — a fast hasher for trusted integer keys, and the FNV-1a
-//!   checksum.
+//! * [`hash`] — a fast hasher for trusted integer keys, the
+//!   word-at-a-time [`hash::checksum`] of every cache frame and content
+//!   key, and FNV-1a for short fingerprints and older persisted values.
 //! * [`artifact`] — the one checksummed frame every cache file is
 //!   written in, with the bounds-checked cursor its payloads use.
 //!

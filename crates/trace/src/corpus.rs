@@ -42,7 +42,7 @@ use crate::codec::{read_trace_salvage, SalvageReport};
 use crate::db::{quarantine_report, ImportReport};
 use crate::event::Trace;
 use crate::filter::FilterConfig;
-use lockdoc_platform::hash::fnv1a;
+use lockdoc_platform::hash::{checksum, fnv1a};
 use lockdoc_platform::json::{parse as json_parse, Json};
 use lockdoc_platform::vfs::{is_tmp_path, tmp_path, Vfs};
 use std::io;
@@ -96,7 +96,7 @@ pub struct ScreenReport {
 pub struct LoadedTrace {
     /// Member name (the container's file name).
     pub name: String,
-    /// FNV-1a over the container's raw bytes — the key all derived
+    /// [`member_key`] of the container's raw bytes — the key all derived
     /// artifacts of this member are bound to.
     pub checksum: u64,
     /// The sanitized trace (salvaged, quarantined events removed), or
@@ -104,6 +104,14 @@ pub struct LoadedTrace {
     pub trace: Option<Trace>,
     /// The screening detail.
     pub screen: ScreenReport,
+}
+
+/// The content key of a member container: the key every per-member
+/// artifact's file name and frame carry. [`CorpusStore::load`] (and so
+/// [`fsck`]'s gc) and every loader that names artifacts must use this
+/// one function, or gc would delete live cache files as orphans.
+pub fn member_key(container: &[u8]) -> u64 {
+    checksum(container)
 }
 
 /// Screens one container: salvage the byte stream, quarantine malformed
@@ -322,11 +330,10 @@ impl CorpusStore {
     /// Reads and screens one member.
     pub fn load(&self, name: &str) -> io::Result<LoadedTrace> {
         let bytes = self.vfs.read(&self.trace_path(name))?;
-        let checksum = fnv1a(&bytes);
         let (trace, screen) = screen_trace(&bytes, &FilterConfig::default(), 1);
         Ok(LoadedTrace {
             name: name.to_owned(),
-            checksum,
+            checksum: member_key(&bytes),
             trace,
             screen,
         })
@@ -349,8 +356,10 @@ pub struct JournalRecord {
     pub op: JournalOp,
     /// The member being added or dropped.
     pub name: String,
-    /// Content checksum of the member being installed (adds only) —
-    /// the completion witness fsck checks the destination against.
+    /// FNV-1a of the member being installed (adds only) — the
+    /// completion witness fsck checks the destination against. It is
+    /// FNV-1a, not [`member_key`], because an add interrupted under an
+    /// older build must still roll forward, not be removed as torn.
     pub checksum: u64,
     /// Content length of the member being installed (adds only).
     pub len: u64,
@@ -794,7 +803,7 @@ mod tests {
         // a live artifact, an orphaned artifact, and the rules cache.
         vfs.write(&store.trace_path("junk.ldoc"), b"not a trace")
             .unwrap();
-        let live_sum = fnv1a(&container());
+        let live_sum = member_key(&container());
         vfs.write(&store.artifact_path("a.ldoc", live_sum, "ldmtx"), b"live")
             .unwrap();
         vfs.write(&store.artifact_path("a.ldoc", 0x1234, "ldmtx"), b"stale")

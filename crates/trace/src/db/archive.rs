@@ -10,9 +10,10 @@
 //!
 //! ## Format (`LDARCH1\0`, version [`FORMAT_VERSION`])
 //!
-//! A [`lockdoc_platform::artifact`] frame keyed by `[trace_fnv,
-//! filter_fnv]` — FNV-1a over the source container bytes and over the
-//! canonicalized filter config — whose payload is the sections
+//! A [`lockdoc_platform::artifact`] frame keyed by `[trace_sum,
+//! filter_fp]` — [`lockdoc_platform::hash::checksum`] over the source
+//! container bytes and [`filter_fingerprint`] (FNV-1a over the
+//! canonicalized filter config) — whose payload is the sections
 //! allocations, locks, txns, accesses, stacks, stats.
 //!
 //! Every column is a length-prefixed contiguous array of fixed-width
@@ -33,8 +34,8 @@
 //! trace file the single source of truth: a cache hit requires
 //!
 //! the frame to open: magic and `version` match this build's writer,
-//! `trace_fnv` matches the *current* container bytes (so an
-//! overwritten/truncated/regenerated trace misses), `filter_fnv` matches
+//! `trace_sum` matches the *current* container bytes (so an
+//! overwritten/truncated/regenerated trace misses), `filter_fp` matches
 //! the *current* filter config (so changing blacklists invalidates), and
 //! the payload checksum verifies (so a torn write or disk rot misses
 //! *before* any section is parsed).
@@ -66,9 +67,10 @@ use std::sync::Arc;
 /// Archive container magic.
 pub const ARCHIVE_MAGIC: [u8; 8] = *b"LDARCH1\0";
 
-/// Bumped whenever the column layout, sentinel encoding, or section order
-/// changes. An archive written by any other version is a cache miss.
-pub const FORMAT_VERSION: u32 = 1;
+/// Bumped whenever the column layout, sentinel encoding, section order,
+/// or frame checksum changes. An archive written by any other version is
+/// a cache miss.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Deterministic fingerprint of a filter configuration.
 ///

@@ -18,14 +18,22 @@
 //! `LOCKDOC_CRASH_ITERS=N` soaks each crash point under N adversarial
 //! seeds (default 1), mirroring the `LOCKDOC_PROPS_ITERS` corruption
 //! soak.
+//!
+//! Two end-to-end checks on the real filesystem guard what recovery
+//! keys on: `fsck --gc` keeps every artifact the CLI loader wrote (both
+//! name them by the one member key), and a journal written by a build
+//! that witnessed adds with FNV-1a still rolls forward.
 
 use lockdoc_cli::corpus::{derive_members, load_corpus, CorpusCtx, LoadOpts};
 use lockdoc_cli::run;
+use lockdoc_platform::json::{parse, Json};
 use lockdoc_platform::vfs::{CrashPlan, Vfs};
 use lockdoc_trace::corpus::{fsck, CorpusStore, FsckOptions};
+use lockdoc_trace::db::fnv1a;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
+use std::sync::OnceLock;
 
 const SRC_DIR: &str = "/src";
 const CORPUS_DIR: &str = "/corpus";
@@ -45,8 +53,14 @@ const SCHEDULE: &[Op] = &[
     Op::Drop("b.ldoc"),
 ];
 
-/// Generates the two member containers once, through the real CLI.
+/// Generates the two member containers once per test process, through
+/// the real CLI (tests run in parallel and share the result).
 fn member_bytes() -> Vec<(&'static str, Vec<u8>)> {
+    static MEMBERS: OnceLock<Vec<(&'static str, Vec<u8>)>> = OnceLock::new();
+    MEMBERS.get_or_init(record_members).clone()
+}
+
+fn record_members() -> Vec<(&'static str, Vec<u8>)> {
     let dir = std::env::temp_dir().join("lockdoc-crash-suite-src");
     fs::create_dir_all(&dir).unwrap();
     let mut out = Vec::new();
@@ -263,4 +277,94 @@ fn every_crash_point_recovers_to_pre_or_post_op_state() {
             }
         }
     }
+}
+
+/// A fresh real directory under the system temp dir.
+fn fresh_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(name);
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn argv(v: &[&str]) -> Vec<String> {
+    v.iter().map(|x| x.to_string()).collect()
+}
+
+/// `fsck --gc` deletes every per-member artifact whose name lacks the
+/// key `CorpusStore::load` computes. The CLI loader names artifacts
+/// with the same key, so after a build gc finds no orphan and the next
+/// build is fully warm. (Were the keys to differ, gc would delete every
+/// live cache file and a cold rebuild would still get the rules right,
+/// which is why the crash property above cannot notice.)
+#[test]
+fn fsck_gc_keeps_every_artifact_the_cli_wrote() {
+    let base = fresh_dir("lockdoc-crash-suite-gc-keys");
+    let corpus = base.join("corpus");
+    fs::create_dir_all(&corpus).unwrap();
+    for (name, bytes) in member_bytes() {
+        fs::write(corpus.join(name), bytes).unwrap();
+    }
+    let d = corpus.to_str().unwrap();
+    let cold = run(&argv(&["corpus", "build", "--dir", d])).unwrap();
+    assert!(cold.contains("matrices: 0 cached, 2 rebuilt"), "{cold}");
+    let cache = corpus.join(".lockdoc-cache");
+    let artifacts = || {
+        let mut names: Vec<String> = fs::read_dir(&cache)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = artifacts();
+    assert_eq!(before.len(), 5, "2 matrices, 2 sidecars, rules: {before:?}");
+
+    let report = run(&argv(&["fsck", "--dir", d, "--repair", "--gc", "--json"])).unwrap();
+    let v = parse(&report).unwrap();
+    assert_eq!(v.get("orphaned"), Some(&Json::Arr(Vec::new())), "{report}");
+    assert_eq!(v.get("clean"), Some(&Json::Bool(true)), "{report}");
+    assert_eq!(artifacts(), before);
+
+    let warm = run(&argv(&["corpus", "build", "--dir", d])).unwrap();
+    assert!(warm.contains("matrices: 2 cached, 0 rebuilt"), "{warm}");
+    fs::remove_dir_all(&base).ok();
+}
+
+/// The intent journal's completion witness is FNV-1a, the hash older
+/// builds wrote. A journal in that exact format over a fully written
+/// member (an add that crashed after its last fsync) rolls forward and
+/// keeps the member; were the witness re-keyed, fsck would remove the
+/// member as a torn add.
+#[test]
+fn journal_from_an_fnv_witnessing_build_rolls_forward() {
+    // The published FNV-1a 64 vectors pin the witness function.
+    assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+
+    let base = fresh_dir("lockdoc-crash-suite-old-journal");
+    let corpus = base.join("corpus");
+    fs::create_dir_all(&corpus).unwrap();
+    let (name, bytes) = member_bytes().swap_remove(0);
+    fs::write(corpus.join(name), &bytes).unwrap();
+    let journal = format!(
+        r#"{{"op":"add","name":"{name}","checksum":"{:016x}","len":{}}}"#,
+        fnv1a(&bytes),
+        bytes.len()
+    );
+    fs::write(corpus.join("corpus.journal"), journal).unwrap();
+
+    let d = corpus.to_str().unwrap();
+    let report = run(&argv(&["fsck", "--dir", d, "--repair"])).unwrap();
+    assert!(
+        report.contains(&format!(
+            "journal: rolled forward interrupted add of `{name}`"
+        )),
+        "{report}"
+    );
+    assert_eq!(fs::read(corpus.join(name)).unwrap(), bytes);
+    assert!(!corpus.join("corpus.journal").exists());
+    let again = run(&argv(&["fsck", "--dir", d])).unwrap();
+    assert!(again.contains("fsck: clean"), "{again}");
+    fs::remove_dir_all(&base).ok();
 }

@@ -1,12 +1,16 @@
 //! Integration properties of the static outlier lockset analysis
 //! (ISSUE 10): the seeded renderer's injected-outlier oracle is
 //! recovered exactly, the whole pipeline is byte-identical at any
-//! `--jobs`, and the corpus-language parser is a printing fixed point
-//! with file-order-invariant output.
+//! `--jobs`, the corpus-language parser is a printing fixed point
+//! with file-order-invariant output, and no source text, however
+//! malformed, makes the analysis panic.
 
 use ksim::srcgen::{render, SrcGenConfig};
+use lockdoc_platform::prop::{self, vec_of};
+use lockdoc_platform::prop_assert;
+use lockdoc_platform::rng::Rng;
 use locksrc::ast::{parse_tree, print_program};
-use locksrc::{analyze_tree, MinerConfig};
+use locksrc::{analyze_tree, MinerConfig, StaticReport};
 use std::collections::BTreeSet;
 
 /// Tentpole acceptance: across a seed sweep, the static pass reports
@@ -133,4 +137,140 @@ fn planted_members_keep_their_majority_pattern() {
             assert!(pat.confidence >= 0.75, "seed {seed}: {}", pat.confidence);
         }
     }
+}
+
+fn analyze_one(src: &str) -> StaticReport {
+    let files = [("fs/x.c".to_owned(), src.to_owned())];
+    analyze_tree(&files, &MinerConfig::default(), 1)
+}
+
+/// Regression: the lexer's two-character operator check sliced the
+/// source as `str`, through the `é` after `+`.
+#[test]
+fn operator_before_a_multibyte_character_does_not_panic() {
+    let report = analyze_one("int a = 1 +é;\n");
+    assert_eq!((report.files, report.functions), (1, 0));
+}
+
+/// Regression: a file that ends right after `spin_lock(` left a
+/// two-token statement, which the call classifier sliced as
+/// `toks[2..1]`.
+#[test]
+fn file_ending_inside_a_lock_call_does_not_panic() {
+    let report = analyze_one("static void f(struct inode *inode)\n{\n\tspin_lock(");
+    assert_eq!((report.files, report.functions), (1, 1));
+}
+
+/// Fragments the text generator splices: statement pieces cut at every
+/// awkward place, unbalanced delimiters, comment and literal openers,
+/// and multi-byte characters next to operator bytes.
+const FRAGMENTS: &[&str] = &[
+    "static void f(struct inode *inode)\n{\n",
+    "spin_lock(",
+    "spin_lock(&inode->i_lock);\n",
+    "spin_unlock(&inode->i_lock)",
+    "mutex_lock(&sb->s_umount",
+    "inode->i_state = 1;\n",
+    "inode->",
+    "->",
+    "+=",
+    "+",
+    "-",
+    "=",
+    "==",
+    "(",
+    ")",
+    "{",
+    "}",
+    ";",
+    ",",
+    "if (",
+    "else ",
+    "while (x) ",
+    "return;",
+    "\"",
+    "'",
+    "\\",
+    "/*",
+    "*/",
+    "//",
+    "#define X \\\n",
+    "\n#",
+    "\n",
+    "é",
+    "+é",
+    "->é",
+    "→",
+    "中",
+    "🦀",
+    "\u{0}",
+    "\u{feff}",
+];
+
+/// One file of hostile text: a mutated `srcgen` file, a `srcgen` file
+/// cut off mid-statement, a splice of [`FRAGMENTS`], or random
+/// characters drawn from ASCII and beyond.
+fn hostile_text(rng: &mut Rng, srcgen: &[(String, String)]) -> String {
+    let (_, file) = rng.choose(srcgen).expect("srcgen renders files");
+    match rng.gen_range(0u32..4) {
+        0 => {
+            let mut text: Vec<char> = file.chars().collect();
+            for _ in 0..rng.gen_range(1usize..6) {
+                let at = rng.gen_range(0..text.len() + 1);
+                match rng.gen_range(0u32..4) {
+                    0 => text.truncate(at),
+                    1 => {
+                        let end = (at + rng.gen_range(1usize..64)).min(text.len());
+                        text.drain(at..end);
+                    }
+                    2 => {
+                        let frag = rng.choose(FRAGMENTS).expect("fragments");
+                        text.splice(at..at, frag.chars());
+                    }
+                    _ => {
+                        let end = (at + rng.gen_range(1usize..64)).min(text.len());
+                        let copy: Vec<char> = text[at..end].to_vec();
+                        text.splice(at..at, copy);
+                    }
+                }
+            }
+            text.into_iter().collect()
+        }
+        1 => {
+            let cuts: Vec<usize> = file
+                .match_indices(['(', ',', '=', '>', '{'])
+                .map(|(i, _)| i + 1)
+                .collect();
+            let cut = rng.choose(&cuts).copied().unwrap_or(file.len());
+            file[..cut].to_owned()
+        }
+        2 => vec_of(rng, 0..80, |r| *r.choose(FRAGMENTS).expect("fragments")).concat(),
+        _ => vec_of(rng, 0..400, |r| {
+            if r.gen_bool(0.2) {
+                char::from_u32(r.gen_range(0x80u32..0x2_0000)).unwrap_or('\u{fffd}')
+            } else {
+                r.gen_range(0x09u8..0x7f) as char
+            }
+        })
+        .into_iter()
+        .collect(),
+    }
+}
+
+/// The static front end is total: whatever text a source tree holds,
+/// `analyze_tree` returns a report instead of panicking.
+#[test]
+fn analysis_never_panics_on_hostile_text() {
+    let srcgen = render(&SrcGenConfig::default()).files;
+    let gen = |rng: &mut Rng| {
+        let n = rng.gen_range(1usize..3);
+        (0..n)
+            .map(|i| (format!("fs/f{i}.c"), hostile_text(rng, &srcgen)))
+            .collect::<Vec<(String, String)>>()
+    };
+    prop::check("analysis_never_panics_on_hostile_text", gen, |files| {
+        let run = std::panic::catch_unwind(|| analyze_tree(files, &MinerConfig::default(), 1));
+        prop_assert!(run.is_ok(), "analyze_tree panicked");
+        Ok(())
+    });
 }
