@@ -33,9 +33,9 @@ use lockdoc_platform::artifact;
 use lockdoc_platform::json::{self, FromJson, Json, ToJson};
 use lockdoc_trace::codec::{write_trace, TraceReader};
 use lockdoc_trace::corpus::{
-    fsck as store_fsck, member_key, screen_trace, CorpusStore, FsckOptions, Health,
+    fsck as store_fsck, member_key, screen, CorpusStore, FsckOptions, Health,
 };
-use lockdoc_trace::db::{filter_fingerprint, import};
+use lockdoc_trace::db::filter_fingerprint;
 use lockdoc_trace::event::{Trace, TraceMeta};
 use lockdoc_trace::filter::FilterConfig;
 use lockdoc_trace::merge::{concat_traces_corpus, corpus_meta};
@@ -258,22 +258,34 @@ fn load_member(ctx: &CorpusCtx, name: &str, opts: &LoadOpts) -> Result<Member> {
             }
         }
     }
-    // Cold path: screen (salvage + quarantine + sanitize), then rebuild
-    // the cached artifacts for the next run.
-    let (trace, screen) = screen_trace(&bytes, &ctx.filter, 1);
-    if let Some(r) = &screen.import {
-        member.events = r.events;
-        member.quarantined = r.quarantined.len() as u64;
-    }
-    member.health = screen.health;
-    member.error = screen.error;
+    // Cold path: one streaming pass screens the member (salvage decoding
+    // into the quarantine checks) and imports the kept events when the
+    // matrix needs the store; then rebuild the cached artifacts for the
+    // next run.
+    let screened = screen(
+        bytes.as_slice(),
+        &ctx.filter,
+        opts.need_matrix,
+        opts.need_trace,
+    );
+    let ing = match screened {
+        Ok(ing) => {
+            member.health = Health::of(&ing.salvage, &ing.report);
+            member.events = ing.report.events;
+            member.quarantined = ing.report.quarantined.len() as u64;
+            Some(ing)
+        }
+        Err(e) => {
+            member.error = Some(e.to_string());
+            None
+        }
+    };
     write_screen_sidecar(ctx, &scr_path, &member);
-    let Some(trace) = trace else {
+    let Some(ing) = ing else {
         return Ok(member);
     };
-    member.meta = Some((*trace.meta).clone());
-    if opts.need_matrix {
-        let db = import(&trace, &ctx.filter, 1);
+    member.meta = Some((*ing.meta).clone());
+    if let Some(db) = ing.db {
         let matrix = build_trace_matrix(&db, ctx.jobs);
         ctx.write_cache(
             &mtx_path,
@@ -281,9 +293,7 @@ fn load_member(ctx: &CorpusCtx, name: &str, opts: &LoadOpts) -> Result<Member> {
         );
         member.matrix = Some(matrix);
     }
-    if opts.need_trace {
-        member.trace = Some(trace);
-    }
+    member.trace = ing.trace;
     Ok(member)
 }
 

@@ -669,8 +669,9 @@ pub(crate) enum DecodePolicy {
 /// Streaming `LDOC1` reader: decodes the header eagerly and then yields
 /// events one at a time, holding at most one chunk of input in memory.
 ///
-/// This is the one decode loop for `LDOC1`: the streaming importer,
-/// [`read_trace`] and [`read_trace_salvage`] all run it. By default a
+/// This is the one decode loop for `LDOC1`: the streaming import and
+/// screening pass ([`crate::db::ingest`]), [`read_trace`] and
+/// [`read_trace_salvage`] all run it. By default a
 /// record that fails to decode ends the stream with its error; the salvage
 /// policy resyncs past it instead. Decoding is byte-equivalent to decoding
 /// from a whole in-memory slice at any chunk size, under either policy.

@@ -117,20 +117,34 @@ echo "cached-archive identity gate: OK (miss/hit byte-identical at --jobs 1 and 
 # worker count and cache temperature (DESIGN.md §5.7). Both runs use
 # separate cold cache directories so nothing is shared but the members;
 # LOCKDOC_JOBS_FORCE=1 keeps the requested worker counts honest on
-# single-core CI runners.
+# single-core CI runners. The third member is a copy of the first with its
+# last byte cut, which screening salvages as degraded.
 CORPUS_DIR="$GATE_DIR/corpus"
 mkdir -p "$CORPUS_DIR"
 "$LOCKDOC" trace --ops 400 --seed 41 --out "$GATE_DIR/c1.ldoc" > /dev/null
 "$LOCKDOC" trace --ops 400 --seed 42 --mix pipes=1 --fs pipefs \
     --out "$GATE_DIR/c2.ldoc" > /dev/null
-"$LOCKDOC" corpus add "$GATE_DIR/c1.ldoc" "$GATE_DIR/c2.ldoc" \
+head -c -1 "$GATE_DIR/c1.ldoc" > "$GATE_DIR/c3.ldoc"
+"$LOCKDOC" corpus add "$GATE_DIR/c1.ldoc" "$GATE_DIR/c2.ldoc" "$GATE_DIR/c3.ldoc" \
     --dir "$CORPUS_DIR" > /dev/null
+"$LOCKDOC" corpus status --dir "$CORPUS_DIR" | grep -q "c3.ldoc: DEGRADED" \
+    || { echo "corpus screening did not report the clipped member as degraded" >&2; exit 1; }
 LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" corpus build --dir "$CORPUS_DIR" \
     --cache-dir "$GATE_DIR/cc1" --jobs 1 > "$GATE_DIR/corpus.1.txt"
 LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" corpus build --dir "$CORPUS_DIR" \
     --cache-dir "$GATE_DIR/cc4" --jobs 4 > "$GATE_DIR/corpus.4.txt"
 diff -u "$GATE_DIR/corpus.1.txt" "$GATE_DIR/corpus.4.txt" \
     || { echo "corpus build differs between --jobs 1 and --jobs 4" >&2; exit 1; }
+# The streaming screen-and-import of a build must agree with the path that
+# still materializes the sanitized trace: the rules section of the build
+# equals a batch derive over the trace `corpus export` writes.
+"$LOCKDOC" corpus export --dir "$CORPUS_DIR" --cache-dir "$GATE_DIR/ce" \
+    --out "$GATE_DIR/corpus.merged.ldoc" > /dev/null
+"$LOCKDOC" derive --trace "$GATE_DIR/corpus.merged.ldoc" --jobs 1 > "$GATE_DIR/corpus.derive.txt"
+for jobs in 1 4; do
+    sed -n '/^\[/,$p' "$GATE_DIR/corpus.$jobs.txt" | diff -u "$GATE_DIR/corpus.derive.txt" - \
+        || { echo "corpus build --jobs $jobs rules differ from derive over the export" >&2; exit 1; }
+done
 printf '{"cmd": "derive"}\n{"cmd": "races"}\n{"cmd": "lint"}\n{"cmd": "order"}\n{"cmd": "shutdown"}\n' \
     > "$GATE_DIR/queries.jsonl"
 LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" serve --dir "$CORPUS_DIR" \
@@ -143,7 +157,7 @@ diff -u "$GATE_DIR/serve.1.txt" "$GATE_DIR/serve.4.txt" \
     || { echo "serve --once differs between --jobs 1 and --jobs 4" >&2; exit 1; }
 grep -q '"ok":true' "$GATE_DIR/serve.1.txt" \
     || { echo "serve --once answered no query" >&2; exit 1; }
-echo "corpus/serve determinism gate: OK (byte-identical at --jobs 1 and 4)"
+echo "corpus/serve determinism gate: OK (byte-identical at --jobs 1 and 4, rules == derive over the export)"
 
 # --- crash-recovery gate -------------------------------------------------------
 # Interrupting `corpus add` at a fixed injection point (the
