@@ -903,16 +903,17 @@ pub fn cmd_scan(args: &Args) -> Result<String> {
     }
     paths.sort();
     let jobs = args.jobs()?;
-    let per_file: Vec<(String, locksrc::scan::LockUsageCounts)> =
-        lockdoc_platform::par::par_map(jobs, &paths, |path| {
-            let src = fs::read_to_string(path).unwrap_or_default();
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            (rel, locksrc::scan_source(&src))
-        });
+    let per_file = lockdoc_platform::par::par_map(jobs, &paths, |path| {
+        let src = xcheck::read_source(path)?;
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        Ok((rel, locksrc::scan_source(&src)))
+    })
+    .into_iter()
+    .collect::<Result<Vec<(String, locksrc::scan::LockUsageCounts)>>>()?;
     let mut total = locksrc::scan::LockUsageCounts::default();
     for (_, c) in &per_file {
         total.merge(c);
@@ -1793,6 +1794,42 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A byte that is not UTF-8 (Latin-1 `ö` in a comment) no longer
+    /// empties its file: `xcheck --src` still finds both functions and
+    /// `scan` counts every line. A `.c` path that cannot be read is an
+    /// error that names it, not an empty file.
+    #[test]
+    fn non_utf8_source_is_decoded_lossily() {
+        let dir = std::env::temp_dir().join("lockdoc-latin1-test");
+        fs::remove_dir_all(&dir).ok();
+        fs::create_dir_all(&dir).unwrap();
+        let mut src = b"/* Copyright J\xf6rg */\n".to_vec();
+        src.extend_from_slice(
+            b"static void a(struct inode *inode)\n{\n\tspin_lock(&inode->i_lock);\n\
+              \tinode->i_state = 1;\n\tspin_unlock(&inode->i_lock);\n}\n\
+              static void b(struct inode *inode)\n{\n\tinode->i_flags = 2;\n}\n",
+        );
+        fs::write(dir.join("x.c"), &src).unwrap();
+        let d = dir.to_str().unwrap();
+        let json = run(&s(&["xcheck", "--src", d, "--json"])).unwrap();
+        let v = lockdoc_platform::json::parse(&json).expect("valid json");
+        let stat = v.get("static").expect("static section");
+        assert_eq!(stat.get("functions").and_then(Json::as_u64), Some(2));
+        assert_eq!(stat.get("sites").and_then(Json::as_u64), Some(2));
+        let out = run(&s(&["scan", "--dir", d])).unwrap();
+        assert!(out.contains(" 10 LoC"), "{out}");
+        #[cfg(unix)]
+        {
+            std::os::unix::fs::symlink(dir.join("missing"), dir.join("gone.c")).unwrap();
+            for args in [["xcheck", "--src", d], ["scan", "--dir", d]] {
+                let err = run(&s(&args)).unwrap_err();
+                assert!(matches!(err, CliError::Io(_)), "{err}");
+                assert!(err.to_string().contains("gone.c"), "{err}");
+            }
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

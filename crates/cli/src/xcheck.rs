@@ -27,11 +27,25 @@ use lockdoc_platform::json::{Json, ToJson};
 use locksrc::{analyze_tree, MinerConfig, StaticReport};
 use std::collections::BTreeSet;
 use std::fs;
+use std::io;
 use std::path::Path;
+
+/// Reads one source file as text. Bytes that are not UTF-8 (a Latin-1
+/// name in a comment, say) decode to U+FFFD, which leaves every `\n`,
+/// and so every line number, in place. A file that cannot be read is an
+/// I/O error that names it.
+pub fn read_source(path: &Path) -> Result<String> {
+    let bytes =
+        fs::read(path).map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    Ok(match String::from_utf8(bytes) {
+        Ok(text) => text,
+        Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
+    })
+}
 
 /// Collects `(relative path, content)` of every `.c`/`.h` file under
 /// `root`, sorted by path — the deterministic input order the parser
-/// expects.
+/// expects. Contents are read with [`read_source`].
 pub fn collect_source_files(root: &Path) -> Result<Vec<(String, String)>> {
     if !root.exists() {
         return Err(CliError::Usage(format!(
@@ -55,7 +69,7 @@ pub fn collect_source_files(root: &Path) -> Result<Vec<(String, String)>> {
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            out.push((rel, fs::read_to_string(&path).unwrap_or_default()));
+            out.push((rel, read_source(&path)?));
         }
     }
     out.sort();

@@ -10,6 +10,11 @@
 //! which is exactly how the generated corpora and the rendered
 //! ground-truth trees declare their instances.
 //!
+//! Names are borrowed, not copied: tokens and every AST node hold `&'s
+//! str` slices of the source text the caller passed in, so a
+//! [`Program<'s>`] lives no longer than that text, and parsing
+//! allocates the token vector and the AST's own vectors but no string.
+//!
 //! Determinism: files are parsed independently (shardable per file) and
 //! the resulting [`Program`] orders files by path and functions by
 //! source position, so the output is independent of both input file
@@ -37,47 +42,47 @@ impl fmt::Display for AccessKind {
 }
 
 /// The lock operand of an acquire/release call site.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LockTarget {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum LockTarget<'s> {
     /// A file- or program-scope lock: `spin_lock(&inode_hash_lock)`.
-    Global(String),
+    Global(&'s str),
     /// A lock embedded in a struct instance: `spin_lock(&inode->i_lock)`.
     Member {
         /// Variable holding the instance (a parameter or local).
-        base: String,
+        base: &'s str,
         /// Lock member name.
-        member: String,
+        member: &'s str,
     },
 }
 
 /// One parsed statement. Only the lock-relevant shapes are modelled;
 /// everything else is [`Stmt::Other`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<'s> {
     /// Lock acquire (`spin_lock`, `mutex_lock`, `down_write`, …).
     Acquire {
         /// Acquire function name (kept for canonical printing).
-        func: String,
+        func: &'s str,
         /// The lock operand.
-        target: LockTarget,
+        target: LockTarget<'s>,
         /// 1-based source line.
         line: u32,
     },
     /// Lock release (`spin_unlock`, `mutex_unlock`, `up_write`, …).
     Release {
         /// Release function name.
-        func: String,
+        func: &'s str,
         /// The lock operand.
-        target: LockTarget,
+        target: LockTarget<'s>,
         /// 1-based source line.
         line: u32,
     },
     /// A struct-member access `base->member`.
     Access {
         /// Variable holding the instance.
-        base: String,
+        base: &'s str,
         /// Member name.
-        member: String,
+        member: &'s str,
         /// Read or write.
         kind: AccessKind,
         /// 1-based source line.
@@ -86,10 +91,10 @@ pub enum Stmt {
     /// A call to another function in (or outside) the program.
     Call {
         /// Callee name.
-        callee: String,
+        callee: &'s str,
         /// Positional arguments; `Some(name)` for bare identifiers
         /// (bindable to callee parameters), `None` otherwise.
-        args: Vec<Option<String>>,
+        args: Vec<Option<&'s str>>,
         /// 1-based source line.
         line: u32,
     },
@@ -97,20 +102,20 @@ pub enum Stmt {
     /// `cond` (they execute before the branch).
     If {
         /// Member accesses evaluated by the condition.
-        cond: Vec<Stmt>,
+        cond: Vec<Stmt<'s>>,
         /// Then-branch body.
-        then_body: Vec<Stmt>,
+        then_body: Vec<Stmt<'s>>,
         /// Else-branch body (empty when absent).
-        else_body: Vec<Stmt>,
+        else_body: Vec<Stmt<'s>>,
         /// 1-based source line of the `if`.
         line: u32,
     },
     /// A loop (`while`, `for`, `do`); condition accesses in `cond`.
     Loop {
         /// Member accesses evaluated by the condition.
-        cond: Vec<Stmt>,
+        cond: Vec<Stmt<'s>>,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'s>>,
         /// 1-based source line of the loop keyword.
         line: u32,
     },
@@ -120,44 +125,45 @@ pub enum Stmt {
 
 /// A function parameter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Param {
+pub struct Param<'s> {
     /// Struct type name for `struct T *name` parameters, `None` for
     /// scalars (which can never carry member accesses).
-    pub type_name: Option<String>,
+    pub type_name: Option<&'s str>,
     /// Parameter name.
-    pub name: String,
+    pub name: &'s str,
 }
 
 /// One parsed function definition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Function {
+pub struct Function<'s> {
     /// Function name.
-    pub name: String,
+    pub name: &'s str,
     /// Parameters in declaration order.
-    pub params: Vec<Param>,
+    pub params: Vec<Param<'s>>,
     /// Body statements.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'s>>,
     /// 1-based line of the definition.
     pub line: u32,
 }
 
 /// One parsed source file.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SourceFile {
+pub struct SourceFile<'s> {
     /// File path (as given to the parser).
-    pub path: String,
+    pub path: &'s str,
     /// Function definitions in source order.
-    pub functions: Vec<Function>,
+    pub functions: Vec<Function<'s>>,
 }
 
-/// A whole parsed tree, files ordered by path.
+/// A whole parsed tree, files ordered by path. Borrows every name from
+/// the `(path, content)` pairs it was parsed from.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Program {
+pub struct Program<'s> {
     /// Parsed files, sorted by path.
-    pub files: Vec<SourceFile>,
+    pub files: Vec<SourceFile<'s>>,
 }
 
-impl Program {
+impl Program<'_> {
     /// Total number of function definitions.
     pub fn function_count(&self) -> usize {
         self.files.iter().map(|f| f.functions.len()).sum()
@@ -199,18 +205,18 @@ pub const RELEASE_FNS: &[&str] = &[
 // Lexer
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum TokKind {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TokKind<'s> {
+    Ident(&'s str),
     Num,
     Str,
     Op(&'static str),
     Char(char),
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct Token {
-    kind: TokKind,
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Token<'s> {
+    kind: TokKind<'s>,
     line: u32,
 }
 
@@ -221,7 +227,7 @@ const TWO_CHAR_OPS: &[&str] = &[
 
 /// Tokenizes one file: comments, string/char literals and preprocessor
 /// lines are consumed but produce no (or opaque) tokens.
-fn lex(src: &str) -> Vec<Token> {
+fn lex(src: &str) -> Vec<Token<'_>> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -295,7 +301,7 @@ fn lex(src: &str) -> Vec<Token> {
                     i += 1;
                 }
                 out.push(Token {
-                    kind: TokKind::Ident(src[start..i].to_owned()),
+                    kind: TokKind::Ident(&src[start..i]),
                     line,
                 });
             }
@@ -339,13 +345,13 @@ fn lex(src: &str) -> Vec<Token> {
 // Parser
 // ---------------------------------------------------------------------
 
-struct Parser<'a> {
-    toks: &'a [Token],
+struct Parser<'a, 's> {
+    toks: &'a [Token<'s>],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&'a Token> {
+impl<'a, 's> Parser<'a, 's> {
+    fn peek(&self) -> Option<&'a Token<'s>> {
         self.toks.get(self.pos)
     }
 
@@ -353,8 +359,8 @@ impl<'a> Parser<'a> {
         matches!(self.toks.get(self.pos + offset), Some(t) if t.kind == TokKind::Char(c))
     }
 
-    fn ident_at(&self, offset: usize) -> Option<&'a str> {
-        match self.toks.get(self.pos + offset).map(|t| &t.kind) {
+    fn ident_at(&self, offset: usize) -> Option<&'s str> {
+        match self.toks.get(self.pos + offset).map(|t| t.kind) {
             Some(TokKind::Ident(s)) => Some(s),
             _ => None,
         }
@@ -387,7 +393,7 @@ impl<'a> Parser<'a> {
 
     /// Collects the token range of a balanced `( … )`, returning the
     /// inner slice.
-    fn collect_parens(&mut self) -> &'a [Token] {
+    fn collect_parens(&mut self) -> &'a [Token<'s>] {
         debug_assert!(self.is_char(0, '('));
         let start = self.pos + 1;
         self.skip_balanced('(', ')');
@@ -396,7 +402,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses the whole token stream into function definitions.
-    fn parse_top(&mut self) -> Vec<Function> {
+    fn parse_top(&mut self) -> Vec<Function<'s>> {
         let mut out = Vec::new();
         while self.pos < self.toks.len() {
             if let Some(f) = self.try_function() {
@@ -408,7 +414,7 @@ impl<'a> Parser<'a> {
 
     /// Tries to parse a function definition at the current position;
     /// on failure, skips one top-level declaration and returns `None`.
-    fn try_function(&mut self) -> Option<Function> {
+    fn try_function(&mut self) -> Option<Function<'s>> {
         // Scan ahead: a function definition is `… name ( params ) {`.
         let mut j = self.pos;
         while let Some(t) = self.toks.get(j) {
@@ -430,9 +436,8 @@ impl<'a> Parser<'a> {
             self.skip_declaration();
             return None;
         }
-        let name = match &self.toks[j - 1].kind {
-            TokKind::Ident(s) => s.clone(),
-            _ => unreachable!(),
+        let TokKind::Ident(name) = self.toks[j - 1].kind else {
+            unreachable!()
         };
         let line = self.toks[j - 1].line;
         self.pos = j;
@@ -469,7 +474,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses statements until the matching `}` (which is consumed).
-    fn parse_block(&mut self) -> Vec<Stmt> {
+    fn parse_block(&mut self) -> Vec<Stmt<'s>> {
         let mut out = Vec::new();
         while let Some(t) = self.peek() {
             if t.kind == TokKind::Char('}') {
@@ -482,7 +487,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses one statement (possibly compound) into `out`.
-    fn parse_stmt(&mut self, out: &mut Vec<Stmt>) {
+    fn parse_stmt(&mut self, out: &mut Vec<Stmt<'s>>) {
         let Some(first) = self.peek() else { return };
         let line = first.line;
         match &first.kind {
@@ -492,7 +497,7 @@ impl<'a> Parser<'a> {
                 out.append(&mut inner);
             }
             TokKind::Char(';') => self.bump(),
-            TokKind::Ident(kw) if kw == "if" => {
+            TokKind::Ident("if") => {
                 self.bump();
                 let cond = if self.is_char(0, '(') {
                     extract_accesses(self.collect_parens())
@@ -513,7 +518,7 @@ impl<'a> Parser<'a> {
                     line,
                 });
             }
-            TokKind::Ident(kw) if kw == "while" => {
+            TokKind::Ident("while") => {
                 self.bump();
                 let cond = if self.is_char(0, '(') {
                     extract_accesses(self.collect_parens())
@@ -524,7 +529,7 @@ impl<'a> Parser<'a> {
                 self.parse_stmt(&mut body);
                 out.push(Stmt::Loop { cond, body, line });
             }
-            TokKind::Ident(kw) if kw == "for" => {
+            TokKind::Ident("for") => {
                 self.bump();
                 let cond = if self.is_char(0, '(') {
                     extract_accesses(self.collect_parens())
@@ -535,7 +540,7 @@ impl<'a> Parser<'a> {
                 self.parse_stmt(&mut body);
                 out.push(Stmt::Loop { cond, body, line });
             }
-            TokKind::Ident(kw) if kw == "do" => {
+            TokKind::Ident("do") => {
                 self.bump();
                 let mut body = Vec::new();
                 self.parse_stmt(&mut body);
@@ -581,13 +586,13 @@ impl<'a> Parser<'a> {
 
 /// Parses a parameter list: `struct T *name` parameters become typed,
 /// everything else keeps only its name.
-fn parse_params(toks: &[Token]) -> Vec<Param> {
+fn parse_params<'s>(toks: &[Token<'s>]) -> Vec<Param<'s>> {
     let mut out = Vec::new();
     for group in split_commas(toks) {
-        let idents: Vec<&str> = group
+        let idents: Vec<&'s str> = group
             .iter()
-            .filter_map(|t| match &t.kind {
-                TokKind::Ident(s) => Some(s.as_str()),
+            .filter_map(|t| match t.kind {
+                TokKind::Ident(s) => Some(s),
                 _ => None,
             })
             .collect();
@@ -595,9 +600,9 @@ fn parse_params(toks: &[Token]) -> Vec<Param> {
             continue;
         }
         let has_star = group.iter().any(|t| t.kind == TokKind::Char('*'));
-        let name = (*idents.last().unwrap()).to_owned();
+        let name = *idents.last().unwrap();
         let type_name = if has_star && idents.len() >= 2 && idents[0] == "struct" {
-            Some(idents[1].to_owned())
+            Some(idents[1])
         } else {
             None
         };
@@ -607,7 +612,7 @@ fn parse_params(toks: &[Token]) -> Vec<Param> {
 }
 
 /// Splits a token slice on top-level commas.
-fn split_commas(toks: &[Token]) -> Vec<&[Token]> {
+fn split_commas<'a, 's>(toks: &'a [Token<'s>]) -> Vec<&'a [Token<'s>]> {
     let mut out = Vec::new();
     let mut depth = 0i32;
     let mut start = 0usize;
@@ -630,14 +635,14 @@ fn split_commas(toks: &[Token]) -> Vec<&[Token]> {
 
 /// True when the token at `i` starts a `base->member` pair whose base is
 /// a plain variable (not itself a member chain).
-fn member_pair(toks: &[Token], i: usize) -> Option<(&str, &str)> {
-    let TokKind::Ident(base) = &toks[i].kind else {
+fn member_pair<'s>(toks: &[Token<'s>], i: usize) -> Option<(&'s str, &'s str)> {
+    let TokKind::Ident(base) = toks[i].kind else {
         return None;
     };
     if toks.get(i + 1).map(|t| &t.kind) != Some(&TokKind::Op("->")) {
         return None;
     }
-    let Some(TokKind::Ident(member)) = toks.get(i + 2).map(|t| &t.kind) else {
+    let Some(TokKind::Ident(member)) = toks.get(i + 2).map(|t| t.kind) else {
         return None;
     };
     // Chains (`a->b->c`) have no simple typed base: skip both pairs.
@@ -672,7 +677,7 @@ fn is_assign_op(kind: &TokKind) -> bool {
 /// expression token slice. A `base->member` directly followed by an
 /// assignment operator is a write; everything else is a read. Compound
 /// assignments (`+=`, `++`) count as both.
-fn extract_accesses(toks: &[Token]) -> Vec<Stmt> {
+fn extract_accesses<'s>(toks: &[Token<'s>]) -> Vec<Stmt<'s>> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
@@ -683,16 +688,16 @@ fn extract_accesses(toks: &[Token]) -> Vec<Stmt> {
             let compound = written && after != Some(&TokKind::Char('='));
             if written {
                 out.push(Stmt::Access {
-                    base: base.to_owned(),
-                    member: member.to_owned(),
+                    base,
+                    member,
                     kind: AccessKind::Write,
                     line,
                 });
             }
             if !written || compound {
                 out.push(Stmt::Access {
-                    base: base.to_owned(),
-                    member: member.to_owned(),
+                    base,
+                    member,
                     kind: AccessKind::Read,
                     line,
                 });
@@ -706,35 +711,26 @@ fn extract_accesses(toks: &[Token]) -> Vec<Stmt> {
 }
 
 /// Classifies one simple (semicolon-terminated) statement.
-fn classify_simple(toks: &[Token], out: &mut Vec<Stmt>) {
+fn classify_simple<'s>(toks: &[Token<'s>], out: &mut Vec<Stmt<'s>>) {
     if toks.is_empty() {
         return;
     }
     let line = toks[0].line;
     // Lock acquire/release or plain call: `ident ( … )` spanning the
     // whole statement.
-    if let TokKind::Ident(func) = &toks[0].kind {
+    if let TokKind::Ident(func) = toks[0].kind {
         if toks.get(1).map(|t| &t.kind) == Some(&TokKind::Char('(')) {
             let whole_call = toks.last().map(|t| &t.kind) == Some(&TokKind::Char(')'));
             if whole_call {
                 // `(` at 1 and `)` last: at least three tokens.
                 let inner = &toks[2..toks.len() - 1];
                 let args = split_commas(inner);
-                if ACQUIRE_FNS.contains(&func.as_str()) || RELEASE_FNS.contains(&func.as_str()) {
+                if ACQUIRE_FNS.contains(&func) || RELEASE_FNS.contains(&func) {
                     if let Some(target) = args.first().and_then(|a| parse_lock_target(a)) {
-                        let acquire = ACQUIRE_FNS.contains(&func.as_str());
-                        out.push(if acquire {
-                            Stmt::Acquire {
-                                func: func.clone(),
-                                target,
-                                line,
-                            }
+                        out.push(if ACQUIRE_FNS.contains(&func) {
+                            Stmt::Acquire { func, target, line }
                         } else {
-                            Stmt::Release {
-                                func: func.clone(),
-                                target,
-                                line,
-                            }
+                            Stmt::Release { func, target, line }
                         });
                         return;
                     }
@@ -745,7 +741,7 @@ fn classify_simple(toks: &[Token], out: &mut Vec<Stmt>) {
                 let mut reads = extract_accesses(inner);
                 out.append(&mut reads);
                 out.push(Stmt::Call {
-                    callee: func.clone(),
+                    callee: func,
                     args: args.iter().map(|a| bare_ident(a)).collect(),
                     line,
                 });
@@ -762,56 +758,65 @@ fn classify_simple(toks: &[Token], out: &mut Vec<Stmt>) {
 }
 
 /// Parses a lock operand: `&base->member`, `&name`, or `name`.
-fn parse_lock_target(toks: &[Token]) -> Option<LockTarget> {
+fn parse_lock_target<'s>(toks: &[Token<'s>]) -> Option<LockTarget<'s>> {
     let toks = if toks.first().map(|t| &t.kind) == Some(&TokKind::Char('&')) {
         &toks[1..]
     } else {
         toks
     };
     match toks.len() {
-        1 => match &toks[0].kind {
-            TokKind::Ident(name) => Some(LockTarget::Global(name.clone())),
+        1 => match toks[0].kind {
+            TokKind::Ident(name) => Some(LockTarget::Global(name)),
             _ => None,
         },
-        3 => member_pair(toks, 0).map(|(base, member)| LockTarget::Member {
-            base: base.to_owned(),
-            member: member.to_owned(),
-        }),
+        3 => member_pair(toks, 0).map(|(base, member)| LockTarget::Member { base, member }),
         _ => None,
     }
 }
 
 /// `Some(name)` when the argument is a single bare identifier.
-fn bare_ident(toks: &[Token]) -> Option<String> {
+fn bare_ident<'s>(toks: &[Token<'s>]) -> Option<&'s str> {
     match toks {
-        [t] => match &t.kind {
-            TokKind::Ident(s) => Some(s.clone()),
-            _ => None,
-        },
+        [Token {
+            kind: TokKind::Ident(s),
+            ..
+        }] => Some(s),
         _ => None,
     }
 }
 
-/// Parses one source file.
-pub fn parse_source(path: &str, src: &str) -> SourceFile {
+/// Parses one source file; the result borrows its names from `path`
+/// and `src`.
+pub fn parse_source<'s>(path: &'s str, src: &'s str) -> SourceFile<'s> {
     let toks = lex(src);
     let mut parser = Parser {
         toks: &toks,
         pos: 0,
     };
     SourceFile {
-        path: path.to_owned(),
+        path,
         functions: parser.parse_top(),
     }
 }
 
 /// Parses a whole tree, sharded per file; output is independent of the
-/// input file order and of `jobs`.
-pub fn parse_tree(files: &[(String, String)], jobs: usize) -> Program {
+/// input file order and of `jobs`, and borrows its names from `files`.
+pub fn parse_tree(files: &[(String, String)], jobs: usize) -> Program<'_> {
     let mut sorted: Vec<&(String, String)> = files.iter().collect();
     sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let parsed = par_map(jobs, &sorted, |&(path, src)| parse_source(path, src));
-    Program { files: parsed }
+    // Hand out the largest files first, so that a big file picked up
+    // last does not leave the other workers idle; results go back into
+    // path order.
+    let mut order: Vec<usize> = (0..sorted.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(sorted[i].1.len()));
+    let mut parsed = par_map(jobs, &order, |&i| {
+        let (path, src) = sorted[i];
+        (i, parse_source(path, src))
+    });
+    parsed.sort_by_key(|&(i, _)| i);
+    Program {
+        files: parsed.into_iter().map(|(_, file)| file).collect(),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -830,7 +835,7 @@ pub fn print_program(p: &Program) -> Vec<(String, String)> {
                 print_function(func, &mut out);
                 out.push('\n');
             }
-            (f.path.clone(), out)
+            (f.path.to_owned(), out)
         })
         .collect()
 }
@@ -886,10 +891,7 @@ fn print_body(stmts: &[Stmt], depth: usize, out: &mut String) {
                 AccessKind::Read => out.push_str(&format!("{pad}tmp = {base}->{member};\n")),
             },
             Stmt::Call { callee, args, .. } => {
-                let rendered: Vec<String> = args
-                    .iter()
-                    .map(|a| a.clone().unwrap_or_else(|| "0".to_owned()))
-                    .collect();
+                let rendered: Vec<&str> = args.iter().map(|a| a.unwrap_or("0")).collect();
                 out.push_str(&format!("{pad}{callee}({});\n", rendered.join(", ")));
             }
             Stmt::If {
@@ -955,30 +957,30 @@ static int inode_i_state_r_0(struct inode *inode, int n)
         let w = &f.functions[0];
         assert_eq!(w.name, "inode_i_state_w_0");
         assert_eq!(w.params.len(), 1);
-        assert_eq!(w.params[0].type_name.as_deref(), Some("inode"));
+        assert_eq!(w.params[0].type_name, Some("inode"));
         assert!(matches!(
             &w.body[0],
             Stmt::Acquire { target: LockTarget::Member { base, member }, .. }
-                if base == "inode" && member == "i_lock"
+                if *base == "inode" && *member == "i_lock"
         ));
         assert!(matches!(
             &w.body[1],
             Stmt::Access { base, member, kind: AccessKind::Write, .. }
-                if base == "inode" && member == "i_state"
+                if *base == "inode" && *member == "i_state"
         ));
         let r = &f.functions[1];
         // `int v;` becomes Stmt::Other, then the acquire.
         assert!(matches!(&r.body[0], Stmt::Other));
         assert!(matches!(
             &r.body[1],
-            Stmt::Acquire { target: LockTarget::Global(g), .. } if g == "inode_hash_lock"
+            Stmt::Acquire { target: LockTarget::Global(g), .. } if *g == "inode_hash_lock"
         ));
         let Stmt::Loop { body, .. } = &r.body[2] else {
             panic!("expected loop, got {:?}", r.body[2]);
         };
         assert!(matches!(
             &body[0],
-            Stmt::Access { kind: AccessKind::Read, member, .. } if member == "i_state"
+            Stmt::Access { kind: AccessKind::Read, member, .. } if *member == "i_state"
         ));
     }
 
@@ -998,7 +1000,7 @@ static int inode_i_state_r_0(struct inode *inode, int n)
         assert!(matches!(
             &then_body[0],
             Stmt::Call { callee, args, .. }
-                if callee == "helper" && args[0].as_deref() == Some("inode")
+                if *callee == "helper" && args[0] == Some("inode")
         ));
         assert!(matches!(&else_body[0], Stmt::Access { .. }));
     }
@@ -1012,7 +1014,7 @@ static int inode_i_state_r_0(struct inode *inode, int n)
         };
         assert!(matches!(
             &cond[0],
-            Stmt::Access { member, kind: AccessKind::Read, .. } if member == "i_state"
+            Stmt::Access { member, kind: AccessKind::Read, .. } if *member == "i_state"
         ));
     }
 
@@ -1050,15 +1052,17 @@ static int inode_i_state_r_0(struct inode *inode, int n)
     fn parse_tree_sorts_by_path_and_is_order_invariant() {
         let a = ("z.c".to_owned(), SAMPLE.to_owned());
         let b = ("a.c".to_owned(), "static void g(void)\n{\n}\n".to_owned());
-        let p1 = parse_tree(&[a.clone(), b.clone()], 1);
-        let p2 = parse_tree(&[b, a], 2);
+        let (ab, ba) = ([a.clone(), b.clone()], [b, a]);
+        let p1 = parse_tree(&ab, 1);
+        let p2 = parse_tree(&ba, 2);
         assert_eq!(p1, p2);
         assert_eq!(p1.files[0].path, "a.c");
     }
 
     #[test]
     fn print_parse_round_trips() {
-        let p = parse_tree(&[("a.c".to_owned(), SAMPLE.to_owned())], 1);
+        let files = [("a.c".to_owned(), SAMPLE.to_owned())];
+        let p = parse_tree(&files, 1);
         let printed = print_program(&p);
         let p2 = parse_tree(&printed, 1);
         let printed2 = print_program(&p2);

@@ -7,6 +7,12 @@
 //! [`crate::ast::Stmt`] tree into that form. Condition accesses execute
 //! in the block that evaluates the condition (before the branch /
 //! on every loop iteration), matching C evaluation order.
+//!
+//! Ops borrow from the function they were lowered from. Each call op
+//! carries its *site*, the call's index among the function's calls in
+//! source order ([`for_each_call`] visits them in the same order), so a
+//! caller can resolve every site to a callee once per function instead
+//! of looking the callee name up at every visit.
 
 use crate::ast::{AccessKind, Function, LockTarget, Stmt};
 
@@ -16,14 +22,14 @@ pub enum Op<'a> {
     /// Lock acquire.
     Acquire {
         /// The lock operand.
-        target: &'a LockTarget,
+        target: LockTarget<'a>,
         /// Source line.
         line: u32,
     },
     /// Lock release.
     Release {
         /// The lock operand.
-        target: &'a LockTarget,
+        target: LockTarget<'a>,
         /// Source line.
         line: u32,
     },
@@ -40,10 +46,12 @@ pub enum Op<'a> {
     },
     /// Call site.
     Call {
+        /// Index of the call among the function's calls, in source order.
+        site: usize,
         /// Callee name.
         callee: &'a str,
         /// Positional arguments (bare identifiers only).
-        args: &'a [Option<String>],
+        args: &'a [Option<&'a str>],
         /// Source line.
         line: u32,
     },
@@ -70,6 +78,8 @@ pub struct Cfg<'a> {
 
 struct Builder<'a> {
     blocks: Vec<BasicBlock<'a>>,
+    /// Call sites lowered so far.
+    calls: usize,
 }
 
 impl<'a> Builder<'a> {
@@ -84,18 +94,18 @@ impl<'a> Builder<'a> {
 
     /// Lowers `stmts` starting in block `cur`; returns the block that
     /// control falls out of.
-    fn lower(&mut self, stmts: &'a [Stmt], mut cur: usize) -> usize {
+    fn lower(&mut self, stmts: &'a [Stmt<'a>], mut cur: usize) -> usize {
         for s in stmts {
             match s {
                 Stmt::Acquire { target, line, .. } => {
                     self.blocks[cur].ops.push(Op::Acquire {
-                        target,
+                        target: *target,
                         line: *line,
                     });
                 }
                 Stmt::Release { target, line, .. } => {
                     self.blocks[cur].ops.push(Op::Release {
-                        target,
+                        target: *target,
                         line: *line,
                     });
                 }
@@ -114,10 +124,12 @@ impl<'a> Builder<'a> {
                 }
                 Stmt::Call { callee, args, line } => {
                     self.blocks[cur].ops.push(Op::Call {
+                        site: self.calls,
                         callee,
                         args,
                         line: *line,
                     });
+                    self.calls += 1;
                 }
                 Stmt::If {
                     cond,
@@ -160,8 +172,11 @@ impl<'a> Builder<'a> {
 }
 
 /// Builds the CFG for one function.
-pub fn build(f: &Function) -> Cfg<'_> {
-    let mut b = Builder { blocks: Vec::new() };
+pub fn build<'a>(f: &'a Function<'a>) -> Cfg<'a> {
+    let mut b = Builder {
+        blocks: Vec::new(),
+        calls: 0,
+    };
     let entry = b.new_block();
     debug_assert_eq!(entry, 0);
     let last = b.lower(&f.body, entry);
@@ -173,12 +188,37 @@ pub fn build(f: &Function) -> Cfg<'_> {
     }
 }
 
+/// Visits the callee name of every call in `stmts`, in the order
+/// [`build`] numbers their sites.
+pub fn for_each_call<'a>(stmts: &[Stmt<'a>], f: &mut impl FnMut(&'a str)) {
+    for s in stmts {
+        match s {
+            Stmt::Call { callee, .. } => f(callee),
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+                ..
+            } => {
+                for_each_call(cond, f);
+                for_each_call(then_body, f);
+                for_each_call(else_body, f);
+            }
+            Stmt::Loop { cond, body, .. } => {
+                for_each_call(cond, f);
+                for_each_call(body, f);
+            }
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::parse_source;
 
-    fn cfg_of(src: &str) -> (crate::ast::Function, usize) {
+    fn cfg_of(src: &str) -> (crate::ast::Function<'_>, usize) {
         let f = parse_source("t.c", src);
         let n = f.functions.len();
         (f.functions.into_iter().next().unwrap(), n)
@@ -220,5 +260,31 @@ mod tests {
             .enumerate()
             .any(|(i, b)| b.succs.iter().any(|&s| s <= i && s != cfg.exit));
         assert!(has_back_edge);
+    }
+
+    #[test]
+    fn call_sites_are_numbered_in_for_each_call_order() {
+        let (f, _) = cfg_of(
+            "static void f(struct inode *inode, int n)\n{\n\ta(inode);\n\
+             \tif (n) {\n\t\tb(inode);\n\t} else {\n\t\tc(n);\n\t}\n\
+             \twhile (n) {\n\t\td(inode);\n\t\tif (n) {\n\t\t\te();\n\t\t}\n\t}\n\tg();\n}\n",
+        );
+        let mut by_site: Vec<(usize, &str)> = build(&f)
+            .blocks
+            .iter()
+            .flat_map(|b| &b.ops)
+            .filter_map(|op| match op {
+                Op::Call { site, callee, .. } => Some((*site, *callee)),
+                _ => None,
+            })
+            .collect();
+        by_site.sort();
+        let mut walked = Vec::new();
+        for_each_call(&f.body, &mut |c| walked.push(c));
+        assert_eq!(walked, ["a", "b", "c", "d", "e", "g"]);
+        let sites: Vec<usize> = by_site.iter().map(|s| s.0).collect();
+        assert_eq!(sites, (0..walked.len()).collect::<Vec<_>>());
+        let names: Vec<&str> = by_site.iter().map(|s| s.1).collect();
+        assert_eq!(names, walked);
     }
 }

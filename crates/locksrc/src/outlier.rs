@@ -267,14 +267,15 @@ fn covers(held: &[String], majority: &[String]) -> bool {
 /// Mines majority patterns and outliers from observations. Sharded per
 /// `(type, member, kind)` group; deterministic at any `jobs`.
 pub fn mine_outliers(
-    observations: &[AccessObservation],
+    observations: &[AccessObservation<'_>],
     cfg: &MinerConfig,
     jobs: usize,
 ) -> (Vec<MemberPattern>, Vec<OutlierFinding>) {
-    let mut groups: BTreeMap<(&str, &str, AccessKind), Vec<&AccessObservation>> = BTreeMap::new();
+    let mut groups: BTreeMap<(&str, &str, AccessKind), Vec<&AccessObservation<'_>>> =
+        BTreeMap::new();
     for o in observations {
         groups
-            .entry((o.type_name.as_str(), o.member.as_str(), o.kind))
+            .entry((o.type_name, o.member, o.kind))
             .or_default()
             .push(o);
     }
@@ -309,12 +310,12 @@ pub fn mine_outliers(
                 type_name: type_name.to_owned(),
                 member: member.to_owned(),
                 kind: kind.to_string(),
-                file: o.file.clone(),
+                file: o.file.to_owned(),
                 line: o.line,
                 expected: pattern_string(majority),
                 observed: pattern_string(&o.held),
                 confidence,
-                path: o.path.clone(),
+                path: o.path.iter().map(|f| (*f).to_owned()).collect(),
             });
         }
         // One finding per (site, observed pattern): keep the shortest

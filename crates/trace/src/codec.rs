@@ -261,9 +261,11 @@ fn is_buffer_eof(e: &CodecError) -> bool {
 /// refill, so every parser sees exactly the bytes a whole-slice decode
 /// would — the chunked and slice paths are behaviorally identical,
 /// including on corrupted input (the salvage resync scan probes the same
-/// offsets with the same outcomes). Only the consumed prefix is ever
-/// dropped, so peak memory is bounded by the largest single record plus
-/// one chunk rather than the file size.
+/// offsets with the same outcomes). The consumed prefix is dropped as
+/// decoding goes, the resync scan drops what lies below its next probe,
+/// and counting the rest of the input drops what it counts, so peak
+/// memory is bounded by the largest single record (or resync probe) plus
+/// one chunk rather than the file size, even over a damaged tail.
 struct ChunkedDecoder<R> {
     src: R,
     chunk: usize,
@@ -318,6 +320,14 @@ impl<R: Read> ChunkedDecoder<R> {
         }
     }
 
+    /// Drops the buffered bytes below index `at`, which nothing reads
+    /// again; offsets stay absolute.
+    fn discard(&mut self, at: usize) {
+        self.buf.drain(..at);
+        self.base += at as u64;
+        self.pos = self.pos.saturating_sub(at);
+    }
+
     /// Absolute input offset of the next unconsumed byte.
     fn offset(&self) -> u64 {
         self.base + self.pos as u64
@@ -348,13 +358,19 @@ impl<R: Read> ChunkedDecoder<R> {
         Ok(self.pos < self.buf.len())
     }
 
-    /// Reads the source to its end and returns how many unconsumed bytes
-    /// remain past the current position.
+    /// Consumes the source to its end and returns how many bytes were
+    /// left past the current position. Counted bytes are dropped at once,
+    /// so a long tail costs one chunk of memory.
     fn count_remaining(&mut self) -> Result<u64> {
-        while !self.eof {
+        let start = self.offset();
+        loop {
+            let len = self.buf.len();
+            self.discard(len);
+            if self.eof {
+                return Ok(self.base - start);
+            }
             self.fill()?;
         }
-        Ok((self.buf.len() - self.pos) as u64)
     }
 }
 
@@ -794,6 +810,9 @@ impl<R: Read> TraceReader<R> {
             if d.eof {
                 break None;
             }
+            // Every offset below the next probe has failed: drop it.
+            d.discard(off);
+            off = 0;
             d.fill()?;
         };
         let report = &mut self.report;
@@ -812,11 +831,11 @@ impl<R: Read> TraceReader<R> {
                 d.pos = (at - d.base) as usize;
             }
             None => {
-                // The scan drained the source; everything from the failure
+                // No later record decodes; everything from the failure
                 // point on was skipped.
-                report.bytes_skipped += d.count_remaining()?;
+                d.count_remaining()?;
+                report.bytes_skipped += d.offset() - start;
                 report.truncated = true;
-                d.pos = d.buf.len();
                 self.done = true;
             }
         }
@@ -1538,6 +1557,56 @@ mod tests {
                 assert_eq!(got_tr, want_tr, "len={} chunk={chunk}", input.len());
                 assert_eq!(got_report, want_report, "len={} chunk={chunk}", input.len());
             }
+        }
+    }
+
+    /// A damaged tail is never buffered whole: after a complete trace
+    /// (counted as trailing bytes) or after a cut with no later resync
+    /// point (skipped by the scan), 1 MiB of 0xFF bytes passes through a
+    /// decoder that holds a few chunks at most, and the report equals the
+    /// whole-slice one.
+    #[test]
+    fn salvage_buffers_a_bounded_window_of_a_damaged_tail() {
+        // Enough events that half the container lies past the header.
+        let mut tr = sample_trace();
+        let events = tr.events.clone();
+        let span = events.last().unwrap().ts + 1;
+        for round in 1..64 {
+            for e in &events {
+                tr.push(e.ts + round * span, e.event.clone());
+            }
+        }
+        let mut buf = Vec::new();
+        write_trace(&tr, &mut buf).unwrap();
+        let tail = vec![0xffu8; 1 << 20];
+        let chunk = 256;
+        for input in [
+            [buf.as_slice(), &tail].concat(),
+            [&buf[..buf.len() / 2], &tail].concat(),
+        ] {
+            let (want_tr, want_report) = read_trace_salvage(&input).unwrap();
+            assert!(!want_report.is_clean());
+            let open = || {
+                TraceReader::with_chunk_size(input.as_slice(), chunk)
+                    .unwrap()
+                    .with_policy(DecodePolicy::Salvage)
+            };
+            let (got_tr, reader) = read_to_end(open()).unwrap();
+            assert_eq!(got_tr, want_tr);
+            assert_eq!(reader.finish().unwrap(), want_report);
+            // The same run again, stopped where `finish` counts the tail,
+            // to look at the buffer once the whole input has gone through.
+            let (_, mut reader) = read_to_end(open()).unwrap();
+            assert_eq!(
+                reader.d.count_remaining().unwrap(),
+                want_report.trailing_bytes
+            );
+            let capacity = reader.d.buf.capacity();
+            assert!(
+                capacity <= 4 * chunk,
+                "decoder buffered {capacity} bytes of a {}-byte input",
+                input.len()
+            );
         }
     }
 

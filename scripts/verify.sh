@@ -221,6 +221,27 @@ grep -q "cross-validation against the dynamic passes" "$GATE_DIR/xcheck.1.txt" \
     || { echo "xcheck printed no per-pass precision/recall table" >&2; exit 1; }
 echo "static cross-validation gate: OK (oracle recovered, byte-identical at --jobs 1 and 4)"
 
+# --- static source-tree gate ---------------------------------------------------
+# The benchmark's static workload reads its tree from disk with
+# `xcheck --src`. A two-file tree, one file carrying a Latin-1 byte in a
+# comment (decoded as U+FFFD, DESIGN.md §5.9), must give the same report
+# at --jobs 1 and 4 and count both files' functions.
+SRC_DIR="$GATE_DIR/src-tree"
+mkdir -p "$SRC_DIR/fs"
+printf '/* Copyright J\xf6rg */\nstatic void set_a(struct inode *inode)\n{\n\tspin_lock(&inode->i_lock);\n\tinode->i_state = 1;\n\tspin_unlock(&inode->i_lock);\n}\n' \
+    > "$SRC_DIR/fs/a.c"
+printf 'static void set_b(struct inode *inode)\n{\n\tinode->i_state = 2;\n}\n' \
+    > "$SRC_DIR/fs/b.c"
+for jobs in 1 4; do
+    LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" xcheck --src "$SRC_DIR" --json --jobs "$jobs" \
+        > "$GATE_DIR/xcheck-src.$jobs.json"
+done
+diff -u "$GATE_DIR/xcheck-src.1.json" "$GATE_DIR/xcheck-src.4.json" \
+    || { echo "xcheck --src differs between --jobs 1 and --jobs 4" >&2; exit 1; }
+grep -q '"functions": 2,' "$GATE_DIR/xcheck-src.1.json" \
+    || { echo "xcheck --src did not find both functions of the source tree" >&2; exit 1; }
+echo "static source-tree gate: OK (a non-UTF-8 file analyzed, byte-identical at --jobs 1 and 4)"
+
 # --- invariant -> test traceability matrix ------------------------------------
 scripts/check_traceability.sh
 
