@@ -33,12 +33,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of displayable values.
-    pub fn row_disp(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let rendered: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&rendered)
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let ncols = self.header.len();

@@ -21,15 +21,19 @@
 //! Readers clone the `Arc` and answer from the old snapshot while an
 //! `add` (serialized by a separate ingest mutex) builds the next one off
 //! to the side and swaps it in — queries never block on ingest. In
-//! socket mode each connection gets its own thread; `--once` answers a
-//! batch of requests from stdin (or `--input FILE`) and exits, so tests
-//! and scripts need no real socket.
+//! socket mode each connection gets its own thread; `--once` answers the
+//! requests of stdin (or `--input FILE`) and exits, so tests and scripts
+//! need no real socket. Both modes run one request loop
+//! ([`serve_lines`]), which reads a line at a time and answers it before
+//! reading the next.
 //!
 //! Hostile-client hardening (all knobs overridable on the command line):
 //!
 //! * `--max-request-bytes` caps one request line; an oversized line gets
 //!   an error response and is discarded in bounded chunks, so a client
-//!   streaming gigabytes without a newline holds O(cap) memory.
+//!   streaming gigabytes without a newline holds O(cap) memory. Bytes
+//!   that are not UTF-8 are decoded lossily, so such a line gets its own
+//!   response (usually a parse error) instead of ending the input.
 //! * `--timeout-ms` sets per-connection read/write deadlines; a stalled
 //!   or half-open connection is closed, which also bounds the shutdown
 //!   drain (every worker thread is joined before the listener exits).
@@ -54,7 +58,7 @@ use lockdoc_trace::db::import;
 use lockdoc_trace::event::Trace;
 use lockdoc_trace::merge::concat_traces_corpus;
 use std::fs;
-use std::io::{self, BufRead, Read};
+use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -328,34 +332,42 @@ pub fn cmd_serve(args: &Args) -> Result<String> {
         shutdown: AtomicBool::new(false),
     };
     if args.has("once") {
-        let input = match args.get("input") {
-            Some(f) => fs::read_to_string(f)?,
-            None => {
-                let mut s = String::new();
-                std::io::stdin().read_to_string(&mut s)?;
-                s
-            }
-        };
-        let mut out = String::new();
-        for line in input.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (stop, resp) = if line.len() > state.limits.max_request_bytes {
-                (false, respond_err("request too large".into()))
-            } else {
-                handle_line_isolated(&state, line)
-            };
-            out.push_str(&resp);
-            out.push('\n');
-            if stop {
-                break;
-            }
+        let mut out = Vec::new();
+        match args.get("input") {
+            Some(f) => serve_lines(
+                &state,
+                &mut io::BufReader::new(fs::File::open(f)?),
+                &mut out,
+            )?,
+            None => serve_lines(&state, &mut io::stdin().lock(), &mut out)?,
         }
-        return Ok(out);
+        return Ok(String::from_utf8_lossy(&out).into_owned());
     }
     serve_socket(args, state)
+}
+
+/// The request loop of one connection (or of `--once`'s input): one
+/// response line per non-blank request line, until end of input or a
+/// `shutdown` request. Lines are read under the byte cap, so the loop
+/// holds O(cap) memory whatever the client sends. A read or write error
+/// ends the loop and is returned.
+fn serve_lines<R: BufRead, W: Write>(
+    state: &ServeState,
+    reader: &mut R,
+    writer: &mut W,
+) -> io::Result<()> {
+    loop {
+        let (stop, resp) = match read_bounded_line(reader, state.limits.max_request_bytes)? {
+            ReqLine::Eof => return Ok(()),
+            ReqLine::Oversized => (false, respond_err("request too large".into())),
+            ReqLine::Line(line) if line.trim().is_empty() => continue,
+            ReqLine::Line(line) => handle_line_isolated(state, line.trim()),
+        };
+        writeln!(writer, "{resp}")?;
+        if stop {
+            return Ok(());
+        }
+    }
 }
 
 /// RAII occupancy of one connection slot; dropping frees the slot.
@@ -381,7 +393,7 @@ impl Drop for ConnSlot {
 
 #[cfg(unix)]
 fn serve_socket(args: &Args, state: ServeState) -> Result<String> {
-    use std::io::{BufReader, Write};
+    use std::io::BufReader;
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::PathBuf;
 
@@ -423,25 +435,13 @@ fn serve_socket(args: &Args, state: ServeState) -> Result<String> {
                 return;
             };
             let mut writer = stream;
-            let mut reader = BufReader::new(read_half);
-            loop {
-                let (stop, resp) = match read_bounded_line(&mut reader, st.limits.max_request_bytes)
-                {
-                    Ok(ReqLine::Eof) => break,
-                    Ok(ReqLine::Oversized) => (false, respond_err("request too large".into())),
-                    Ok(ReqLine::Line(line)) if line.trim().is_empty() => continue,
-                    Ok(ReqLine::Line(line)) => handle_line_isolated(&st, line.trim()),
-                    Err(_) => break, // read deadline hit or connection died
-                };
-                if writeln!(writer, "{resp}").is_err() {
-                    break;
-                }
-                if stop {
-                    // Poke the accept loop so it observes the shutdown
-                    // flag and exits instead of blocking forever.
-                    let _ = UnixStream::connect(&unblock);
-                    break;
-                }
+            // A read deadline or a dead connection ends the loop like
+            // end of input; the client gets no further response.
+            let _ = serve_lines(&st, &mut BufReader::new(read_half), &mut writer);
+            if st.shutdown.load(Ordering::SeqCst) {
+                // Poke the accept loop so it observes the shutdown flag
+                // and exits instead of blocking forever.
+                let _ = UnixStream::connect(&unblock);
             }
         }));
     }

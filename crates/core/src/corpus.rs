@@ -33,7 +33,6 @@ use crate::hypothesis::Observation;
 use crate::lockset::LockDescriptor;
 use lockdoc_platform::artifact::{self, Reader, Writer};
 use lockdoc_platform::hash::fnv1a;
-use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::{AccessKind, TraceMeta};
 use lockdoc_trace::ids::{DataTypeId, Sym};
@@ -335,15 +334,6 @@ pub struct CorpusDerive {
     pub groups_reused: usize,
 }
 
-/// One unit of corpus derivation work: a merged group, its fingerprint,
-/// and the per-trace matrices contributing to it.
-struct GroupJob<'a> {
-    key: (DataTypeId, Option<Sym>),
-    name: String,
-    fingerprint: u64,
-    contributors: Vec<(u64, &'a GroupMatrix)>,
-}
-
 /// Derives corpus-wide rules from per-trace matrices, reusing cached
 /// group results where the group fingerprint matches.
 ///
@@ -356,14 +346,16 @@ struct GroupJob<'a> {
 /// previous run over any corpus; entries are reused only when their
 /// fingerprint (config, filter, merged ids, contributing trace
 /// checksums) matches exactly, so a stale or foreign cache degrades to
-/// a full derivation, never to a wrong answer. Output is byte-identical
-/// at any `jobs` count, with or without reuse.
+/// a full derivation, never to a wrong answer. Groups are mined one
+/// after another: mining merged observation lists is milliseconds for a
+/// whole corpus, so `_jobs` is unused (the signature keeps it for
+/// existing callers). Output is the same with or without reuse.
 pub fn derive_corpus(
     traces: &[CorpusTrace],
     meta: &TraceMeta,
     config: &DeriveConfig,
     filter_fp: u64,
-    jobs: usize,
+    _jobs: usize,
     prev: Option<&CorpusRulesCache>,
 ) -> CorpusDerive {
     let derive_fp = derive_fingerprint(config);
@@ -389,68 +381,56 @@ pub fn derive_corpus(
         }
     }
 
-    let group_jobs: Vec<GroupJob> = by_group
-        .into_iter()
-        .map(|(key, contributors)| {
-            let type_name = &meta.data_types[key.0.index()].name;
-            let name = match key.1 {
-                Some(s) => format!("{}:{}", type_name, meta.strings.resolve(s)),
-                None => type_name.clone(),
-            };
-            // Merged ids are part of the fingerprint: a corpus change
-            // that shifts them (GroupRules carries ids) must re-derive
-            // even if the contributing traces are unchanged.
-            let mut canonical = format!(
-                "g:{name}\nd:{derive_fp:016x}\nf:{filter_fp:016x}\nt:{}\ns:{}\n",
-                key.0.index(),
-                key.1.map(|s| s.index().to_string()).unwrap_or("-".into()),
-            );
-            for (checksum, _) in &contributors {
-                canonical.push_str(&format!("c:{checksum:016x}\n"));
-            }
-            GroupJob {
-                key,
-                name,
-                fingerprint: fnv1a(canonical.as_bytes()),
-                contributors,
-            }
-        })
-        .collect();
-
-    let results: Vec<(GroupRules, bool)> = par_map(jobs, &group_jobs, |job| {
-        if let Some(prev) = prev {
-            if let Some(entry) = prev
-                .entries
-                .iter()
-                .find(|e| e.rules.group_name == job.name && e.fingerprint == job.fingerprint)
-            {
-                return (entry.rules.clone(), true);
-            }
+    let mut groups = Vec::with_capacity(by_group.len());
+    let mut entries = Vec::with_capacity(by_group.len());
+    let mut groups_reused = 0;
+    for (key, contributors) in by_group {
+        let type_name = &meta.data_types[key.0.index()].name;
+        let name = match key.1 {
+            Some(s) => format!("{}:{}", type_name, meta.strings.resolve(s)),
+            None => type_name.clone(),
+        };
+        // Merged ids are part of the fingerprint: a corpus change that
+        // shifts them (GroupRules carries ids) must re-derive even if the
+        // contributing traces are unchanged.
+        let mut canonical = format!(
+            "g:{name}\nd:{derive_fp:016x}\nf:{filter_fp:016x}\nt:{}\ns:{}\n",
+            key.0.index(),
+            key.1.map(|s| s.index().to_string()).unwrap_or("-".into()),
+        );
+        for (checksum, _) in &contributors {
+            canonical.push_str(&format!("c:{checksum:016x}\n"));
         }
-        let members = merge_members(job.contributors.iter().map(|(_, g)| g.members.as_slice()));
-        (
-            mine_group(job.key, job.name.clone(), &members, config),
-            false,
-        )
-    });
-
-    let groups_total = results.len();
-    let groups_reused = results.iter().filter(|(_, reused)| *reused).count();
-    let entries = group_jobs
-        .iter()
-        .zip(&results)
-        .map(|(job, (rules, _))| CorpusGroupEntry {
-            fingerprint: job.fingerprint,
+        let fingerprint = fnv1a(canonical.as_bytes());
+        let cached = prev.and_then(|prev| {
+            prev.entries
+                .iter()
+                .find(|e| e.rules.group_name == name && e.fingerprint == fingerprint)
+        });
+        let rules = match cached {
+            Some(entry) => {
+                groups_reused += 1;
+                entry.rules.clone()
+            }
+            None => {
+                let members = merge_members(contributors.iter().map(|(_, g)| g.members.as_slice()));
+                mine_group(key, name, &members, config)
+            }
+        };
+        entries.push(CorpusGroupEntry {
+            fingerprint,
             rules: rules.clone(),
-        })
-        .collect();
+        });
+        groups.push(rules);
+    }
+
     CorpusDerive {
+        groups_total: groups.len(),
         rules: MinedRules {
-            groups: results.into_iter().map(|(g, _)| g).collect(),
+            groups,
             config: *config,
         },
         cache: CorpusRulesCache { entries },
-        groups_total,
         groups_reused,
     }
 }

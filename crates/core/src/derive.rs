@@ -177,13 +177,6 @@ impl MinedRules {
             })
             .sum()
     }
-
-    /// Declared-but-never-observed members across all groups (the
-    /// paper's "not observed" rows; dark signal for the fuzzer).
-    pub fn zero_observation_member_count(&self, db: &TraceDb) -> usize {
-        self.declared_member_count(db)
-            .saturating_sub(self.observed_member_count())
-    }
 }
 
 /// Mines one group's rules from its members' aggregated observations:

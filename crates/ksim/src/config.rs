@@ -76,12 +76,6 @@ impl SimConfig {
         self
     }
 
-    /// Marks this configuration as shard `j` of a sharded run.
-    pub fn with_shard(mut self, j: u64) -> Self {
-        self.shard = Some(j);
-        self
-    }
-
     /// Restricts boot to the given filesystem set (see [`Self::mounts`]).
     pub fn with_mounts(mut self, fss: Vec<FsKind>) -> Self {
         self.mounts = Some(fss);

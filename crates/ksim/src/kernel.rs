@@ -299,11 +299,6 @@ impl Kernel {
         self.objects.get(&obj).map(|o| o.live).unwrap_or(false)
     }
 
-    /// The type name of an object.
-    pub fn type_of(&self, obj: Obj) -> &'static str {
-        self.objects[&obj].type_name
-    }
-
     fn lock_addr(&mut self, lock: Lock) -> (u64, LockFlavor) {
         match lock {
             Lock::Global(name) => {

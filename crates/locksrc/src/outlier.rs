@@ -9,15 +9,15 @@
 //! consistently at 19 of 20 sites makes the 20th site a much stronger
 //! finding than an 11-of-20 split would.
 //!
-//! Mining is sharded per member group on [`lockdoc_platform::par`] and
-//! every report is JSON round-trippable through the in-tree codec, so
-//! `lockdoc xcheck --json` output is loss-free and byte-identical at
-//! any `--jobs`.
+//! Mining runs serially, one member group after another: it is a few
+//! hundredths of a second even on the benchmark's 1,000-site tree, and
+//! sharding it gained nothing at two workers. Every report is JSON
+//! round-trippable through the in-tree codec, so `lockdoc xcheck --json`
+//! output is loss-free and byte-identical at any `--jobs`.
 
 use crate::ast::{self, AccessKind};
 use crate::lockstate::{self, AccessObservation, AnalysisConfig};
 use lockdoc_platform::json::{decode_field, FromJson, Json, JsonError, ToJson};
-use lockdoc_platform::par::par_map;
 use std::collections::BTreeMap;
 
 /// Tuning for the outlier miner.
@@ -264,12 +264,13 @@ fn covers(held: &[String], majority: &[String]) -> bool {
     majority.iter().all(|l| held.contains(l))
 }
 
-/// Mines majority patterns and outliers from observations. Sharded per
-/// `(type, member, kind)` group; deterministic at any `jobs`.
+/// Mines majority patterns and outliers from observations, one
+/// `(type, member, kind)` group at a time (`_jobs` is unused; the
+/// signature keeps it for existing callers).
 pub fn mine_outliers(
     observations: &[AccessObservation<'_>],
     cfg: &MinerConfig,
-    jobs: usize,
+    _jobs: usize,
 ) -> (Vec<MemberPattern>, Vec<OutlierFinding>) {
     let mut groups: BTreeMap<(&str, &str, AccessKind), Vec<&AccessObservation<'_>>> =
         BTreeMap::new();
@@ -279,11 +280,12 @@ pub fn mine_outliers(
             .or_default()
             .push(o);
     }
-    let entries: Vec<_> = groups.iter().collect();
-    let mined = par_map(jobs, &entries, |&(&(type_name, member, kind), obs)| {
+    let mut patterns = Vec::new();
+    let mut findings = Vec::new();
+    for (&(type_name, member, kind), obs) in &groups {
         let total = obs.len() as u64;
         if total < cfg.min_observations {
-            return (None, Vec::new());
+            continue;
         }
         // Count pattern frequencies; tie-break on the lexicographically
         // smaller pattern for determinism.
@@ -302,11 +304,11 @@ pub fn mine_outliers(
         let confidence = covering as f64 / total as f64;
         if majority.is_empty() || confidence < cfg.majority_threshold {
             let _ = support;
-            return (None, Vec::new());
+            continue;
         }
-        let mut findings: Vec<OutlierFinding> = Vec::new();
+        let mut mined: Vec<OutlierFinding> = Vec::new();
         for o in obs.iter().filter(|o| !covers(&o.held, majority)) {
-            findings.push(OutlierFinding {
+            mined.push(OutlierFinding {
                 type_name: type_name.to_owned(),
                 member: member.to_owned(),
                 kind: kind.to_string(),
@@ -321,7 +323,7 @@ pub fn mine_outliers(
         // One finding per (site, observed pattern): keep the shortest
         // witness path (observations are pre-sorted, so ties break
         // deterministically).
-        findings.sort_by(|a, b| {
+        mined.sort_by(|a, b| {
             (&a.file, a.line, &a.observed, a.path.len(), &a.path).cmp(&(
                 &b.file,
                 b.line,
@@ -330,8 +332,8 @@ pub fn mine_outliers(
                 &b.path,
             ))
         });
-        findings.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.observed == b.observed);
-        let pattern = MemberPattern {
+        mined.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.observed == b.observed);
+        patterns.push(MemberPattern {
             type_name: type_name.to_owned(),
             member: member.to_owned(),
             kind: kind.to_string(),
@@ -339,17 +341,9 @@ pub fn mine_outliers(
             support: covering,
             total,
             confidence,
-            outliers: findings.len() as u64,
-        };
-        (Some(pattern), findings)
-    });
-    let mut patterns = Vec::new();
-    let mut findings = Vec::new();
-    for (p, mut f) in mined {
-        if let Some(p) = p {
-            patterns.push(p);
-        }
-        findings.append(&mut f);
+            outliers: mined.len() as u64,
+        });
+        findings.append(&mut mined);
     }
     // Rank: strongest confidence first, then canonical site order.
     findings.sort_by(|a, b| {

@@ -107,10 +107,6 @@ impl Json {
         matches!(self, Json::Arr(_))
     }
 
-    pub fn is_object(&self) -> bool {
-        matches!(self, Json::Obj(_))
-    }
-
     /// Single-line rendering.
     pub fn compact(&self) -> String {
         let mut out = String::new();

@@ -30,9 +30,9 @@ pub fn available_jobs() -> usize {
 /// `LOCKDOC_JOBS` environment variable, then the machine's available
 /// parallelism. Requests above the core count are clamped to
 /// [`available_jobs`]: every pass is output-identical at any worker count,
-/// so oversubscribing buys nothing and measurably costs wall-clock
-/// (`BENCH_derive.json` records jobs=4 at 1.45× over serial against 1.66×
-/// at jobs=2 on a 2-core box). Setting `LOCKDOC_JOBS_FORCE=1` disables the
+/// so oversubscribing buys nothing and measurably costs wall-clock: on a
+/// 2-core box, a 20k-op derivation ran 1.66× faster than serial at jobs=2
+/// but only 1.45× at jobs=4. Setting `LOCKDOC_JOBS_FORCE=1` disables the
 /// clamp — the escape hatch the identity gates and benches use to exercise
 /// the true multi-worker code path on any machine. The result is always at
 /// least 1; `1` selects the exact serial code path in [`par_map`].

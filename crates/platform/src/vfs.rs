@@ -268,11 +268,6 @@ impl Vfs {
         }
     }
 
-    /// True for in-memory handles.
-    pub fn is_mem(&self) -> bool {
-        matches!(self.inner, Inner::Mem(_))
-    }
-
     fn mem_state(&self) -> Option<&Arc<Mutex<MemState>>> {
         match &self.inner {
             Inner::Mem(m) => Some(m),

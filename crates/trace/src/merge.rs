@@ -338,26 +338,18 @@ pub fn concat_traces(parts: Vec<Trace>) -> Result<Trace, MergeError> {
     Ok(out)
 }
 
-/// [`concat_traces`] for parts that may collide in address space —
-/// independently recorded corpus traces all start at the recorder's
-/// default address base, so plain concatenation would reject them.
+/// Shifts each part's addresses into pairwise disjoint windows, so parts
+/// that collide in address space can be concatenated: independently
+/// recorded corpus traces all start at the recorder's default address
+/// base, and [`concat_traces`] would reject them.
 ///
-/// Every part's addresses are shifted by a per-part constant into
-/// disjoint windows (each part normalized to its own minimum, then laid
-/// out left to right with a one-page guard gap). The shift is a pure
-/// function of the parts' contents in order, so the merged trace is
+/// Every part is normalized to its own minimum address, then the windows
+/// are laid out left to right with a one-page guard gap. The shift is a
+/// pure function of the parts' contents in order, so the merged trace is
 /// deterministic; descriptors and all analysis results are
 /// offset-invariant because a constant shift preserves every within-part
 /// address relationship (allocation containment, embedded-lock offsets)
 /// and addresses never appear in analysis output.
-pub fn concat_traces_rebased(parts: Vec<Trace>) -> Result<Trace, MergeError> {
-    concat_traces(rebase_parts(parts))
-}
-
-/// Shifts each part's addresses into pairwise disjoint windows: every part
-/// is normalized to its own minimum address, then the windows are laid out
-/// left to right with a one-page guard gap. Shared by
-/// [`concat_traces_rebased`] and [`concat_traces_corpus`].
 fn rebase_parts(parts: Vec<Trace>) -> Vec<Trace> {
     const GUARD: Addr = 0x1000;
     let mut next_base: Addr = GUARD;
@@ -452,10 +444,11 @@ fn isolate_part_tasks(meta: &mut TraceMeta, part_idx: usize) {
     }
 }
 
-/// [`concat_traces_rebased`] for *independently recorded* corpus traces,
-/// with the per-part flow isolation the corpus derivation layer depends
-/// on: per-trace analysis results merge exactly into whole-corpus results
-/// only if no importer flow spans a part boundary.
+/// [`concat_traces`] for *independently recorded* corpus traces, with
+/// their addresses rebased ([`rebase_parts`]) and the per-part flow
+/// isolation the corpus derivation layer depends on: per-trace analysis
+/// results merge exactly into whole-corpus results only if no importer
+/// flow spans a part boundary.
 ///
 /// On top of address rebasing this
 /// - renames each part's tasks to `"{name}.t{i}"` (see
@@ -516,6 +509,11 @@ mod tests {
     use crate::db::import;
     use crate::event::{AccessKind, LockFlavor, MemberDef};
     use crate::filter::FilterConfig;
+
+    /// Address rebasing alone, without the corpus flow isolation.
+    fn concat_traces_rebased(parts: Vec<Trace>) -> Result<Trace, MergeError> {
+        concat_traces(rebase_parts(parts))
+    }
 
     fn toy_type() -> DataTypeDef {
         DataTypeDef {

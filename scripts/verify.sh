@@ -53,7 +53,9 @@ cargo test -q --offline --workspace
 # all read one shared evidence index and must be byte-identical at any
 # worker count, in both text and JSON renderings. Exercised through the
 # real CLI on a freshly generated racy-knob trace (quick mode: small op
-# count; the same gate runs at scale in the race_detection_scaling bench).
+# count; the same gate runs below the CLI at jobs 1, 2, 4 and 8 in
+# tests/races.rs::races_and_lint_are_jobs_invariant and
+# tests/props.rs::derive_is_jobs_invariant).
 LOCKDOC="$(pwd)/target/release/lockdoc"
 GATE_DIR="$(mktemp -d)"
 trap 'rm -rf "$GATE_DIR"' EXIT
@@ -207,8 +209,9 @@ echo "crash-recovery gate: OK (roll-back and roll-forward both byte-identical)"
 # seeded ground-truth source tree and joins it with every dynamic pass;
 # the whole report must be byte-identical at any worker count and the
 # static findings must recover the renderer's injected-outlier oracle
-# exactly (the same gates run at scale in the static_analysis_scaling
-# bench and tests/static.rs).
+# exactly (the same gates run across seeds and at jobs 1, 2, 4 and 8 in
+# tests/static.rs::planted_outliers_are_recovered_exactly_across_seeds
+# and tests/static.rs::static_report_is_jobs_invariant).
 LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" xcheck --trace "$GATE_DIR/racy.ldoc" \
     --seed 42 --jobs 1 > "$GATE_DIR/xcheck.1.txt"
 LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" xcheck --trace "$GATE_DIR/racy.ldoc" \

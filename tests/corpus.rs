@@ -3,7 +3,8 @@
 //! * growing a corpus one trace at a time derives rules byte-identical
 //!   to a from-scratch build of the same members, at `--jobs 1` and 4;
 //! * incremental adds actually reuse untouched groups (the perf claim
-//!   behind the matrix + rules caches);
+//!   behind the matrix + rules caches), and a narrow trace re-derives
+//!   fewer than half of them;
 //! * a flipped byte in a cached matrix artifact is a clean miss — the
 //!   member is rebuilt and the rules stay correct — and so is a flipped
 //!   bit in the rules cache or in a screening sidecar;
@@ -157,6 +158,55 @@ fn incremental_corpus_growth_matches_scratch_at_any_jobs() {
     let (_, reused, _) = group_counts(&dropped);
     assert!(reused > 0, "drop re-derived everything:\n{dropped}");
     assert_ne!(rules_of(&dropped), rules_of(&last_inc));
+    fs::remove_dir_all(&base).ok();
+}
+
+/// Adding one narrow trace to a warm corpus re-derives fewer than half
+/// of its groups: a pipes-only workload on a pipes-only boot touches 5
+/// of the standard mix's 21 groups. The member's name sorts last, since
+/// members merge in name order and a middle name would shift the merge
+/// index of every later member.
+#[test]
+fn narrow_add_rederives_under_half_the_groups() {
+    let base = fresh_dir("lockdoc-suite-corpus-narrow-add");
+    let (t0, t1, narrow) = (
+        base.join("t0.ldoc"),
+        base.join("t1.ldoc"),
+        base.join("t2-pipes.ldoc"),
+    );
+    record(&t0, "41", None);
+    record(&t1, "42", None);
+    run(&s(&[
+        "trace",
+        "--ops",
+        "300",
+        "--seed",
+        "43",
+        "--mix",
+        "pipes=1",
+        "--fs",
+        "pipefs",
+        "--out",
+        narrow.to_str().unwrap(),
+    ]))
+    .unwrap();
+    let corpus = base.join("corpus");
+    let d = corpus.to_str().unwrap();
+    run(&s(&[
+        "corpus",
+        "add",
+        t0.to_str().unwrap(),
+        t1.to_str().unwrap(),
+        "--dir",
+        d,
+    ]))
+    .unwrap();
+    let added = run(&s(&["corpus", "add", narrow.to_str().unwrap(), "--dir", d])).unwrap();
+    let (total, _, rederived) = group_counts(&added);
+    assert!(
+        rederived * 2 < total,
+        "a narrow add re-derived {rederived} of {total} groups\n{added}"
+    );
     fs::remove_dir_all(&base).ok();
 }
 

@@ -115,14 +115,14 @@ fn default_plan_has_no_finding_at_injected_site() {
         .any(touches_site));
 }
 
-/// Byte-identical text and JSON reports at jobs = 1 vs 4 on the racy
-/// workload (the acceptance identity gate, exercised below the CLI).
+/// Byte-identical text and JSON reports at jobs = 1 vs 2, 4 and 8 on the
+/// racy workload (the acceptance identity gate, exercised below the CLI).
 #[test]
 fn races_and_lint_are_jobs_invariant() {
     use lockdoc_platform::json::ToJson;
     let (db, _) = racy_db(SEED, OPS);
     let (races1, lint1) = run_lint(&db, 1);
-    for jobs in [2, 4] {
+    for jobs in [2, 4, 8] {
         let (races_j, lint_j) = run_lint(&db, jobs);
         assert_eq!(races_j, races1, "race report, jobs = {jobs}");
         assert_eq!(lint_j, lint1, "lint report, jobs = {jobs}");

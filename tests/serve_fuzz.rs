@@ -15,7 +15,8 @@
 //! * and afterwards still answer `derive` byte-identical to before the
 //!   abuse — the snapshot never regresses.
 //!
-//! `--once` mode gets the same malformed-input sweep without a socket.
+//! `--once` mode gets the same malformed-input sweep without a socket,
+//! plus a line that is not UTF-8.
 
 #![cfg(unix)]
 
@@ -275,13 +276,15 @@ fn serve_once_answers_every_malformed_line() {
 
     let queries = base.join("q.jsonl");
     let huge = format!("{{\"pad\": \"{}\"}}", "y".repeat(8 * 1024));
-    let mut input = String::new();
-    input.push_str("{\"cmd\": \"derive\"}\n");
-    input.push_str("{ not json\n");
-    input.push_str(&huge);
-    input.push('\n');
-    input.push_str("{\"cmd\": \"status\"}\n");
-    input.push_str("{\"cmd\": \"shutdown\"}\n");
+    let mut input: Vec<u8> = Vec::new();
+    input.extend_from_slice(b"{\"cmd\": \"derive\"}\n");
+    input.extend_from_slice(b"{ not json\n");
+    input.extend_from_slice(huge.as_bytes());
+    input.push(b'\n');
+    // Not UTF-8: a bad request of its own, not the end of the batch.
+    input.extend_from_slice(b"{\"cmd\": \"st\xffatus\"}\n");
+    input.extend_from_slice(b"{\"cmd\": \"status\"}\n");
+    input.extend_from_slice(b"{\"cmd\": \"shutdown\"}\n");
     fs::write(&queries, &input).unwrap();
 
     let resp = run(&s(&[
@@ -296,20 +299,16 @@ fn serve_once_answers_every_malformed_line() {
     ]))
     .unwrap();
     let lines: Vec<Json> = resp.lines().map(|l| parse(l).expect("json")).collect();
-    assert_eq!(lines.len(), 5, "one response per request line:\n{resp}");
-    assert_eq!(lines[0].get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(lines[1].get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(lines[2].get("ok").and_then(Json::as_bool), Some(false));
-    assert!(
-        lines[2]
-            .get("error")
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("too large"),
-        "{:?}",
-        lines[2]
-    );
-    assert_eq!(lines[3].get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(lines[4].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(lines.len(), 6, "one response per request line:\n{resp}");
+    let ok = |i: usize| lines[i].get("ok").and_then(Json::as_bool);
+    let error = |i: usize| lines[i].get("error").and_then(Json::as_str).unwrap();
+    assert_eq!(ok(0), Some(true));
+    assert_eq!(ok(1), Some(false));
+    assert_eq!(ok(2), Some(false));
+    assert!(error(2).contains("too large"), "{:?}", lines[2]);
+    assert_eq!(ok(3), Some(false));
+    assert!(error(3).contains("unknown cmd"), "{:?}", lines[3]);
+    assert_eq!(ok(4), Some(true));
+    assert_eq!(ok(5), Some(true));
     fs::remove_dir_all(&base).ok();
 }
