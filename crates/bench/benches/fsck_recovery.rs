@@ -21,7 +21,7 @@
 //! in `BENCH_fsck.json` at the repository root. Set
 //! `LOCKDOC_BENCH_QUICK=1` for a single-iteration smoke run.
 
-use lockdoc_cli::corpus::{derive_members, load_corpus, CorpusCtx, LoadOpts};
+use lockdoc_cli::corpus::{derive_members, load_corpus, CorpusCtx};
 use lockdoc_cli::run;
 use lockdoc_platform::json::Json;
 use lockdoc_platform::timing::Bench;
@@ -92,14 +92,7 @@ fn run_fsck(store: &CorpusStore) -> lockdoc_trace::corpus::FsckReport {
 /// warming the artifact cache as a side effect; returns rendered rules.
 fn build_rules(store: &CorpusStore) -> String {
     let ctx = CorpusCtx::with_store(store.clone(), 0.9, 1);
-    let members = load_corpus(
-        &ctx,
-        &LoadOpts {
-            need_matrix: true,
-            need_trace: false,
-        },
-    )
-    .unwrap();
+    let members = load_corpus(&ctx, true).unwrap();
     let derived = derive_members(&ctx, &members).unwrap();
     lockdoc_cli::render_rules_text(&derived.rules, false)
 }

@@ -38,7 +38,7 @@ use lockdoc_trace::corpus::{
 use lockdoc_trace::db::filter_fingerprint;
 use lockdoc_trace::event::{Trace, TraceMeta};
 use lockdoc_trace::filter::FilterConfig;
-use lockdoc_trace::merge::{concat_traces_corpus, corpus_meta};
+use lockdoc_trace::merge::{corpus_meta, CorpusMerge};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,16 +166,6 @@ pub struct Member {
     pub matrix: Option<TraceMatrix>,
     /// The trace metadata (when available).
     pub meta: Option<TraceMeta>,
-    /// The full sanitized trace (when requested).
-    pub trace: Option<Trace>,
-}
-
-/// What [`load_corpus`] must materialize per member.
-pub struct LoadOpts {
-    /// Build (or warm-load) the observation matrix.
-    pub need_matrix: bool,
-    /// Keep the full sanitized trace (forces the cold path).
-    pub need_trace: bool,
 }
 
 fn write_screen_sidecar(ctx: &CorpusCtx, path: &Path, m: &Member) {
@@ -211,7 +201,7 @@ fn read_screen_sidecar(
     ))
 }
 
-fn load_member(ctx: &CorpusCtx, name: &str, opts: &LoadOpts) -> Result<Member> {
+fn load_member(ctx: &CorpusCtx, name: &str, need_matrix: bool) -> Result<Member> {
     let bytes = ctx.store.vfs().read(&ctx.store.trace_path(name))?;
     let checksum = member_key(&bytes);
     let scr_path = ctx.store.artifact_path(name, checksum, "screen.json");
@@ -226,34 +216,31 @@ fn load_member(ctx: &CorpusCtx, name: &str, opts: &LoadOpts) -> Result<Member> {
         cached: false,
         matrix: None,
         meta: None,
-        trace: None,
     };
     // Warm path: a content-matched screening verdict (and, when needed, a
     // content+config-matched matrix) lets us skip the event decode.
-    if !opts.need_trace {
-        if let Some((health, events, quarantined, error)) =
-            read_screen_sidecar(ctx, &scr_path, checksum)
-        {
-            member.health = health;
-            member.events = events;
-            member.quarantined = quarantined;
-            member.error = error;
-            if health == Health::Unreadable || !opts.need_matrix {
-                member.cached = true;
-                return Ok(member);
-            }
-            if let Ok(mbytes) = ctx.store.vfs().read(&mtx_path) {
-                if let Some(matrix) =
-                    read_matrix_artifact(&mbytes, checksum, ctx.filter_fp, ctx.derive_fp)
-                {
-                    // The header decodes on its own for every non-unreadable
-                    // member; a failure here just falls through to cold.
-                    if let Ok(reader) = TraceReader::new(bytes.as_slice()) {
-                        member.meta = Some((**reader.meta()).clone());
-                        member.matrix = Some(matrix);
-                        member.cached = true;
-                        return Ok(member);
-                    }
+    if let Some((health, events, quarantined, error)) =
+        read_screen_sidecar(ctx, &scr_path, checksum)
+    {
+        member.health = health;
+        member.events = events;
+        member.quarantined = quarantined;
+        member.error = error;
+        if health == Health::Unreadable || !need_matrix {
+            member.cached = true;
+            return Ok(member);
+        }
+        if let Ok(mbytes) = ctx.store.vfs().read(&mtx_path) {
+            if let Some(matrix) =
+                read_matrix_artifact(&mbytes, checksum, ctx.filter_fp, ctx.derive_fp)
+            {
+                // The header decodes on its own for every non-unreadable
+                // member; a failure here just falls through to cold.
+                if let Ok(reader) = TraceReader::new(bytes.as_slice()) {
+                    member.meta = Some((**reader.meta()).clone());
+                    member.matrix = Some(matrix);
+                    member.cached = true;
+                    return Ok(member);
                 }
             }
         }
@@ -262,12 +249,7 @@ fn load_member(ctx: &CorpusCtx, name: &str, opts: &LoadOpts) -> Result<Member> {
     // into the quarantine checks) and imports the kept events when the
     // matrix needs the store; then rebuild the cached artifacts for the
     // next run.
-    let screened = screen(
-        bytes.as_slice(),
-        &ctx.filter,
-        opts.need_matrix,
-        opts.need_trace,
-    );
+    let screened = screen(bytes.as_slice(), &ctx.filter, need_matrix, false);
     let ing = match screened {
         Ok(ing) => {
             member.health = Health::of(&ing.salvage, &ing.report);
@@ -293,17 +275,46 @@ fn load_member(ctx: &CorpusCtx, name: &str, opts: &LoadOpts) -> Result<Member> {
         );
         member.matrix = Some(matrix);
     }
-    member.trace = ing.trace;
     Ok(member)
 }
 
-/// Loads every corpus member in corpus (sorted-name) order.
-pub fn load_corpus(ctx: &CorpusCtx, opts: &LoadOpts) -> Result<Vec<Member>> {
+/// Loads every corpus member in corpus (sorted-name) order, with its
+/// observation matrix when `need_matrix` asks for it.
+pub fn load_corpus(ctx: &CorpusCtx, need_matrix: bool) -> Result<Vec<Member>> {
     ctx.store
         .trace_names()?
         .iter()
-        .map(|n| load_member(ctx, n, opts))
+        .map(|n| load_member(ctx, n, need_matrix))
         .collect()
+}
+
+/// The merged corpus trace and the number of members in it: each
+/// readable member is screened (its sanitized events collected) and
+/// folded into one [`CorpusMerge`] in corpus order before the next member
+/// is read, so no member trace outlives its fold. Unreadable members are
+/// left out; a corpus with no readable member, or members that cannot be
+/// merged, is an error.
+pub(crate) fn merged_trace(ctx: &CorpusCtx) -> Result<(Trace, usize)> {
+    let mut merge = CorpusMerge::default();
+    for name in ctx.store.trace_names()? {
+        let bytes = ctx.store.vfs().read(&ctx.store.trace_path(&name))?;
+        let Ok(screened) = screen(bytes.as_slice(), &ctx.filter, false, true) else {
+            continue;
+        };
+        if let Some(trace) = screened.trace {
+            merge
+                .push(trace)
+                .map_err(|e| CliError::Usage(format!("corpus merge: {e}")))?;
+        }
+    }
+    match merge.parts() {
+        0 => Err(no_analyzable_traces()),
+        parts => Ok((merge.finish(), parts)),
+    }
+}
+
+fn no_analyzable_traces() -> CliError {
+    CliError::Usage("corpus has no analyzable traces (add .ldoc files first)".into())
 }
 
 /// Merges the members' matrices and derives corpus-level rules,
@@ -338,21 +349,26 @@ pub fn derive_members(ctx: &CorpusCtx, members: &[Member]) -> Result<CorpusDeriv
     Ok(derived)
 }
 
-fn health_counts(members: &[Member]) -> (usize, usize, usize) {
-    let count = |h: Health| members.iter().filter(|m| m.health == h).count();
-    (
-        count(Health::Healthy),
-        count(Health::Degraded),
-        count(Health::Unreadable),
-    )
+/// How many of `verdicts` are healthy, degraded and unreadable.
+pub(crate) fn health_counts(verdicts: impl IntoIterator<Item = Health>) -> (usize, usize, usize) {
+    let mut counts = (0, 0, 0);
+    for h in verdicts {
+        match h {
+            Health::Healthy => counts.0 += 1,
+            Health::Degraded => counts.1 += 1,
+            Health::Unreadable => counts.2 += 1,
+        }
+    }
+    counts
 }
 
-/// One-line corpus health summary.
-pub(crate) fn corpus_summary(members: &[Member]) -> String {
-    let (h, d, u) = health_counts(members);
+/// One-line health summary of a corpus (or `doctor` directory) with
+/// these verdicts.
+pub(crate) fn corpus_summary(verdicts: impl IntoIterator<Item = Health>) -> String {
+    let (h, d, u) = health_counts(verdicts);
     format!(
         "corpus: {} trace(s) — {h} healthy, {d} degraded, {u} unreadable",
-        members.len()
+        h + d + u
     )
 }
 
@@ -372,17 +388,9 @@ fn member_json(m: &Member) -> Json {
 }
 
 fn build_report(ctx: &CorpusCtx, args: &Args, prefix: String) -> Result<String> {
-    let members = load_corpus(
-        ctx,
-        &LoadOpts {
-            need_matrix: true,
-            need_trace: false,
-        },
-    )?;
+    let members = load_corpus(ctx, true)?;
     if members.iter().all(|m| m.matrix.is_none()) {
-        return Err(CliError::Usage(
-            "corpus has no analyzable traces (add .ldoc files first)".into(),
-        ));
+        return Err(no_analyzable_traces());
     }
     let derived = derive_members(ctx, &members)?;
     if args.has("json") {
@@ -399,7 +407,7 @@ fn build_report(ctx: &CorpusCtx, args: &Args, prefix: String) -> Result<String> 
     }
     let cached = members.iter().filter(|m| m.cached).count();
     let mut out = prefix;
-    out.push_str(&corpus_summary(&members));
+    out.push_str(&corpus_summary(members.iter().map(|m| m.health)));
     out.push('\n');
     out.push_str(&format!(
         "matrices: {cached} cached, {} rebuilt\n",
@@ -416,15 +424,9 @@ fn build_report(ctx: &CorpusCtx, args: &Args, prefix: String) -> Result<String> 
 }
 
 fn status_report(ctx: &CorpusCtx, args: &Args) -> Result<String> {
-    let members = load_corpus(
-        ctx,
-        &LoadOpts {
-            need_matrix: false,
-            need_trace: false,
-        },
-    )?;
+    let members = load_corpus(ctx, false)?;
     if args.has("json") {
-        let (h, d, u) = health_counts(&members);
+        let (h, d, u) = health_counts(members.iter().map(|m| m.health));
         let v = Json::obj(vec![
             (
                 "members",
@@ -447,7 +449,7 @@ fn status_report(ctx: &CorpusCtx, args: &Args) -> Result<String> {
             m.error.as_deref(),
         ));
     }
-    out.push_str(&corpus_summary(&members));
+    out.push_str(&corpus_summary(members.iter().map(|m| m.health)));
     out.push('\n');
     out.push_str(&format!(
         "cache write errors: {}\n",
@@ -480,22 +482,7 @@ fn export_report(ctx: &CorpusCtx, args: &Args) -> Result<String> {
     let out_path = args
         .get("out")
         .ok_or_else(|| CliError::Usage("--out FILE is required".into()))?;
-    let mut members = load_corpus(
-        ctx,
-        &LoadOpts {
-            need_matrix: false,
-            need_trace: true,
-        },
-    )?;
-    let traces: Vec<Trace> = members.iter_mut().filter_map(|m| m.trace.take()).collect();
-    if traces.is_empty() {
-        return Err(CliError::Usage(
-            "corpus has no analyzable traces (add .ldoc files first)".into(),
-        ));
-    }
-    let parts = traces.len();
-    let merged =
-        concat_traces_corpus(traces).map_err(|e| CliError::Usage(format!("corpus merge: {e}")))?;
+    let (merged, parts) = merged_trace(ctx)?;
     let mut buf = Vec::new();
     write_trace(&merged, &mut buf)?;
     fs::write(out_path, &buf)?;

@@ -663,13 +663,9 @@ fn doctor_dir(dir: &str, args: &Args) -> Result<String> {
             Err(e) => (name.clone(), Health::Unreadable, 0, 0, Some(e.to_string())),
         });
     }
-    let count = |h: Health| rows.iter().filter(|r| r.1 == h).count();
-    let (healthy, degraded, unreadable) = (
-        count(Health::Healthy),
-        count(Health::Degraded),
-        count(Health::Unreadable),
-    );
+    let verdicts = || rows.iter().map(|r| r.1);
     if args.has("json") {
+        let (healthy, degraded, unreadable) = corpus::health_counts(verdicts());
         let traces: Vec<Json> = rows
             .iter()
             .map(|(name, health, events, quarantined, error)| {
@@ -703,10 +699,8 @@ fn doctor_dir(dir: &str, args: &Args) -> Result<String> {
             error.as_deref(),
         ));
     }
-    out.push_str(&format!(
-        "corpus: {} trace(s) — {healthy} healthy, {degraded} degraded, {unreadable} unreadable\n",
-        rows.len()
-    ));
+    out.push_str(&corpus::corpus_summary(verdicts()));
+    out.push('\n');
     Ok(out)
 }
 
@@ -1688,6 +1682,15 @@ mod tests {
             t2.to_str().unwrap(),
         ]))
         .unwrap();
+        // A copy of the first trace with its last byte cut: screening
+        // salvages it as degraded, and only its kept events reach the
+        // matrix and the merge. The cut drops the trace's last event, the
+        // exit from an interrupt handler, and the copy's name sorts before
+        // `two.ldoc`, so the merge must end that handler itself before the
+        // next member starts.
+        let t3 = base.join("three.ldoc");
+        let clipped = fs::read(&t1).unwrap();
+        fs::write(&t3, &clipped[..clipped.len() - 1]).unwrap();
         let corpus = base.join("corpus");
         let d = corpus.to_str().unwrap();
 
@@ -1697,18 +1700,22 @@ mod tests {
             "add",
             t1.to_str().unwrap(),
             t2.to_str().unwrap(),
+            t3.to_str().unwrap(),
             "--dir",
             d,
         ]))
         .unwrap();
         assert!(out.contains("added one.ldoc"), "{out}");
-        assert!(out.contains("corpus: 2 trace(s) — 2 healthy"), "{out}");
-        assert!(out.contains("matrices: 0 cached, 2 rebuilt"), "{out}");
+        assert!(
+            out.contains("corpus: 3 trace(s) — 2 healthy, 1 degraded"),
+            "{out}"
+        );
+        assert!(out.contains("matrices: 0 cached, 3 rebuilt"), "{out}");
 
         // Warm rebuild: every matrix cached, every group reused, and the
         // rules section is byte-identical to the cold build.
         let warm = run(&s(&["corpus", "build", "--dir", d])).unwrap();
-        assert!(warm.contains("matrices: 2 cached, 0 rebuilt"), "{warm}");
+        assert!(warm.contains("matrices: 3 cached, 0 rebuilt"), "{warm}");
         assert!(warm.contains(", 0 re-derived\n"), "{warm}");
         let rules_of = |text: &str| text[text.find("[").expect("rules section")..].to_owned();
         assert_eq!(rules_of(&out), rules_of(&warm));
@@ -1716,7 +1723,8 @@ mod tests {
         // status triages without deriving.
         let st = run(&s(&["corpus", "status", "--dir", d])).unwrap();
         assert!(st.contains("one.ldoc: HEALTHY"), "{st}");
-        assert!(st.contains("corpus: 2 trace(s)"), "{st}");
+        assert!(st.contains("three.ldoc: DEGRADED"), "{st}");
+        assert!(st.contains("corpus: 3 trace(s)"), "{st}");
 
         // The corpus rules equal a batch derivation over the exported
         // merged trace — the equivalence the whole pipeline rests on.
@@ -1738,7 +1746,8 @@ mod tests {
         fs::write(
             &queries,
             "{\"cmd\": \"derive\"}\n{\"cmd\": \"races\"}\n{\"cmd\": \"lint\"}\n\
-             {\"cmd\": \"status\"}\n{\"cmd\": \"nope\"}\n{\"cmd\": \"shutdown\"}\n",
+             {\"cmd\": \"order\"}\n{\"cmd\": \"status\"}\n{\"cmd\": \"nope\"}\n\
+             {\"cmd\": \"shutdown\"}\n",
         )
         .unwrap();
         let resp = run(&s(&[
@@ -1754,21 +1763,23 @@ mod tests {
             .lines()
             .map(|l| lockdoc_platform::json::parse(l).expect("response json"))
             .collect();
-        assert_eq!(lines.len(), 6);
+        assert_eq!(lines.len(), 7);
         let output = |i: usize| lines[i].get("output").and_then(Json::as_str).unwrap();
         assert_eq!(output(0), batch_derive, "serve derive != batch derive");
         let batch_races = run(&s(&["races", "--trace", merged.to_str().unwrap()])).unwrap();
         assert_eq!(output(1), batch_races, "serve races != batch races");
         let batch_lint = run(&s(&["lint", "--trace", merged.to_str().unwrap()])).unwrap();
         assert_eq!(output(2), batch_lint, "serve lint != batch lint");
-        assert!(output(3).contains("corpus: 2 trace(s)"));
-        assert_eq!(lines[4].get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(lines[5].get("ok").and_then(Json::as_bool), Some(true));
+        let batch_order = run(&s(&["order", "--trace", merged.to_str().unwrap()])).unwrap();
+        assert_eq!(output(3), batch_order, "serve order != batch order");
+        assert!(output(4).contains("corpus: 3 trace(s) — 2 healthy, 1 degraded"));
+        assert_eq!(lines[5].get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(lines[6].get("ok").and_then(Json::as_bool), Some(true));
 
         // drop rebuilds from the remaining members.
         let out = run(&s(&["corpus", "drop", "two.ldoc", "--dir", d])).unwrap();
         assert!(out.contains("dropped two.ldoc"), "{out}");
-        assert!(out.contains("corpus: 1 trace(s)"), "{out}");
+        assert!(out.contains("corpus: 2 trace(s)"), "{out}");
         assert!(run(&s(&["corpus", "drop", "two.ldoc", "--dir", d])).is_err());
         assert!(run(&s(&["corpus", "frobnicate", "--dir", d])).is_err());
         fs::remove_dir_all(&base).ok();

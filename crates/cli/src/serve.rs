@@ -47,7 +47,7 @@
 //!   (`--ingest-retries`); permanent refusals (duplicate member, bad
 //!   path) fail immediately.
 
-use crate::corpus::{corpus_summary, derive_members, load_corpus, CorpusCtx, LoadOpts};
+use crate::corpus::{corpus_summary, derive_members, load_corpus, merged_trace, CorpusCtx};
 use crate::{render_rules_text, Args, CliError, Result};
 use ksim::rules;
 use lockdoc_core::evidence::EvidenceIndex;
@@ -55,8 +55,6 @@ use lockdoc_core::lint::lint_passes;
 use lockdoc_core::rulespec::parse_rules;
 use lockdoc_platform::json::{self, Json};
 use lockdoc_trace::db::import;
-use lockdoc_trace::event::Trace;
-use lockdoc_trace::merge::concat_traces_corpus;
 use std::fs;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -148,28 +146,17 @@ struct Snapshot {
     order_text: String,
 }
 
-/// Builds a snapshot: warm-load the corpus (cached matrices), derive
-/// corpus rules group-incrementally, then import the merged trace once
-/// for the whole-corpus race/lint/order passes.
+/// Builds a snapshot: load the corpus the way `corpus build` does (cached
+/// matrices when warm), derive corpus rules group-incrementally, then
+/// import the merged trace once for the whole-corpus race/lint/order
+/// passes.
 fn build_snapshot(ctx: &CorpusCtx) -> Result<Snapshot> {
-    let mut members = load_corpus(
-        ctx,
-        &LoadOpts {
-            need_matrix: true,
-            need_trace: true,
-        },
-    )?;
+    let members = load_corpus(ctx, true)?;
     let derived = derive_members(ctx, &members)?;
-    let summary = corpus_summary(&members);
-    let traces: Vec<Trace> = members.iter_mut().filter_map(|m| m.trace.take()).collect();
-    if traces.is_empty() {
-        return Err(CliError::Usage(
-            "corpus has no analyzable traces (add .ldoc files first)".into(),
-        ));
-    }
-    let merged =
-        concat_traces_corpus(traces).map_err(|e| CliError::Usage(format!("corpus merge: {e}")))?;
-    let db = import(&merged, &ctx.filter, 1);
+    let summary = corpus_summary(members.iter().map(|m| m.health));
+    drop(members);
+    // The merged events die with this statement: the passes read the store.
+    let db = import(&merged_trace(ctx)?.0, &ctx.filter, 1);
     let jobs = ctx.jobs;
     let mined = derived.rules;
     let parsed =

@@ -5,7 +5,7 @@
 //! held-lock descriptor sequence plus the number of observation units
 //! exhibiting it. Observation units `(transaction, allocation)` never
 //! span traces when a corpus is merged with
-//! [`lockdoc_trace::merge::concat_traces_corpus`] (per-part task-flow
+//! [`lockdoc_trace::merge::CorpusMerge`] (per-part task-flow
 //! isolation), and lock descriptors are address-free — so the corpus-wide
 //! observation list of a `(group, member, kind)` triple is simply the
 //! per-trace lists merged by summing counts per identical sequence. That
@@ -445,14 +445,24 @@ mod tests {
     use lockdoc_platform::rng::Rng;
     use lockdoc_trace::db::{filter_fingerprint, import};
     use lockdoc_trace::event::{
-        AccessKind, AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc, Trace,
+        AccessKind, AcquireMode, ContextKind, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc,
+        Trace, TraceEvent,
     };
     use lockdoc_trace::filter::FilterConfig;
-    use lockdoc_trace::ids::AllocId;
-    use lockdoc_trace::merge::{concat_traces_corpus, corpus_meta};
+    use lockdoc_trace::ids::{AllocId, FnId};
+    use lockdoc_trace::merge::{corpus_meta, CorpusMerge};
 
     fn import_default(tr: &Trace) -> TraceDb {
         import(tr, &FilterConfig::with_defaults(), 1)
+    }
+
+    /// The merged corpus trace of `parts`, folded in order.
+    fn merged(parts: Vec<Trace>) -> Trace {
+        let mut merge = CorpusMerge::default();
+        for part in parts {
+            merge.push(part).unwrap();
+        }
+        merge.finish()
     }
 
     /// A small quiescent trace over its own data type: `n` locked
@@ -557,7 +567,7 @@ mod tests {
                 matrix: build_trace_matrix(&import_default(p), 1),
             })
             .collect();
-        let merged_db = import_default(&concat_traces_corpus(parts).unwrap());
+        let merged_db = import_default(&merged(parts));
         for jobs in [1usize, 4] {
             let batch = derive_par(&merged_db, config, jobs);
             let corpus = derive_corpus(&traces, &meta, config, filter_fp, jobs, None);
@@ -579,6 +589,84 @@ mod tests {
     fn corpus_derive_matches_batch_on_mixed_types() {
         let parts = vec![toy("alpha", 5), clock_trace(70, 1), toy("beta", 4)];
         assert_corpus_matches_batch(parts, &DeriveConfig::with_threshold(0.8));
+    }
+
+    /// `toy` cut short inside a hard interrupt handler that is in
+    /// `toy_touch` and holds a lock of its own, as a truncated container
+    /// leaves it; with `exit`, the handler returns still holding both, as
+    /// a skipped release record leaves it.
+    fn cut_in_irq(type_name: &str, n: u64, exit: bool) -> Trace {
+        let mut tr = toy(type_name, n);
+        let file = tr.meta_mut().strings.intern("toy.c");
+        let name = tr.meta_mut().strings.intern("irq_lock");
+        let ts = tr.events.last().map_or(0, |e| e.ts);
+        let tail = [
+            Event::LockInit {
+                addr: 0x200,
+                name,
+                flavor: LockFlavor::Spinlock,
+                is_static: true,
+            },
+            Event::ContextEnter {
+                kind: ContextKind::Hardirq,
+            },
+            Event::FnEnter { func: FnId(0) },
+            Event::LockAcquire {
+                addr: 0x200,
+                mode: AcquireMode::Exclusive,
+                loc: SourceLoc::new(file, 1),
+            },
+        ];
+        for (i, event) in (1..).zip(tail) {
+            tr.push(ts + i, event);
+        }
+        if exit {
+            let kind = ContextKind::Hardirq;
+            tr.push(ts + 5, Event::ContextExit { kind });
+        }
+        tr
+    }
+
+    /// `toy` with its rounds run inside a hard interrupt handler.
+    fn toy_in_irq(type_name: &str, n: u64) -> Trace {
+        let mut tr = toy(type_name, n);
+        let kind = ContextKind::Hardirq;
+        let free = tr.events.len() - 1;
+        let (enter_ts, exit_ts) = (tr.events[3].ts, tr.events[free].ts);
+        let exit = Event::ContextExit { kind };
+        tr.events.insert(
+            free,
+            TraceEvent {
+                ts: exit_ts,
+                event: exit,
+            },
+        );
+        let enter = Event::ContextEnter { kind };
+        tr.events.insert(
+            3,
+            TraceEvent {
+                ts: enter_ts,
+                event: enter,
+            },
+        );
+        tr
+    }
+
+    #[test]
+    fn corpus_derive_matches_batch_past_a_member_cut_inside_an_irq() {
+        // Interrupt flows are shared by every part of the merged trace:
+        // the context and the lock a cut part leaves open there must reach
+        // neither the task flows nor the interrupt handlers of the parts
+        // after it.
+        let parts = vec![
+            cut_in_irq("alpha", 3, false),
+            clock_trace(70, 1),
+            toy_in_irq("beta", 4),
+            cut_in_irq("gamma", 2, true),
+            toy_in_irq("delta", 3),
+            cut_in_irq("epsilon", 2, false),
+        ];
+        assert_corpus_matches_batch(parts, &DeriveConfig::default());
     }
 
     #[test]
@@ -692,8 +780,7 @@ mod tests {
     /// passes, still parses to a clean miss or some matrix, never a panic.
     #[test]
     fn resealed_matrix_payloads_never_panic() {
-        let db =
-            import_default(&concat_traces_corpus(vec![clock_trace(90, 1), toy("a", 2)]).unwrap());
+        let db = import_default(&merged(vec![clock_trace(90, 1), toy("a", 2)]));
         let keys = [11, 22, 33];
         let bytes = write_matrix_artifact(&build_trace_matrix(&db, 1), 11, 22, 33);
         let payload = artifact::open(&bytes, MATRIX_MAGIC, MATRIX_VERSION, &keys).unwrap();

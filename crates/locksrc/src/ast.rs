@@ -345,9 +345,19 @@ fn lex(src: &str) -> Vec<Token<'_>> {
 // Parser
 // ---------------------------------------------------------------------
 
+/// How deep statements may nest (`{`, `if`, `while`, `for`, `do`) before
+/// the parser stops building nested statements: past it each statement is
+/// read with the flat scan of a simple statement, so neither the parser
+/// nor any later walk of the AST recurses deeper. Real kernel code stays
+/// far below it; adversarial input (100,000 nested braces) would
+/// otherwise overflow the stack.
+const MAX_NESTING: usize = 256;
+
 struct Parser<'a, 's> {
     toks: &'a [Token<'s>],
     pos: usize,
+    /// Statements being parsed around the current one.
+    depth: usize,
 }
 
 impl<'a, 's> Parser<'a, 's> {
@@ -486,9 +496,15 @@ impl<'a, 's> Parser<'a, 's> {
         out
     }
 
-    /// Parses one statement (possibly compound) into `out`.
+    /// Parses one statement (possibly compound) into `out`; past
+    /// [`MAX_NESTING`] every statement is a simple one.
     fn parse_stmt(&mut self, out: &mut Vec<Stmt<'s>>) {
         let Some(first) = self.peek() else { return };
+        if self.depth >= MAX_NESTING {
+            self.parse_simple(out);
+            return;
+        }
+        self.depth += 1;
         let line = first.line;
         match &first.kind {
             TokKind::Char('{') => {
@@ -556,31 +572,35 @@ impl<'a, 's> Parser<'a, 's> {
                 }
                 out.push(Stmt::Loop { cond, body, line });
             }
-            _ => {
-                // Simple statement: everything up to `;` at depth 0.
-                let start = self.pos;
-                let mut depth = 0i32;
-                while let Some(t) = self.peek() {
-                    match t.kind {
-                        TokKind::Char('(') | TokKind::Char('{') | TokKind::Char('[') => depth += 1,
-                        TokKind::Char(')') | TokKind::Char('}') | TokKind::Char(']') => {
-                            if depth == 0 && t.kind == TokKind::Char('}') {
-                                break; // unterminated statement before block end
-                            }
-                            depth -= 1;
-                        }
-                        TokKind::Char(';') if depth == 0 => break,
-                        _ => {}
-                    }
-                    self.bump();
-                }
-                let toks = &self.toks[start..self.pos];
-                if self.is_char(0, ';') {
-                    self.bump();
-                }
-                classify_simple(toks, out);
-            }
+            _ => self.parse_simple(out),
         }
+        self.depth -= 1;
+    }
+
+    /// Parses a simple statement: everything up to `;` at bracket depth 0,
+    /// found by a flat scan that counts brackets instead of recursing.
+    fn parse_simple(&mut self, out: &mut Vec<Stmt<'s>>) {
+        let start = self.pos;
+        let mut depth = 0i32;
+        while let Some(t) = self.peek() {
+            match t.kind {
+                TokKind::Char('(') | TokKind::Char('{') | TokKind::Char('[') => depth += 1,
+                TokKind::Char(')') | TokKind::Char('}') | TokKind::Char(']') => {
+                    if depth == 0 && t.kind == TokKind::Char('}') {
+                        break; // unterminated statement before block end
+                    }
+                    depth -= 1;
+                }
+                TokKind::Char(';') if depth == 0 => break,
+                _ => {}
+            }
+            self.bump();
+        }
+        let toks = &self.toks[start..self.pos];
+        if self.is_char(0, ';') {
+            self.bump();
+        }
+        classify_simple(toks, out);
     }
 }
 
@@ -792,6 +812,7 @@ pub fn parse_source<'s>(path: &'s str, src: &'s str) -> SourceFile<'s> {
     let mut parser = Parser {
         toks: &toks,
         pos: 0,
+        depth: 0,
     };
     SourceFile {
         path,

@@ -155,52 +155,6 @@ fn read_bool<R: Read>(r: &mut R) -> Result<bool> {
     Ok(buf[0] != 0)
 }
 
-fn flavor_tag(f: LockFlavor) -> u8 {
-    match f {
-        LockFlavor::Spinlock => 0,
-        LockFlavor::Rwlock => 1,
-        LockFlavor::Mutex => 2,
-        LockFlavor::Semaphore => 3,
-        LockFlavor::RwSemaphore => 4,
-        LockFlavor::Seqlock => 5,
-        LockFlavor::Rcu => 6,
-        LockFlavor::Softirq => 7,
-        LockFlavor::Hardirq => 8,
-    }
-}
-
-fn flavor_from_tag(t: u8) -> Result<LockFlavor> {
-    Ok(match t {
-        0 => LockFlavor::Spinlock,
-        1 => LockFlavor::Rwlock,
-        2 => LockFlavor::Mutex,
-        3 => LockFlavor::Semaphore,
-        4 => LockFlavor::RwSemaphore,
-        5 => LockFlavor::Seqlock,
-        6 => LockFlavor::Rcu,
-        7 => LockFlavor::Softirq,
-        8 => LockFlavor::Hardirq,
-        other => return Err(CodecError::BadTag(other)),
-    })
-}
-
-fn ctx_tag(c: ContextKind) -> u8 {
-    match c {
-        ContextKind::Task => 0,
-        ContextKind::Softirq => 1,
-        ContextKind::Hardirq => 2,
-    }
-}
-
-fn ctx_from_tag(t: u8) -> Result<ContextKind> {
-    Ok(match t {
-        0 => ContextKind::Task,
-        1 => ContextKind::Softirq,
-        2 => ContextKind::Hardirq,
-        other => return Err(CodecError::BadTag(other)),
-    })
-}
-
 fn write_loc<W: Write>(w: &mut W, loc: SourceLoc) -> Result<()> {
     write_varint(w, u64::from(loc.file.0))?;
     write_varint(w, u64::from(loc.line))?;
@@ -461,7 +415,7 @@ pub(crate) fn write_event<W: Write>(w: &mut W, e: &Event) -> Result<()> {
             w.write_all(&[TAG_LOCK_INIT])?;
             write_varint(w, *addr)?;
             write_varint(w, u64::from(name.0))?;
-            w.write_all(&[flavor_tag(*flavor)])?;
+            w.write_all(&[flavor.tag()])?;
             write_bool(w, *is_static)?;
         }
         Event::Alloc {
@@ -526,10 +480,10 @@ pub(crate) fn write_event<W: Write>(w: &mut W, e: &Event) -> Result<()> {
             write_varint(w, u64::from(task.0))?;
         }
         Event::ContextEnter { kind } => {
-            w.write_all(&[TAG_CTX_ENTER, ctx_tag(*kind)])?;
+            w.write_all(&[TAG_CTX_ENTER, kind.tag()])?;
         }
         Event::ContextExit { kind } => {
-            w.write_all(&[TAG_CTX_EXIT, ctx_tag(*kind)])?;
+            w.write_all(&[TAG_CTX_EXIT, kind.tag()])?;
         }
     }
     Ok(())
@@ -544,7 +498,7 @@ fn read_event<R: Read>(r: &mut R) -> Result<Event> {
             let name = Sym(read_u32(r)?);
             let mut fl = [0u8; 1];
             r.read_exact(&mut fl)?;
-            let flavor = flavor_from_tag(fl[0])?;
+            let flavor = LockFlavor::from_tag(fl[0]).ok_or(CodecError::BadTag(fl[0]))?;
             let is_static = read_bool(r)?;
             Event::LockInit {
                 addr,
@@ -621,14 +575,14 @@ fn read_event<R: Read>(r: &mut R) -> Result<Event> {
             let mut k = [0u8; 1];
             r.read_exact(&mut k)?;
             Event::ContextEnter {
-                kind: ctx_from_tag(k[0])?,
+                kind: ContextKind::from_tag(k[0]).ok_or(CodecError::BadTag(k[0]))?,
             }
         }
         TAG_CTX_EXIT => {
             let mut k = [0u8; 1];
             r.read_exact(&mut k)?;
             Event::ContextExit {
-                kind: ctx_from_tag(k[0])?,
+                kind: ContextKind::from_tag(k[0]).ok_or(CodecError::BadTag(k[0]))?,
             }
         }
         other => return Err(CodecError::BadTag(other)),

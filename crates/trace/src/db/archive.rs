@@ -142,35 +142,6 @@ fn read_flow(r: &mut Reader) -> Option<FlowKey> {
     }
 }
 
-fn flavor_tag(f: LockFlavor) -> u8 {
-    match f {
-        LockFlavor::Spinlock => 0,
-        LockFlavor::Rwlock => 1,
-        LockFlavor::Mutex => 2,
-        LockFlavor::Semaphore => 3,
-        LockFlavor::RwSemaphore => 4,
-        LockFlavor::Seqlock => 5,
-        LockFlavor::Rcu => 6,
-        LockFlavor::Softirq => 7,
-        LockFlavor::Hardirq => 8,
-    }
-}
-
-fn flavor_from(tag: u8) -> Option<LockFlavor> {
-    Some(match tag {
-        0 => LockFlavor::Spinlock,
-        1 => LockFlavor::Rwlock,
-        2 => LockFlavor::Mutex,
-        3 => LockFlavor::Semaphore,
-        4 => LockFlavor::RwSemaphore,
-        5 => LockFlavor::Seqlock,
-        6 => LockFlavor::Rcu,
-        7 => LockFlavor::Softirq,
-        8 => LockFlavor::Hardirq,
-        _ => return None,
-    })
-}
-
 /// Serializes an imported store (minus its [`TraceMeta`], which lives in
 /// the source container) for the `(trace checksum, filter fingerprint)`
 /// cache key.
@@ -213,7 +184,7 @@ pub fn write_archive(db: &TraceDb, trace_checksum: u64, filter_fp: u64) -> Vec<u
         w.u32(l.id.0);
         w.u64(l.addr);
         w.u32(l.name.0);
-        w.u8(flavor_tag(l.flavor));
+        w.u8(l.flavor.tag());
         w.u8(u8::from(l.is_static));
         match l.embedded_in {
             Some((alloc, off)) => {
@@ -292,11 +263,7 @@ pub fn write_archive(db: &TraceDb, trace_checksum: u64, filter_fp: u64) -> Vec<u
         write_flow(&mut w, db.accesses.flow[i]);
     }
     for &c in &db.accesses.context {
-        w.u8(match c {
-            ContextKind::Task => 0,
-            ContextKind::Softirq => 1,
-            ContextKind::Hardirq => 2,
-        });
+        w.u8(c.tag());
     }
 
     // Stacks: spans + frame arena.
@@ -395,7 +362,7 @@ pub fn read_archive(
         let id = LockId(r.u32()?);
         let addr = r.u64()?;
         let name = Sym(r.u32()?);
-        let flavor = flavor_from(r.u8()?)?;
+        let flavor = LockFlavor::from_tag(r.u8()?)?;
         let is_static = match r.u8()? {
             0 => false,
             1 => true,
@@ -513,12 +480,7 @@ pub fn read_archive(
     }
     accesses.context.reserve(n_acc);
     for _ in 0..n_acc {
-        accesses.context.push(match r.u8()? {
-            0 => ContextKind::Task,
-            1 => ContextKind::Softirq,
-            2 => ContextKind::Hardirq,
-            _ => return None,
-        });
+        accesses.context.push(ContextKind::from_tag(r.u8()?)?);
     }
 
     let n_stacks = r.len(8)?;

@@ -87,6 +87,40 @@ impl LockFlavor {
             LockFlavor::Hardirq => "hardirq",
         }
     }
+
+    /// The flavor's byte in the LDOC1 trace format and the LDARCH1
+    /// archive; both formats depend on these values never changing.
+    #[inline]
+    pub fn tag(self) -> u8 {
+        match self {
+            LockFlavor::Spinlock => 0,
+            LockFlavor::Rwlock => 1,
+            LockFlavor::Mutex => 2,
+            LockFlavor::Semaphore => 3,
+            LockFlavor::RwSemaphore => 4,
+            LockFlavor::Seqlock => 5,
+            LockFlavor::Rcu => 6,
+            LockFlavor::Softirq => 7,
+            LockFlavor::Hardirq => 8,
+        }
+    }
+
+    /// The flavor with this [`LockFlavor::tag`], if any.
+    #[inline]
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Some(match tag {
+            0 => LockFlavor::Spinlock,
+            1 => LockFlavor::Rwlock,
+            2 => LockFlavor::Mutex,
+            3 => LockFlavor::Semaphore,
+            4 => LockFlavor::RwSemaphore,
+            5 => LockFlavor::Seqlock,
+            6 => LockFlavor::Rcu,
+            7 => LockFlavor::Softirq,
+            8 => LockFlavor::Hardirq,
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for LockFlavor {
@@ -138,6 +172,30 @@ pub enum ContextKind {
     Softirq,
     /// First-level interrupt handler context.
     Hardirq,
+}
+
+impl ContextKind {
+    /// The context's byte in the LDOC1 trace format and the LDARCH1
+    /// archive; both formats depend on these values never changing.
+    #[inline]
+    pub fn tag(self) -> u8 {
+        match self {
+            ContextKind::Task => 0,
+            ContextKind::Softirq => 1,
+            ContextKind::Hardirq => 2,
+        }
+    }
+
+    /// The context with this [`ContextKind::tag`], if any.
+    #[inline]
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Some(match tag {
+            0 => ContextKind::Task,
+            1 => ContextKind::Softirq,
+            2 => ContextKind::Hardirq,
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for ContextKind {

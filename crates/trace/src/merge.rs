@@ -1,28 +1,36 @@
-//! Concatenation of independently recorded traces into one well-formed
-//! trace, used by the sharded ksim workload runner: every shard records on
-//! its own `Machine`, and the shards' traces are stitched together here.
+//! Concatenation of traces into one well-formed trace, in two settings:
+//! - [`concat_traces`] stitches the shards of the sharded ksim workload
+//!   runner, which record on their own `Machine`s at disjoint address
+//!   bases;
+//! - [`CorpusMerge`] folds independently recorded corpus members, one at
+//!   a time, into the merged corpus trace that `corpus export` writes and
+//!   `serve` analyzes.
 //!
-//! Each part keeps its events in order but gets
+//! Both append every part through one per-event rewrite, so each part
+//! keeps its events in order but gets
 //! - its metadata unioned into the merged trace (strings by value, data
-//!   types / functions / tasks by name),
+//!   types / functions / tasks by name, [`union_meta`]),
 //! - its timestamps rebased so simulated time keeps increasing across the
-//!   shard boundary,
+//!   part boundary,
 //! - its allocation ids densely renumbered so ids stay unique and strictly
 //!   increasing across parts (keeping `TraceDb::allocation`'s binary
-//!   search valid).
+//!   search valid),
+//! - its addresses moved by a constant shift.
 //!
-//! Addresses are **not** rewritten: the caller must hand in parts with
+//! [`concat_traces`] shifts nothing: the caller must hand in parts with
 //! disjoint address ranges (ksim derives a per-shard address base from the
-//! shard index), and [`concat_traces`] rejects overlapping parts — an
-//! allocation from one shard still live at its trace's end would otherwise
-//! swallow or invalidate same-address allocations of later shards.
+//! shard index), and it rejects overlapping parts — an allocation from one
+//! shard still live at its trace's end would otherwise swallow or
+//! invalidate same-address allocations of later shards. [`CorpusMerge`]
+//! shifts each member into its own address window instead, because every
+//! recorder starts at the same default address base.
 
-use crate::event::{DataTypeDef, Event, SourceLoc, Trace, TraceMeta};
+use crate::event::{ContextKind, DataTypeDef, Event, SourceLoc, Trace, TraceEvent, TraceMeta};
 use crate::ids::{Addr, AllocId, DataTypeId, FnId, Sym, TaskId};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Why [`concat_traces`] refused to merge its inputs.
+/// Why [`concat_traces`] or [`CorpusMerge::push`] refused to merge.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MergeError {
     /// Two parts touch overlapping address ranges; allocation resolution
@@ -105,8 +113,8 @@ pub struct MetaMaps {
 /// Unions one part's metadata into `out` — strings by value, data types /
 /// functions / tasks by name — returning the part→merged id maps.
 ///
-/// This is *the* metadata-union rule: [`concat_traces`] applies it part by
-/// part while rewriting events, and the corpus layer applies it to trace
+/// This is *the* metadata-union rule: every merge applies it part by part
+/// while rewriting events, and the corpus layer applies it to trace
 /// headers alone to predict the merged trace's metadata without touching a
 /// single event. Both must agree byte for byte, which is why they share
 /// this function. Two parts defining the same data-type name with
@@ -196,20 +204,106 @@ fn addr_range(part: &Trace) -> Option<AddrRange> {
     range
 }
 
+/// Validates one part's own time order: `Trace::push` asserts
+/// monotonicity, so a regressing part must be a typed error before its
+/// events are appended, not a panic mid-merge.
+fn check_time_order(part: usize, events: &[TraceEvent]) -> Result<(), MergeError> {
+    match events.windows(2).position(|w| w[1].ts < w[0].ts) {
+        Some(wi) => Err(MergeError::NonMonotonic {
+            part,
+            event_index: wi + 1,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The merged id of part-local id `index` under `map`; an id that was
+/// already dangling stays dangling.
+fn remap<T: Copy>(map: &[T], index: usize, dangling: T) -> T {
+    map.get(index).copied().unwrap_or(dangling)
+}
+
+/// The merged trace so far, the time base the next part is rebased onto,
+/// and the number of allocation ids handed out.
+#[derive(Default)]
+struct Merger {
+    out: Trace,
+    ts_base: u64,
+    allocs: u64,
+}
+
+impl Merger {
+    /// Appends one time-ordered part through the one per-event rewrite of
+    /// every merge (see the module docs); `shift` moves its addresses.
+    fn append(
+        &mut self,
+        meta: &TraceMeta,
+        events: impl IntoIterator<Item = TraceEvent>,
+        shift: impl Fn(Addr) -> Addr,
+    ) -> Result<(), MergeError> {
+        let maps = union_meta(self.out.meta_mut(), meta)?;
+        let sym = |s: Sym| remap(&maps.syms, s.index(), Sym(INVALID));
+        // Alloc ids are renumbered densely in first-appearance order; a
+        // `Free` of a never-allocated id also claims a fresh id, keeping it
+        // dangling in the merged trace as well.
+        let mut alloc_ids: HashMap<AllocId, AllocId> = HashMap::new();
+        let allocs = &mut self.allocs;
+        let mut alloc = |id: AllocId| {
+            *alloc_ids.entry(id).or_insert_with(|| {
+                *allocs += 1;
+                AllocId(*allocs)
+            })
+        };
+        let mut last_ts = 0;
+        for TraceEvent { ts, mut event } in events {
+            match &mut event {
+                Event::LockInit { addr, name, .. } => {
+                    *addr = shift(*addr);
+                    *name = sym(*name);
+                }
+                Event::Alloc {
+                    id,
+                    addr,
+                    data_type,
+                    subclass,
+                    ..
+                } => {
+                    *id = alloc(*id);
+                    *addr = shift(*addr);
+                    *data_type = remap(&maps.data_types, data_type.index(), DataTypeId(INVALID));
+                    *subclass = subclass.map(sym);
+                }
+                Event::Free { id } => *id = alloc(*id),
+                Event::LockAcquire { addr, loc, .. }
+                | Event::LockRelease { addr, loc }
+                | Event::MemAccess { addr, loc, .. } => {
+                    *addr = shift(*addr);
+                    loc.file = sym(loc.file);
+                }
+                Event::FnEnter { func } | Event::FnExit { func } => {
+                    *func = remap(&maps.functions, func.index(), FnId(INVALID));
+                }
+                Event::TaskSwitch { task } => {
+                    *task = remap(&maps.tasks, task.index(), TaskId(INVALID));
+                }
+                Event::ContextEnter { .. } | Event::ContextExit { .. } => {}
+            }
+            // Saturating: rebased time near u64::MAX clamps instead of
+            // panicking; monotonicity is preserved either way.
+            self.out.push(self.ts_base.saturating_add(ts), event);
+            last_ts = ts;
+        }
+        self.ts_base = self.ts_base.saturating_add(last_ts);
+        Ok(())
+    }
+}
+
 /// Concatenates `parts` into one trace (see the module docs for the
 /// remapping rules). Parts must occupy pairwise disjoint address ranges;
 /// overlapping parts are rejected with a descriptive error.
 pub fn concat_traces(parts: Vec<Trace>) -> Result<Trace, MergeError> {
-    // Validate part-local time order up front: `Trace::push` asserts
-    // monotonicity, so a regressing part must be a typed error here, not a
-    // panic mid-merge.
     for (pi, part) in parts.iter().enumerate() {
-        if let Some(wi) = part.events.windows(2).position(|w| w[1].ts < w[0].ts) {
-            return Err(MergeError::NonMonotonic {
-                part: pi,
-                event_index: wi + 1,
-            });
-        }
+        check_time_order(pi, &part.events)?;
     }
 
     // Reject address collisions up front: they would silently corrupt
@@ -230,201 +324,11 @@ pub fn concat_traces(parts: Vec<Trace>) -> Result<Trace, MergeError> {
         }
     }
 
-    let mut out = Trace::new();
-    let mut ts_base = 0u64;
-    let mut next_alloc = 1u64;
-
-    for part in parts {
-        // --- Metadata union -------------------------------------------------
-        let maps = union_meta(out.meta_mut(), &part.meta)?;
-
-        let map_sym = |s: Sym| maps.syms.get(s.index()).copied().unwrap_or(Sym(INVALID));
-        let map_dt = |d: DataTypeId| {
-            maps.data_types
-                .get(d.index())
-                .copied()
-                .unwrap_or(DataTypeId(INVALID))
-        };
-        let map_fn = |f: FnId| {
-            maps.functions
-                .get(f.index())
-                .copied()
-                .unwrap_or(FnId(INVALID))
-        };
-        let map_task = |t: TaskId| {
-            maps.tasks
-                .get(t.index())
-                .copied()
-                .unwrap_or(TaskId(INVALID))
-        };
-        let map_loc = |l: SourceLoc| SourceLoc::new(map_sym(l.file), l.line);
-
-        // --- Event stream ---------------------------------------------------
-        // Alloc ids are renumbered densely in first-appearance order; a
-        // `Free` of a never-allocated id also claims a fresh id, keeping it
-        // dangling in the merged trace as well.
-        let mut alloc_map: HashMap<AllocId, AllocId> = HashMap::new();
-        let mut map_alloc = |id: AllocId| {
-            *alloc_map.entry(id).or_insert_with(|| {
-                let fresh = AllocId(next_alloc);
-                next_alloc += 1;
-                fresh
-            })
-        };
-        let part_last_ts = part.events.last().map(|e| e.ts).unwrap_or(0);
-        for te in part.events {
-            let ev = match te.event {
-                Event::LockInit {
-                    addr,
-                    name,
-                    flavor,
-                    is_static,
-                } => Event::LockInit {
-                    addr,
-                    name: map_sym(name),
-                    flavor,
-                    is_static,
-                },
-                Event::Alloc {
-                    id,
-                    addr,
-                    size,
-                    data_type,
-                    subclass,
-                } => Event::Alloc {
-                    id: map_alloc(id),
-                    addr,
-                    size,
-                    data_type: map_dt(data_type),
-                    subclass: subclass.map(map_sym),
-                },
-                Event::Free { id } => Event::Free { id: map_alloc(id) },
-                Event::LockAcquire { addr, mode, loc } => Event::LockAcquire {
-                    addr,
-                    mode,
-                    loc: map_loc(loc),
-                },
-                Event::LockRelease { addr, loc } => Event::LockRelease {
-                    addr,
-                    loc: map_loc(loc),
-                },
-                Event::MemAccess {
-                    kind,
-                    addr,
-                    size,
-                    loc,
-                    atomic,
-                } => Event::MemAccess {
-                    kind,
-                    addr,
-                    size,
-                    loc: map_loc(loc),
-                    atomic,
-                },
-                Event::FnEnter { func } => Event::FnEnter { func: map_fn(func) },
-                Event::FnExit { func } => Event::FnExit { func: map_fn(func) },
-                Event::TaskSwitch { task } => Event::TaskSwitch {
-                    task: map_task(task),
-                },
-                Event::ContextEnter { kind } => Event::ContextEnter { kind },
-                Event::ContextExit { kind } => Event::ContextExit { kind },
-            };
-            // Saturating: rebased time near u64::MAX clamps instead of
-            // panicking; monotonicity is preserved either way.
-            out.push(ts_base.saturating_add(te.ts), ev);
-        }
-        ts_base = ts_base.saturating_add(part_last_ts);
+    let mut merger = Merger::default();
+    for Trace { meta, events } in parts {
+        merger.append(&meta, events, |addr| addr)?;
     }
-    Ok(out)
-}
-
-/// Shifts each part's addresses into pairwise disjoint windows, so parts
-/// that collide in address space can be concatenated: independently
-/// recorded corpus traces all start at the recorder's default address
-/// base, and [`concat_traces`] would reject them.
-///
-/// Every part is normalized to its own minimum address, then the windows
-/// are laid out left to right with a one-page guard gap. The shift is a
-/// pure function of the parts' contents in order, so the merged trace is
-/// deterministic; descriptors and all analysis results are
-/// offset-invariant because a constant shift preserves every within-part
-/// address relationship (allocation containment, embedded-lock offsets)
-/// and addresses never appear in analysis output.
-fn rebase_parts(parts: Vec<Trace>) -> Vec<Trace> {
-    const GUARD: Addr = 0x1000;
-    let mut next_base: Addr = GUARD;
-    parts
-        .into_iter()
-        .map(|part| {
-            let Some(range) = addr_range(&part) else {
-                return part; // no addresses, nothing to shift
-            };
-            let base = next_base;
-            let width = range.max.saturating_sub(range.min);
-            next_base = next_base.saturating_add(width).saturating_add(GUARD);
-            let shift = |a: Addr| base.saturating_add(a.saturating_sub(range.min));
-            let events = part
-                .events
-                .iter()
-                .map(|te| {
-                    let event = match te.event.clone() {
-                        Event::Alloc {
-                            id,
-                            addr,
-                            size,
-                            data_type,
-                            subclass,
-                        } => Event::Alloc {
-                            id,
-                            addr: shift(addr),
-                            size,
-                            data_type,
-                            subclass,
-                        },
-                        Event::LockInit {
-                            addr,
-                            name,
-                            flavor,
-                            is_static,
-                        } => Event::LockInit {
-                            addr: shift(addr),
-                            name,
-                            flavor,
-                            is_static,
-                        },
-                        Event::LockAcquire { addr, mode, loc } => Event::LockAcquire {
-                            addr: shift(addr),
-                            mode,
-                            loc,
-                        },
-                        Event::LockRelease { addr, loc } => Event::LockRelease {
-                            addr: shift(addr),
-                            loc,
-                        },
-                        Event::MemAccess {
-                            kind,
-                            addr,
-                            size,
-                            loc,
-                            atomic,
-                        } => Event::MemAccess {
-                            kind,
-                            addr: shift(addr),
-                            size,
-                            loc,
-                            atomic,
-                        },
-                        other => other,
-                    };
-                    crate::event::TraceEvent { ts: te.ts, event }
-                })
-                .collect();
-            Trace {
-                meta: part.meta,
-                events,
-            }
-        })
-        .collect()
+    Ok(merger.out)
 }
 
 /// Renames every task of part `part_idx` to `"{name}.t{part_idx}"`.
@@ -444,54 +348,153 @@ fn isolate_part_tasks(meta: &mut TraceMeta, part_idx: usize) {
     }
 }
 
-/// [`concat_traces`] for *independently recorded* corpus traces, with
-/// their addresses rebased ([`rebase_parts`]) and the per-part flow
-/// isolation the corpus derivation layer depends on: per-trace analysis
-/// results merge exactly into whole-corpus results only if no importer
-/// flow spans a part boundary.
-///
-/// On top of address rebasing this
-/// - renames each part's tasks to `"{name}.t{i}"` (see
-///   [`isolate_part_tasks`]), and
-/// - materializes each part's initial task: the importer starts every
-///   trace in task 0, and recorders leave that first switch implicit, so
-///   a leading `TaskSwitch` to task 0 is injected (at the part's first
-///   timestamp) for every part that declares tasks. Without it, a part's
-///   leading events would run in whatever flow the previous part ended
-///   in.
-///
-/// Interrupt flows need no such isolation here, but they do constrain
-/// the inputs: parts must be *quiescent* at their ends (all locks
-/// released, contexts exited, function stacks unwound) for the merged
-/// trace to be equivalent to the parts analyzed separately.
-pub fn concat_traces_corpus(parts: Vec<Trace>) -> Result<Trace, MergeError> {
-    let prepared: Vec<Trace> = rebase_parts(parts)
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut part)| {
-            isolate_part_tasks(part.meta_mut(), i);
-            if !part.meta.tasks.is_empty() {
-                if let Some(first_ts) = part.events.first().map(|e| e.ts) {
-                    // Equal timestamps are fine: monotonicity is non-strict.
-                    part.events.insert(
-                        0,
-                        crate::event::TraceEvent {
-                            ts: first_ts,
-                            event: Event::TaskSwitch { task: TaskId(0) },
-                        },
-                    );
-                }
-            }
-            part
-        })
-        .collect();
-    concat_traces(prepared)
+/// Folds *independently recorded* corpus members into one trace, one
+/// member at a time. Per-trace analysis results merge exactly into
+/// whole-corpus results only if no importer flow spans a member
+/// boundary, so on top of the rewrite every merge does,
+/// [`CorpusMerge::push`]
+/// - renames the member's tasks to `"{name}.t{i}"` (see
+///   [`isolate_part_tasks`]);
+/// - writes the member's initial task switch: the importer starts every
+///   trace in task 0 and recorders leave that switch implicit, so without
+///   it the member's leading events would run in the previous member's
+///   flow;
+/// - ends what the previous member left open in the interrupt flows,
+///   which the importer keys by context kind alone, so every member
+///   shares them ([`irq_exits`]): a member cut short inside an interrupt
+///   handler (a truncated container, say) would otherwise run the next
+///   member's events in that handler's flow, with its locks held;
+/// - shifts the member's addresses into the next free window, laid out
+///   left to right from each member's minimum address with a one-page
+///   gap. The shift is a pure function of the members in order, and
+///   analysis results are offset-invariant: a constant shift keeps every
+///   within-member address relationship (allocation containment,
+///   embedded-lock offsets), and addresses never appear in output.
+#[derive(Default)]
+pub struct CorpusMerge {
+    merger: Merger,
+    /// End of the last member's address window.
+    window_end: Addr,
+    /// Members folded so far.
+    parts: usize,
+    /// What ends the last member's open interrupt work, in merged ids.
+    irq_exits: Vec<Event>,
 }
 
-/// Predicts the metadata of [`concat_traces_corpus`]'s output from the
-/// parts' metadata alone — no events needed. The corpus layer uses this
-/// to map cached per-trace results onto merged ids without re-decoding
-/// any trace; [`concat_traces_corpus`] and this function must agree byte
+impl CorpusMerge {
+    /// Folds the next member in. After an error the merge is incomplete
+    /// and should be dropped.
+    pub fn push(&mut self, part: Trace) -> Result<(), MergeError> {
+        const GUARD: Addr = 0x1000;
+        let i = self.parts;
+        check_time_order(i, &part.events)?;
+        let (from, to) = match addr_range(&part) {
+            Some(range) => {
+                let to = self.window_end.saturating_add(GUARD);
+                self.window_end = to.saturating_add(range.max.saturating_sub(range.min));
+                (range.min, to)
+            }
+            None => (0, 0), // no addresses, nothing to shift
+        };
+        let mut meta = TraceMeta::clone(&part.meta);
+        isolate_part_tasks(&mut meta, i);
+        // Equal timestamps are fine: monotonicity is non-strict.
+        let initial_task = part
+            .events
+            .first()
+            .filter(|_| !meta.tasks.is_empty())
+            .map(|first| TraceEvent {
+                ts: first.ts,
+                event: Event::TaskSwitch { task: TaskId(0) },
+            });
+        let ts_end = self.merger.ts_base;
+        for event in self.irq_exits.drain(..) {
+            self.merger.out.push(ts_end, event);
+        }
+        let start = self.merger.out.events.len();
+        let events = initial_task.into_iter().chain(part.events);
+        let shift = |addr: Addr| to.saturating_add(addr.saturating_sub(from));
+        self.merger.append(&meta, events, shift)?;
+        self.irq_exits = irq_exits(&self.merger.out.events[start..]);
+        self.parts += 1;
+        Ok(())
+    }
+
+    /// Members folded so far.
+    pub fn parts(&self) -> usize {
+        self.parts
+    }
+
+    /// The merged trace. The last member's ends stay as they are: nothing
+    /// follows them.
+    pub fn finish(self) -> Trace {
+        self.merger.out
+    }
+}
+
+/// The events that end what `events` leave open in the interrupt flows:
+/// for each interrupt context still entered, innermost first, a release
+/// of every lock its flow still holds and an exit from every function it
+/// has not left, newest first, then the context's exit. A flow whose
+/// handler exited holding a lock or inside a function (a damaged release
+/// record that salvage skipped, say) is entered once more to be unwound
+/// the same way. Locks and frames are followed as the importer follows
+/// them: a release undoes the latest acquisition of its address, a
+/// function exit unwinds to its frame.
+fn irq_exits(events: &[TraceEvent]) -> Vec<Event> {
+    let mut entered: Vec<ContextKind> = Vec::new();
+    // Held locks and open frames per interrupt flow, indexed by context tag.
+    let mut held: [Vec<(Addr, SourceLoc)>; 3] = Default::default();
+    let mut frames: [Vec<FnId>; 3] = Default::default();
+    for te in events {
+        let flow = entered.last().map(|k| usize::from(k.tag()));
+        match (&te.event, flow) {
+            (Event::ContextEnter { kind }, _) => entered.push(*kind),
+            (Event::ContextExit { kind }, _) if entered.last() == Some(kind) => {
+                entered.pop();
+            }
+            (Event::LockAcquire { addr, loc, .. }, Some(f)) => held[f].push((*addr, *loc)),
+            (Event::LockRelease { addr, .. }, Some(f)) => {
+                if let Some(pos) = held[f].iter().rposition(|h| h.0 == *addr) {
+                    held[f].remove(pos);
+                }
+            }
+            (Event::FnEnter { func }, Some(f)) => frames[f].push(*func),
+            (Event::FnExit { func }, Some(f)) => {
+                if let Some(pos) = frames[f].iter().rposition(|g| g == func) {
+                    frames[f].truncate(pos);
+                }
+            }
+            _ => {}
+        }
+    }
+    let exited: Vec<ContextKind> = [ContextKind::Softirq, ContextKind::Hardirq]
+        .into_iter()
+        .filter(|k| {
+            let f = usize::from(k.tag());
+            let open = !held[f].is_empty() || !frames[f].is_empty();
+            open && !entered.contains(k)
+        })
+        .collect();
+    let unwind = entered.iter().rev().map(|&k| (k, false));
+    let mut exits = Vec::new();
+    for (kind, reenter) in unwind.chain(exited.into_iter().map(|k| (k, true))) {
+        if reenter {
+            exits.push(Event::ContextEnter { kind });
+        }
+        let f = usize::from(kind.tag());
+        let releases = held[f].drain(..).rev();
+        exits.extend(releases.map(|(addr, loc)| Event::LockRelease { addr, loc }));
+        exits.extend(frames[f].drain(..).rev().map(|func| Event::FnExit { func }));
+        exits.push(Event::ContextExit { kind });
+    }
+    exits
+}
+
+/// Predicts the metadata of a [`CorpusMerge`] of traces with these
+/// metadata tables, in this order — no events needed. The corpus layer
+/// uses this to map cached per-trace results onto merged ids without
+/// re-decoding any trace; the merge and this function must agree byte
 /// for byte (they share [`union_meta`] and [`isolate_part_tasks`]).
 pub fn corpus_meta(metas: &[TraceMeta]) -> Result<TraceMeta, MergeError> {
     let mut out = TraceMeta::default();
@@ -510,9 +513,23 @@ mod tests {
     use crate::event::{AccessKind, LockFlavor, MemberDef};
     use crate::filter::FilterConfig;
 
-    /// Address rebasing alone, without the corpus flow isolation.
-    fn concat_traces_rebased(parts: Vec<Trace>) -> Result<Trace, MergeError> {
-        concat_traces(rebase_parts(parts))
+    /// Folds `parts` in order through one [`CorpusMerge`].
+    fn corpus_merge(parts: Vec<Trace>) -> Result<Trace, MergeError> {
+        let mut merge = CorpusMerge::default();
+        for part in parts {
+            merge.push(part)?;
+        }
+        Ok(merge.finish())
+    }
+
+    fn alloc_addrs(tr: &Trace) -> Vec<Addr> {
+        tr.events
+            .iter()
+            .filter_map(|e| match e.event {
+                Event::Alloc { addr, .. } => Some(addr),
+                _ => None,
+            })
+            .collect()
     }
 
     fn toy_type() -> DataTypeDef {
@@ -651,12 +668,14 @@ mod tests {
     }
 
     #[test]
-    fn rebased_concat_accepts_overlapping_parts() {
-        // Identical address bases — plain concat refuses, rebased merges.
+    fn corpus_merge_accepts_overlapping_parts() {
+        // Identical address bases — plain concat refuses, the corpus merge
+        // shifts the second part into its own window.
         let a = part(0x1000, "a");
         let b = part(0x1000, "b");
         assert!(concat_traces(vec![a.clone(), b.clone()]).is_err());
-        let merged = concat_traces_rebased(vec![a, b]).unwrap();
+        let merged = corpus_merge(vec![a, b]).unwrap();
+        assert_eq!(alloc_addrs(&merged), vec![0x1000, 0x1000 + 8 + 0x1000]);
         let db = import(&merged, &FilterConfig::with_defaults(), 1);
         assert_eq!(db.stats.invalid_events, 0);
         assert_eq!(db.allocations.len(), 2);
@@ -665,18 +684,99 @@ mod tests {
     }
 
     #[test]
-    fn rebased_concat_is_deterministic_and_meta_matches_union() {
+    fn corpus_merge_is_deterministic_and_rebases_like_concat() {
         let parts = || vec![part(0x1000, "a"), part(0x1000, "b"), part(0x4000, "c")];
-        let m1 = concat_traces_rebased(parts()).unwrap();
-        let m2 = concat_traces_rebased(parts()).unwrap();
-        assert_eq!(m1, m2, "rebased merge is a pure function of the parts");
-        // The merged metadata is predictable from headers alone via
-        // union_meta — the corpus layer depends on this equivalence.
-        let mut meta = TraceMeta::default();
-        for p in parts() {
-            union_meta(&mut meta, &p.meta).unwrap();
-        }
-        assert_eq!(*m1.meta, meta);
+        let m1 = corpus_merge(parts()).unwrap();
+        let m2 = corpus_merge(parts()).unwrap();
+        assert_eq!(m1, m2, "the corpus merge is a pure function of the parts");
+        // Time and allocation ids continue across parts exactly as under
+        // plain concatenation; each part gains one leading task switch.
+        let plain = concat_traces(vec![part(0x1000, "a"), part(0x2000, "b")]).unwrap();
+        let merged = corpus_merge(vec![part(0x1000, "a"), part(0x2000, "b")]).unwrap();
+        assert_eq!(merged.events.len(), plain.events.len() + 2);
+        let ts = |tr: &Trace| tr.events.iter().map(|e| e.ts).collect::<Vec<u64>>();
+        let mut expect = ts(&plain);
+        expect.insert(6, expect[6]);
+        expect.insert(0, expect[0]);
+        assert_eq!(ts(&merged), expect);
+    }
+
+    #[test]
+    fn corpus_merge_isolates_task_flows() {
+        // Same-named tasks merge into one flow under plain concat: the
+        // first part's still-open lock-free transaction absorbs the second
+        // part's access.
+        let bridged = concat_traces(vec![part(0x1000, "worker"), part(0x2000, "worker")]).unwrap();
+        let db = import(&bridged, &FilterConfig::with_defaults(), 1);
+        assert_eq!(db.accesses.get(0).txn, db.accesses.get(1).txn);
+        // The corpus merge renames tasks per part, keeping each part's
+        // flows (and thus transactions) to itself.
+        let merged = corpus_merge(vec![part(0x1000, "worker"), part(0x1000, "worker")]).unwrap();
+        let db = import(&merged, &FilterConfig::with_defaults(), 1);
+        assert_eq!(db.stats.invalid_events, 0);
+        assert!(db.accesses.get(0).txn.is_some());
+        assert_ne!(db.accesses.get(0).txn, db.accesses.get(1).txn);
+        assert_eq!(
+            merged.meta.tasks,
+            vec!["worker.t0".to_owned(), "worker.t1".to_owned()]
+        );
+    }
+
+    #[test]
+    fn corpus_merge_materializes_implicit_initial_task() {
+        // Recorders leave the initial task switch implicit when execution
+        // starts on task 0; the corpus merge must inject it or the part's
+        // leading events run in the previous part's flow.
+        let implicit = |task: &str| {
+            let mut tr = part(0x1000, task);
+            tr.events.remove(0); // drop the explicit TaskSwitch
+            tr
+        };
+        let merged = corpus_merge(vec![implicit("worker"), implicit("worker")]).unwrap();
+        let db = import(&merged, &FilterConfig::with_defaults(), 1);
+        assert_eq!(db.stats.invalid_events, 0);
+        assert!(db.accesses.get(0).txn.is_some());
+        assert_ne!(db.accesses.get(0).txn, db.accesses.get(1).txn);
+    }
+
+    #[test]
+    fn corpus_merge_refuses_what_concat_refuses() {
+        let mut b = part(0x1000, "b");
+        b.meta_mut().data_types[0].size = 16;
+        assert_eq!(
+            corpus_merge(vec![part(0x1000, "a"), b]).unwrap_err(),
+            MergeError::ConflictingLayout {
+                type_name: "obj".into()
+            }
+        );
+        let mut bad = part(0x1000, "b");
+        bad.events[3].ts = 1;
+        let bad = Trace {
+            meta: bad.meta.clone(),
+            events: bad.events,
+        };
+        assert_eq!(
+            corpus_merge(vec![part(0x1000, "a"), bad]).unwrap_err(),
+            MergeError::NonMonotonic {
+                part: 1,
+                event_index: 3
+            }
+        );
+    }
+
+    #[test]
+    fn corpus_meta_predicts_merged_metadata() {
+        let parts = || {
+            vec![
+                part(0x1000, "worker"),
+                part(0x1000, "worker"),
+                part(0x4000, "other"),
+            ]
+        };
+        let merged = corpus_merge(parts()).unwrap();
+        let metas: Vec<TraceMeta> = parts().iter().map(|p| (*p.meta).clone()).collect();
+        let predicted = corpus_meta(&metas).unwrap();
+        assert_eq!(*merged.meta, predicted);
     }
 
     #[test]
@@ -698,60 +798,6 @@ mod tests {
             union_meta(&mut meta, &c.meta),
             Err(MergeError::ConflictingLayout { .. })
         ));
-    }
-
-    #[test]
-    fn corpus_concat_isolates_task_flows() {
-        let parts = || vec![part(0x1000, "worker"), part(0x1000, "worker")];
-        // Same-named tasks merge into one flow under plain rebased concat:
-        // the first part's still-open lock-free transaction absorbs the
-        // second part's access.
-        let bridged = concat_traces_rebased(parts()).unwrap();
-        let db = import(&bridged, &FilterConfig::with_defaults(), 1);
-        assert_eq!(db.accesses.get(0).txn, db.accesses.get(1).txn);
-        // Corpus concat renames tasks per part, keeping each part's flows
-        // (and thus transactions) to itself.
-        let merged = concat_traces_corpus(parts()).unwrap();
-        let db = import(&merged, &FilterConfig::with_defaults(), 1);
-        assert_eq!(db.stats.invalid_events, 0);
-        assert!(db.accesses.get(0).txn.is_some());
-        assert_ne!(db.accesses.get(0).txn, db.accesses.get(1).txn);
-        assert_eq!(
-            merged.meta.tasks,
-            vec!["worker.t0".to_owned(), "worker.t1".to_owned()]
-        );
-    }
-
-    #[test]
-    fn corpus_concat_materializes_implicit_initial_task() {
-        // Recorders leave the initial task switch implicit when execution
-        // starts on task 0; corpus concat must inject it or the part's
-        // leading events run in the previous part's flow.
-        let implicit = |task: &str| {
-            let mut tr = part(0x1000, task);
-            tr.events.remove(0); // drop the explicit TaskSwitch
-            tr
-        };
-        let merged = concat_traces_corpus(vec![implicit("worker"), implicit("worker")]).unwrap();
-        let db = import(&merged, &FilterConfig::with_defaults(), 1);
-        assert_eq!(db.stats.invalid_events, 0);
-        assert!(db.accesses.get(0).txn.is_some());
-        assert_ne!(db.accesses.get(0).txn, db.accesses.get(1).txn);
-    }
-
-    #[test]
-    fn corpus_meta_predicts_merged_metadata() {
-        let parts = || {
-            vec![
-                part(0x1000, "worker"),
-                part(0x1000, "worker"),
-                part(0x4000, "other"),
-            ]
-        };
-        let merged = concat_traces_corpus(parts()).unwrap();
-        let metas: Vec<TraceMeta> = parts().iter().map(|p| (*p.meta).clone()).collect();
-        let predicted = corpus_meta(&metas).unwrap();
-        assert_eq!(*merged.meta, predicted);
     }
 
     #[test]

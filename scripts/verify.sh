@@ -116,7 +116,7 @@ echo "cached-archive identity gate: OK (miss/hit byte-identical at --jobs 1 and 
 
 # --- corpus + serve determinism gate ------------------------------------------
 # `corpus build` and `serve --once` must answer byte-identically at any
-# worker count and cache temperature (DESIGN.md §5.7). Both runs use
+# worker count and cache temperature (DESIGN.md §5.7). The jobs runs use
 # separate cold cache directories so nothing is shared but the members;
 # LOCKDOC_JOBS_FORCE=1 keeps the requested worker counts honest on
 # single-core CI runners. The third member is a copy of the first with its
@@ -147,6 +147,12 @@ for jobs in 1 4; do
     sed -n '/^\[/,$p' "$GATE_DIR/corpus.$jobs.txt" | diff -u "$GATE_DIR/corpus.derive.txt" - \
         || { echo "corpus build --jobs $jobs rules differ from derive over the export" >&2; exit 1; }
 done
+# The export reads no cache: taken over the cache the build warmed, it is
+# the same file.
+"$LOCKDOC" corpus export --dir "$CORPUS_DIR" --cache-dir "$GATE_DIR/cc1" \
+    --out "$GATE_DIR/corpus.merged.warm.ldoc" > /dev/null
+cmp "$GATE_DIR/corpus.merged.ldoc" "$GATE_DIR/corpus.merged.warm.ldoc" \
+    || { echo "corpus export over a warm cache differs from the cold export" >&2; exit 1; }
 printf '{"cmd": "derive"}\n{"cmd": "races"}\n{"cmd": "lint"}\n{"cmd": "order"}\n{"cmd": "shutdown"}\n' \
     > "$GATE_DIR/queries.jsonl"
 LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" serve --dir "$CORPUS_DIR" \
@@ -157,9 +163,14 @@ LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" serve --dir "$CORPUS_DIR" \
     --jobs 4 > "$GATE_DIR/serve.4.txt"
 diff -u "$GATE_DIR/serve.1.txt" "$GATE_DIR/serve.4.txt" \
     || { echo "serve --once differs between --jobs 1 and --jobs 4" >&2; exit 1; }
+LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" serve --dir "$CORPUS_DIR" \
+    --cache-dir "$GATE_DIR/cc1" --once --input "$GATE_DIR/queries.jsonl" \
+    --jobs 1 > "$GATE_DIR/serve.warm.txt"
+diff -u "$GATE_DIR/serve.1.txt" "$GATE_DIR/serve.warm.txt" \
+    || { echo "serve --once over a warm cache differs from a cold one" >&2; exit 1; }
 grep -q '"ok":true' "$GATE_DIR/serve.1.txt" \
     || { echo "serve --once answered no query" >&2; exit 1; }
-echo "corpus/serve determinism gate: OK (byte-identical at --jobs 1 and 4, rules == derive over the export)"
+echo "corpus/serve determinism gate: OK (byte-identical at --jobs 1 and 4 and over a warm cache, rules == derive over the export)"
 
 # --- crash-recovery gate -------------------------------------------------------
 # Interrupting `corpus add` at a fixed injection point (the

@@ -9,7 +9,9 @@
 //!   member is rebuilt and the rules stay correct — and so is a flipped
 //!   bit in the rules cache or in a screening sidecar;
 //! * `serve --once` answers queries byte-identically to the batch
-//!   subcommands on the merged corpus, before and after an ingest.
+//!   subcommands on the merged corpus, before and after an ingest, with
+//!   a cold or a warm cache, and `corpus export` writes the same bytes
+//!   whatever the cache holds.
 
 use lockdoc_cli::run;
 use lockdoc_platform::json::{parse, Json};
@@ -405,24 +407,31 @@ fn serve_once_matches_batch_and_survives_ingest() {
         &queries,
         format!(
             "{{\"cmd\": \"derive\"}}\n{{\"cmd\": \"add\", \"path\": \"{}\"}}\n\
-             {{\"cmd\": \"derive\"}}\n{{\"cmd\": \"order\"}}\n{{\"cmd\": \"shutdown\"}}\n",
+             {{\"cmd\": \"derive\"}}\n{{\"cmd\": \"order\"}}\n{{\"cmd\": \"races\"}}\n\
+             {{\"cmd\": \"lint\"}}\n{{\"cmd\": \"shutdown\"}}\n",
             t2.to_str().unwrap()
         ),
     )
     .unwrap();
-    let resp = run(&s(&[
-        "serve",
-        "--dir",
-        d,
-        "--once",
-        "--input",
-        queries.to_str().unwrap(),
-        "--jobs",
-        "4",
-    ]))
-    .unwrap();
+    let session = |cache: Option<&Path>, jobs: &str| {
+        let mut argv = s(&[
+            "serve",
+            "--dir",
+            d,
+            "--once",
+            "--input",
+            queries.to_str().unwrap(),
+            "--jobs",
+            jobs,
+        ]);
+        if let Some(c) = cache {
+            argv.extend(s(&["--cache-dir", c.to_str().unwrap()]));
+        }
+        run(&argv).unwrap()
+    };
+    let resp = session(None, "4");
     let lines: Vec<Json> = resp.lines().map(|l| parse(l).expect("json")).collect();
-    assert_eq!(lines.len(), 5);
+    assert_eq!(lines.len(), 7);
     let output = |i: usize| lines[i].get("output").and_then(Json::as_str).unwrap();
     for (i, line) in lines.iter().enumerate() {
         assert_eq!(
@@ -434,53 +443,73 @@ fn serve_once_matches_batch_and_survives_ingest() {
     assert_eq!(output(1), "added b.ldoc");
 
     // Both derive answers equal batch derivations of the corresponding
-    // merged corpora; the post-ingest one covers both members.
-    let merged2 = base.join("merged2.ldoc");
-    run(&s(&[
-        "corpus",
-        "export",
-        "--dir",
-        d,
-        "--out",
-        merged2.to_str().unwrap(),
-    ]))
-    .unwrap();
-    let batch2 = run(&s(&[
-        "derive",
-        "--trace",
-        merged2.to_str().unwrap(),
-        "--jobs",
-        "1",
-    ]))
-    .unwrap();
-    assert_eq!(output(2), batch2, "post-ingest serve derive != batch");
-    assert_ne!(output(0), output(2), "ingest did not swap the snapshot");
-    let batch_order = run(&s(&["order", "--trace", merged2.to_str().unwrap()])).unwrap();
-    assert_eq!(output(3), batch_order, "serve order != batch order");
-
-    // And the serve answers are jobs-invariant: replay the same session
-    // minus the ingest on one worker against a fresh cache.
-    run(&s(&["corpus", "drop", "b.ldoc", "--dir", d])).unwrap();
-    let cache1 = base.join("cache-serial");
-    fs::write(&queries, "{\"cmd\": \"derive\"}\n{\"cmd\": \"shutdown\"}\n").unwrap();
-    let serial = run(&s(&[
-        "serve",
-        "--dir",
-        d,
-        "--cache-dir",
-        cache1.to_str().unwrap(),
-        "--once",
-        "--input",
-        queries.to_str().unwrap(),
-        "--jobs",
-        "1",
-    ]))
-    .unwrap();
-    let first: Json = parse(serial.lines().next().unwrap()).unwrap();
+    // merged corpora; the post-ingest one covers both members, and so do
+    // the post-ingest order, races and lint answers.
+    let export = |name: &str, cache: Option<&Path>| {
+        let out = base.join(name);
+        let mut argv = s(&[
+            "corpus",
+            "export",
+            "--dir",
+            d,
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        if let Some(c) = cache {
+            argv.extend(s(&["--cache-dir", c.to_str().unwrap()]));
+        }
+        run(&argv).unwrap();
+        out
+    };
+    let merged2 = export("merged2.ldoc", None);
+    let batch = |cmd: &str, jobs: &str| {
+        run(&s(&[
+            cmd,
+            "--trace",
+            merged2.to_str().unwrap(),
+            "--jobs",
+            jobs,
+        ]))
+        .unwrap()
+    };
     assert_eq!(
-        first.get("output").and_then(Json::as_str).unwrap(),
-        output(0),
-        "serve derive differs across --jobs / cache temperature"
+        output(2),
+        batch("derive", "1"),
+        "post-ingest serve derive != batch"
     );
+    assert_ne!(output(0), output(2), "ingest did not swap the snapshot");
+    assert_eq!(output(3), batch("order", "2"), "serve order != batch order");
+    assert_eq!(output(4), batch("races", "2"), "serve races != batch races");
+    assert_eq!(output(5), batch("lint", "2"), "serve lint != batch lint");
+
+    // The export reads no cache: after a warm build and with a fresh
+    // cache it writes the same bytes.
+    run(&s(&["corpus", "build", "--dir", d])).unwrap();
+    let warm = export("merged2-warm.ldoc", None);
+    let fresh = export("merged2-fresh.ldoc", Some(&base.join("cache-export")));
+    let bytes = fs::read(&merged2).unwrap();
+    assert_eq!(
+        fs::read(&warm).unwrap(),
+        bytes,
+        "export differs after a warm build"
+    );
+    assert_eq!(
+        fs::read(&fresh).unwrap(),
+        bytes,
+        "export differs with a fresh cache"
+    );
+
+    // And the serve answers are jobs- and cache-invariant: replay the
+    // whole session, ingest included, against the default cache (now
+    // warm for both members) and on one worker against a fresh cache.
+    let cache1 = base.join("cache-serial");
+    for (cache, jobs) in [(None, "4"), (Some(cache1.as_path()), "1")] {
+        run(&s(&["corpus", "drop", "b.ldoc", "--dir", d])).unwrap();
+        assert_eq!(
+            session(cache, jobs),
+            resp,
+            "serve differs across --jobs / cache temperature ({cache:?}, jobs {jobs})"
+        );
+    }
     fs::remove_dir_all(&base).ok();
 }

@@ -24,7 +24,7 @@
 //! name them by the one member key), and a journal written by a build
 //! that witnessed adds with FNV-1a still rolls forward.
 
-use lockdoc_cli::corpus::{derive_members, load_corpus, CorpusCtx, LoadOpts};
+use lockdoc_cli::corpus::{derive_members, load_corpus, CorpusCtx};
 use lockdoc_cli::run;
 use lockdoc_platform::json::{parse, Json};
 use lockdoc_platform::vfs::{CrashPlan, Vfs};
@@ -111,14 +111,7 @@ fn member_state(store: &CorpusStore) -> BTreeMap<String, Vec<u8>> {
 /// the mined rules — the bytes the determinism contract is stated over.
 fn build_rules(store: &CorpusStore, jobs: usize) -> String {
     let ctx = CorpusCtx::with_store(store.clone(), 0.9, jobs);
-    let members = load_corpus(
-        &ctx,
-        &LoadOpts {
-            need_matrix: true,
-            need_trace: false,
-        },
-    )
-    .unwrap();
+    let members = load_corpus(&ctx, true).unwrap();
     let derived = derive_members(&ctx, &members).unwrap();
     lockdoc_cli::render_rules_text(&derived.rules, false)
 }
@@ -150,14 +143,7 @@ fn run_op(store: &CorpusStore, op: Op) -> Result<(), String> {
             // a build can swallow a crash; the caller checks
             // `vfs.crashed()` rather than this result.
             let ctx = CorpusCtx::with_store(store.clone(), 0.9, 1);
-            let members = load_corpus(
-                &ctx,
-                &LoadOpts {
-                    need_matrix: true,
-                    need_trace: false,
-                },
-            )
-            .map_err(|e| e.to_string())?;
+            let members = load_corpus(&ctx, true).map_err(|e| e.to_string())?;
             let _ = derive_members(&ctx, &members);
             Ok(())
         }

@@ -164,6 +164,53 @@ fn file_ending_inside_a_lock_call_does_not_panic() {
     assert_eq!((report.files, report.functions), (1, 1));
 }
 
+/// Regression: statements nested 100,000 deep, as braces or as `if`s
+/// chained without braces, overflowed the parser's stack. Past the
+/// nesting bound they are read flat, and the ordinary function beside
+/// them is analyzed as usual.
+#[test]
+fn deep_nesting_does_not_overflow_the_stack() {
+    const DEPTH: usize = 100_000;
+    let braces = format!(
+        "static void braces(struct inode *inode)\n{{\n{}{}\n}}\n",
+        "{".repeat(DEPTH),
+        "}".repeat(DEPTH)
+    );
+    let ifs = format!(
+        "static void ifs(struct inode *inode)\n{{\n{};\n}}\n",
+        "if (inode) ".repeat(DEPTH)
+    );
+    let ordinary = "static void set_state(struct inode *inode)\n{\n\
+                    \tspin_lock(&inode->i_lock);\n\tinode->i_state = 1;\n\
+                    \tspin_unlock(&inode->i_lock);\n}\n";
+    let files = [
+        ("fs/braces.c".to_owned(), braces),
+        ("fs/ifs.c".to_owned(), ifs),
+        ("fs/inode.c".to_owned(), ordinary.to_owned()),
+    ];
+    let cfg = MinerConfig {
+        min_observations: 1,
+        ..MinerConfig::default()
+    };
+    for jobs in [1, 2] {
+        let report = analyze_tree(&files, &cfg, jobs);
+        assert_eq!((report.files, report.functions), (3, 3), "jobs {jobs}");
+        let state: Vec<_> = report
+            .patterns
+            .iter()
+            .map(|p| {
+                (
+                    p.type_name.as_str(),
+                    p.member.as_str(),
+                    p.kind.as_str(),
+                    p.total,
+                )
+            })
+            .collect();
+        assert_eq!(state, [("inode", "i_state", "w", 1)], "jobs {jobs}");
+    }
+}
+
 /// Fragments the text generator splices: statement pieces cut at every
 /// awkward place, unbalanced delimiters, comment and literal openers,
 /// and multi-byte characters next to operator bytes.
