@@ -91,7 +91,7 @@ fn run_fsck(store: &CorpusStore) -> lockdoc_trace::corpus::FsckReport {
 /// Full pipeline over the store (screen + import + matrix + derive),
 /// warming the artifact cache as a side effect; returns rendered rules.
 fn build_rules(store: &CorpusStore) -> String {
-    let ctx = CorpusCtx::with_store(store.clone(), 0.9, 1);
+    let ctx = CorpusCtx::with_store(store.clone(), 0.9);
     let members = load_corpus(&ctx, true).unwrap();
     let derived = derive_members(&ctx, &members).unwrap();
     lockdoc_cli::render_rules_text(&derived.rules, false)

@@ -26,8 +26,9 @@ pub struct EvalConfig {
     pub t_ac: f64,
     /// Whether to enable the default fault plan.
     pub faults: bool,
-    /// Worker count for every pipeline phase — generation, import, and
-    /// the analyses (`1` = serial; output is identical at any value).
+    /// Worker count for sharded generation and the fig7 threshold sweep;
+    /// import and the analyses run serially. Output is identical at any
+    /// value.
     pub jobs: usize,
     /// Shards for workload generation. Unlike `jobs` this is part of the
     /// trace *content*: `1` reproduces the historical single-machine run.
@@ -109,12 +110,8 @@ impl EvalContext {
         // Derivation time includes resolving the evidence index, the join
         // the checker and the violation finder then reuse.
         let t2 = Instant::now();
-        let index = EvidenceIndex::build(&db, config.jobs);
-        let mined = derive_in(
-            &index,
-            &DeriveConfig::with_threshold(config.t_ac),
-            config.jobs,
-        );
+        let index = EvidenceIndex::build(&db);
+        let mined = derive_in(&index, &DeriveConfig::with_threshold(config.t_ac));
         timings.derivation = t2.elapsed();
 
         let t3 = Instant::now();
@@ -123,7 +120,7 @@ impl EvalContext {
         timings.checking = t3.elapsed();
 
         let t4 = Instant::now();
-        let violations = find_violations_in(&index, &mined, 5, config.jobs);
+        let violations = find_violations_in(&index, &mined, 5);
         timings.violations = t4.elapsed();
 
         Self {

@@ -3,7 +3,7 @@
 
 use crate::context::EvalContext;
 use crate::table::Table;
-use lockdoc_core::derive::{derive_par, DeriveConfig};
+use lockdoc_core::derive::{derive, DeriveConfig};
 use lockdoc_platform::par::par_map;
 use lockdoc_trace::event::AccessKind;
 use std::collections::BTreeMap;
@@ -24,7 +24,7 @@ pub type SweepData = BTreeMap<String, Vec<(f64, f64)>>;
 pub fn measure(ctx: &EvalContext) -> SweepData {
     let ths = thresholds();
     let sweeps = par_map(ctx.config.jobs, &ths, |&t_ac| {
-        derive_par(&ctx.db, &DeriveConfig::with_threshold(t_ac), 1)
+        derive(&ctx.db, &DeriveConfig::with_threshold(t_ac))
     });
     let mut data: SweepData = BTreeMap::new();
     for mined in &sweeps {

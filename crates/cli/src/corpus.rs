@@ -25,9 +25,10 @@ use crate::{render_rules_text, Args, CliError, Result};
 use ksim::rules;
 use lockdoc_core::corpus::derive_fingerprint;
 use lockdoc_core::derive::DeriveConfig;
+use lockdoc_core::evidence::EvidenceIndex;
 use lockdoc_core::{
-    build_trace_matrix, derive_corpus, read_matrix_artifact, write_matrix_artifact, CorpusDerive,
-    CorpusRulesCache, CorpusTrace, TraceMatrix,
+    derive_corpus, read_matrix_artifact, write_matrix_artifact, CorpusDerive, CorpusRulesCache,
+    CorpusTrace, TraceMatrix,
 };
 use lockdoc_platform::artifact;
 use lockdoc_platform::json::{self, FromJson, Json, ToJson};
@@ -40,6 +41,7 @@ use lockdoc_trace::event::{Trace, TraceMeta};
 use lockdoc_trace::filter::FilterConfig;
 use lockdoc_trace::merge::{corpus_meta, CorpusMerge};
 use std::fs;
+use std::io::{self, Seek};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -70,8 +72,6 @@ pub struct CorpusCtx {
     pub filter_fp: u64,
     /// Fingerprint of `config` (cache key component).
     pub derive_fp: u64,
-    /// Worker count for parallel stages.
-    pub jobs: usize,
     /// Cache writes that failed this process. Cache persistence stays
     /// best-effort — a failed write only costs the next run a rebuild —
     /// but failures are counted and surfaced in `corpus status` / serve
@@ -80,8 +80,8 @@ pub struct CorpusCtx {
 }
 
 impl CorpusCtx {
-    /// Resolves `--dir`, `--cache-dir` (default `<dir>/.lockdoc-cache`),
-    /// `--t-ac`, and `--jobs` into an opened store plus fingerprints.
+    /// Resolves `--dir`, `--cache-dir` (default `<dir>/.lockdoc-cache`)
+    /// and `--t-ac` into an opened store plus fingerprints.
     pub(crate) fn from_args(args: &Args) -> Result<Self> {
         let dir = args
             .get("dir")
@@ -91,16 +91,12 @@ impl CorpusCtx {
             None => Path::new(dir).join(".lockdoc-cache"),
         };
         let store = CorpusStore::open(Path::new(dir), &cache_dir)?;
-        Ok(Self::with_store(
-            store,
-            args.num("t-ac", 0.9f64)?,
-            args.jobs()?,
-        ))
+        Ok(Self::with_store(store, args.num("t-ac", 0.9f64)?))
     }
 
     /// Wraps an already-opened store (possibly on an in-memory
     /// [`lockdoc_platform::vfs::Vfs`]) with default analysis knobs.
-    pub fn with_store(store: CorpusStore, t_ac: f64, jobs: usize) -> Self {
+    pub fn with_store(store: CorpusStore, t_ac: f64) -> Self {
         let config = DeriveConfig::with_threshold(t_ac);
         let filter = rules::filter_config();
         let filter_fp = filter_fingerprint(&filter);
@@ -111,7 +107,6 @@ impl CorpusCtx {
             filter,
             filter_fp,
             derive_fp,
-            jobs,
             cache_write_errors: AtomicU64::new(0),
         }
     }
@@ -268,7 +263,7 @@ fn load_member(ctx: &CorpusCtx, name: &str, need_matrix: bool) -> Result<Member>
     };
     member.meta = Some((*ing.meta).clone());
     if let Some(db) = ing.db {
-        let matrix = build_trace_matrix(&db, ctx.jobs);
+        let matrix = EvidenceIndex::build(&db).trace_matrix();
         ctx.write_cache(
             &mtx_path,
             &write_matrix_artifact(&matrix, checksum, ctx.filter_fp, ctx.derive_fp),
@@ -337,14 +332,7 @@ pub fn derive_members(ctx: &CorpusCtx, members: &[Member]) -> Result<CorpusDeriv
     let prev = ctx
         .read_json_cache(&cache_path, RULES_MAGIC, &keys)
         .and_then(|v| CorpusRulesCache::from_json(&v).ok());
-    let derived = derive_corpus(
-        &traces,
-        &meta,
-        &ctx.config,
-        ctx.filter_fp,
-        ctx.jobs,
-        prev.as_ref(),
-    );
+    let derived = derive_corpus(&traces, &meta, &ctx.config, ctx.filter_fp, 1, prev.as_ref());
     ctx.write_json_cache(&cache_path, RULES_MAGIC, &keys, &derived.cache.to_json());
     Ok(derived)
 }
@@ -483,13 +471,15 @@ fn export_report(ctx: &CorpusCtx, args: &Args) -> Result<String> {
         .get("out")
         .ok_or_else(|| CliError::Usage("--out FILE is required".into()))?;
     let (merged, parts) = merged_trace(ctx)?;
-    let mut buf = Vec::new();
-    write_trace(&merged, &mut buf)?;
-    fs::write(out_path, &buf)?;
+    let mut out = io::BufWriter::new(fs::File::create(out_path)?);
+    write_trace(&merged, &mut out)?;
+    let bytes = out
+        .into_inner()
+        .map_err(io::IntoInnerError::into_error)?
+        .stream_position()?;
     Ok(format!(
-        "wrote {out_path}: {} events merged from {parts} trace(s), {} bytes\n",
-        merged.events.len(),
-        buf.len()
+        "wrote {out_path}: {} events merged from {parts} trace(s), {bytes} bytes\n",
+        merged.events.len()
     ))
 }
 

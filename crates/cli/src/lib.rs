@@ -33,13 +33,13 @@ pub mod xcheck;
 use ksim::config::SimConfig;
 use ksim::parallel::run_mix_sharded;
 use ksim::rules;
-use lockdoc_core::checker::{check_rules_par, summarize};
-use lockdoc_core::derive::{derive_in, derive_par, DeriveConfig, MinedRules};
+use lockdoc_core::checker::{check_rules, summarize};
+use lockdoc_core::derive::{derive, derive_in, DeriveConfig, MinedRules};
 use lockdoc_core::docgen::{generate_doc, generate_rulespec};
 use lockdoc_core::evidence::EvidenceIndex;
 use lockdoc_core::lint::lint_passes;
 use lockdoc_core::order::OrderGraph;
-use lockdoc_core::race::find_races_par;
+use lockdoc_core::race::find_races;
 use lockdoc_core::rulespec::parse_rules;
 use lockdoc_core::violation::find_violations_in;
 use lockdoc_platform::hash::{checksum, fnv1a};
@@ -158,9 +158,9 @@ impl Args {
         }
     }
 
-    /// Worker count for the analysis phases: `--jobs N`, else the
-    /// `LOCKDOC_JOBS` environment variable, else available parallelism.
-    /// The output is identical at any value (`1` = serial path).
+    /// Worker count for the stages that fork workers (see [`USAGE`]):
+    /// `--jobs N`, else the `LOCKDOC_JOBS` environment variable, else
+    /// available parallelism. The output is identical at any value.
     pub fn jobs(&self) -> Result<usize> {
         let explicit: Option<usize> = match self.get("jobs") {
             None => None,
@@ -183,32 +183,35 @@ USAGE:
   lockdoc import     --trace FILE [--csv-dir DIR]
                      [--lenient | --strict] [--max-bad-frac X]
   lockdoc doctor     TRACE|DIR [--trace FILE] [--json]
-  lockdoc derive     --trace FILE [--t-ac X] [--group NAME] [--jobs N] [--rulespec | --json]
-  lockdoc check      --trace FILE [--rules FILE] [--jobs N] [--json]
-  lockdoc doc        --trace FILE [--group NAME] [--jobs N]
-  lockdoc violations --trace FILE [--t-ac X] [--max-examples N] [--jobs N] [--json]
-  lockdoc races      --trace FILE [--jobs N] [--json]
+  lockdoc derive     --trace FILE [--t-ac X] [--group NAME] [--rulespec | --json]
+  lockdoc check      --trace FILE [--rules FILE] [--json]
+  lockdoc doc        --trace FILE [--group NAME]
+  lockdoc violations --trace FILE [--t-ac X] [--max-examples N] [--json]
+  lockdoc races      --trace FILE [--json]
   lockdoc lint       --trace FILE [--rules FILE] [--t-ac X] [--static-src DIR]
                      [--jobs N] [--json]
   lockdoc scan       --dir PATH [--per-file] [--per-release] [--jobs N] [--json]
   lockdoc xcheck     [--trace FILE] [--src DIR | --seed N [--sites-per-rule N]]
                      [--t-ac X] [--jobs N] [--json]
-  lockdoc diff       --old FILE --new FILE [--t-ac X] [--jobs N] [--json]
-  lockdoc order      --trace FILE [--jobs N] [--json]
+  lockdoc diff       --old FILE --new FILE [--t-ac X] [--json]
+  lockdoc order      --trace FILE [--json]
   lockdoc fuzz       [--budget N] [--ops N] [--seed N] [--shards N]
                      [--generation N] [--jobs N] [--json]
   lockdoc corpus     build|status|export|add FILE..|drop NAME.. --dir DIR
-                     [--cache-dir DIR] [--t-ac X] [--jobs N] [--json]
+                     [--cache-dir DIR] [--t-ac X] [--json]
                      [--rulespec] [--out FILE]
   lockdoc fsck       --dir DIR [--cache-dir DIR] [--repair] [--gc] [--json]
   lockdoc serve      --dir DIR (--once [--input FILE] | [--socket PATH])
-                     [--cache-dir DIR] [--t-ac X] [--jobs N]
+                     [--cache-dir DIR] [--t-ac X]
                      [--max-request-bytes N] [--timeout-ms N]
                      [--max-conns N] [--ingest-retries N]
 
-`--jobs N` (or LOCKDOC_JOBS) runs trace generation and the analysis
-phases on N workers; output is byte-identical at any worker count.
-Import is always serial. Default: available parallelism.
+`--jobs N` (or LOCKDOC_JOBS) runs the shards of `trace --shards`, the
+static front end of `xcheck` and `lint --static-src`, `scan`'s files and
+`fuzz`'s candidates on N workers. Import and every question asked of a
+trace or a corpus run serially, as none ran faster on two workers.
+Every subcommand accepts the flag, and output is byte-identical at any
+worker count. Default: available parallelism.
 
 `--cache-dir DIR` (or LOCKDOC_CACHE_DIR) keeps a columnar archive of the
 imported store per trace: commands that read `--trace FILE` load a valid
@@ -708,8 +711,7 @@ fn doctor_dir(dir: &str, args: &Args) -> Result<String> {
 pub fn cmd_derive(args: &Args) -> Result<String> {
     let db = load_db(args)?;
     let t_ac: f64 = args.num("t-ac", 0.9f64)?;
-    let jobs = args.jobs()?;
-    let mut mined = derive_par(&db, &DeriveConfig::with_threshold(t_ac), jobs);
+    let mut mined = derive(&db, &DeriveConfig::with_threshold(t_ac));
     if let Some(want) = args.get("group") {
         mined.groups.retain(|g| g.group_name == want);
         if mined.groups.is_empty() {
@@ -763,7 +765,7 @@ pub fn cmd_check(args: &Args) -> Result<String> {
         None => rules::documented_rules().to_owned(),
     };
     let parsed = parse_rules(&text).map_err(|e| CliError::Rules(e.to_string()))?;
-    let checked = check_rules_par(&db, &parsed, args.jobs()?);
+    let checked = check_rules(&db, &parsed);
     if args.has("json") {
         return Ok(lockdoc_platform::json::to_string_pretty(&checked));
     }
@@ -795,7 +797,7 @@ pub fn cmd_check(args: &Args) -> Result<String> {
 /// `lockdoc doc`.
 pub fn cmd_doc(args: &Args) -> Result<String> {
     let db = load_db(args)?;
-    let mined = derive_par(&db, &DeriveConfig::default(), args.jobs()?);
+    let mined = derive(&db, &DeriveConfig::default());
     let mut out = String::new();
     for group in &mined.groups {
         if let Some(want) = args.get("group") {
@@ -817,10 +819,9 @@ pub fn cmd_violations(args: &Args) -> Result<String> {
     let db = load_db(args)?;
     let t_ac: f64 = args.num("t-ac", 0.9f64)?;
     let max_examples: usize = args.num("max-examples", 5usize)?;
-    let jobs = args.jobs()?;
-    let index = EvidenceIndex::build(&db, jobs);
-    let mined = derive_in(&index, &DeriveConfig::with_threshold(t_ac), jobs);
-    let violations = find_violations_in(&index, &mined, max_examples, jobs);
+    let index = EvidenceIndex::build(&db);
+    let mined = derive_in(&index, &DeriveConfig::with_threshold(t_ac));
+    let violations = find_violations_in(&index, &mined, max_examples);
     if args.has("json") {
         return Ok(lockdoc_platform::json::to_string_pretty(&violations));
     }
@@ -991,7 +992,7 @@ pub fn cmd_scan(args: &Args) -> Result<String> {
 /// cycles (ex-post lockdep).
 pub fn cmd_order(args: &Args) -> Result<String> {
     let db = load_db(args)?;
-    let graph = OrderGraph::build_par(&db, args.jobs()?);
+    let graph = OrderGraph::build(&db);
     if args.has("json") {
         return Ok(lockdoc_platform::json::to_string_pretty(&graph));
     }
@@ -1002,7 +1003,7 @@ pub fn cmd_order(args: &Args) -> Result<String> {
 /// pairs.
 pub fn cmd_races(args: &Args) -> Result<String> {
     let db = load_db(args)?;
-    let races = find_races_par(&db, args.jobs()?);
+    let races = find_races(&db);
     if args.has("json") {
         return Ok(lockdoc_platform::json::to_string_pretty(&races));
     }
@@ -1017,7 +1018,6 @@ pub fn cmd_races(args: &Args) -> Result<String> {
 pub fn cmd_lint(args: &Args) -> Result<String> {
     let db = load_db(args)?;
     let t_ac: f64 = args.num("t-ac", 0.9f64)?;
-    let jobs = args.jobs()?;
     let text = match args.get("rules") {
         Some(path) => fs::read_to_string(path)?,
         None => rules::documented_rules().to_owned(),
@@ -1026,14 +1026,15 @@ pub fn cmd_lint(args: &Args) -> Result<String> {
     let statics = match args.get("static-src") {
         Some(dir) => {
             let files = xcheck::collect_source_files(Path::new(dir))?;
-            let report = locksrc::analyze_tree(&files, &locksrc::MinerConfig::default(), jobs);
+            let cfg = locksrc::MinerConfig::default();
+            let report = locksrc::analyze_tree(&files, &cfg, args.jobs()?);
             Some(xcheck::to_static_evidence(&report))
         }
         None => None,
     };
-    let index = EvidenceIndex::build(&db, jobs);
-    let mined = derive_in(&index, &DeriveConfig::with_threshold(t_ac), jobs);
-    let report = lint_passes(&index, &mined, &parsed, statics.as_ref(), jobs).report;
+    let index = EvidenceIndex::build(&db);
+    let mined = derive_in(&index, &DeriveConfig::with_threshold(t_ac));
+    let report = lint_passes(&index, &mined, &parsed, statics.as_ref()).report;
     if args.has("json") {
         return Ok(lockdoc_platform::json::to_string_pretty(&report));
     }
@@ -1043,15 +1044,14 @@ pub fn cmd_lint(args: &Args) -> Result<String> {
 /// `lockdoc diff`: mined-rule drift between two traces.
 pub fn cmd_diff(args: &Args) -> Result<String> {
     let t_ac: f64 = args.num("t-ac", 0.9f64)?;
-    let jobs = args.jobs()?;
-    let load = |flag: &str| -> Result<lockdoc_core::derive::MinedRules> {
+    let load = |flag: &str| -> Result<MinedRules> {
         let path = args
             .get(flag)
             .ok_or_else(|| CliError::Usage(format!("--{flag} FILE is required")))?;
         let file = fs::File::open(path)?;
         let reader = TraceReader::new(io::BufReader::new(file))?;
-        let db = import_stream(reader, &rules::filter_config(), jobs)?;
-        Ok(derive_par(&db, &DeriveConfig::with_threshold(t_ac), jobs))
+        let db = import_stream(reader, &rules::filter_config(), 1)?;
+        Ok(derive(&db, &DeriveConfig::with_threshold(t_ac)))
     };
     let old = load("old")?;
     let new = load("new")?;
@@ -1095,6 +1095,9 @@ pub fn run(raw: &[String]) -> Result<String> {
             "unknown flag `--{flag}` for `lockdoc {cmd}`"
         )));
     }
+    // Every subcommand accepts `--jobs`, so every one rejects a malformed
+    // value, also where nothing forks workers.
+    args.jobs()?;
     match cmd.as_str() {
         "trace" => cmd_trace(&args),
         "import" => cmd_import(&args),
@@ -1532,6 +1535,25 @@ mod tests {
         assert!(run(&s(&["scan", "--dir", ".", "--cache-dir", "c"])).is_err());
     }
 
+    /// `--jobs` is checked once in `run`, so a malformed value is a usage
+    /// error for every subcommand, also one where nothing forks workers.
+    #[test]
+    fn malformed_jobs_is_a_usage_error_for_every_subcommand() {
+        let cmds: Vec<&str> = USAGE
+            .lines()
+            .filter_map(|line| line.strip_prefix("  lockdoc "))
+            .filter_map(|rest| rest.split_whitespace().next())
+            .collect();
+        assert_eq!(cmds.len(), 17, "{cmds:?}");
+        for cmd in cmds {
+            let err = run(&s(&[cmd, "--jobs", "abc"])).unwrap_err();
+            assert!(
+                matches!(err, CliError::Usage(_)) && err.to_string().contains("--jobs"),
+                "{cmd}: {err}"
+            );
+        }
+    }
+
     /// Every subcommand reads its flags off its USAGE lines, continuation
     /// lines included, and no flag leaks from one subcommand to the next.
     #[test]
@@ -1782,6 +1804,92 @@ mod tests {
         assert!(out.contains("corpus: 2 trace(s)"), "{out}");
         assert!(run(&s(&["corpus", "drop", "two.ldoc", "--dir", d])).is_err());
         assert!(run(&s(&["corpus", "frobnicate", "--dir", d])).is_err());
+        fs::remove_dir_all(&base).ok();
+    }
+
+    /// Writes a two-event trace: a task switch, then a `ContextEnter` of
+    /// the task context.
+    fn write_task_context_trace(path: &Path) {
+        use lockdoc_trace::event::{ContextKind, Event};
+        let mut trace = Trace::new();
+        let task = trace.meta_mut().add_task("t0");
+        trace.push(1, Event::TaskSwitch { task });
+        let kind = ContextKind::Task;
+        trace.push(2, Event::ContextEnter { kind });
+        save_trace(&trace, path).unwrap();
+    }
+
+    /// A task-kind `ContextEnter` is skipped without a policy and
+    /// quarantined under one, at every entry point that ingests a trace.
+    #[test]
+    fn task_context_event_is_dropped_at_every_entry_point() {
+        let base = std::env::temp_dir().join("lockdoc-task-context-test");
+        fs::remove_dir_all(&base).ok();
+        fs::create_dir_all(&base).unwrap();
+        let bad = base.join("task-context.ldoc");
+        write_task_context_trace(&bad);
+        let t = bad.to_str().unwrap();
+
+        let plain = run(&s(&["import", "--trace", t])).unwrap();
+        assert!(plain.starts_with("events: 2\n"), "{plain}");
+        // One bad event in two is over the default budget.
+        let lenient = run(&s(&["import", "--trace", t, "--lenient"])).unwrap_err();
+        assert!(matches!(lenient, CliError::Import(_)), "{lenient}");
+        let wide_budget = ["import", "--trace", t, "--lenient", "--max-bad-frac", "1"];
+        let wide = run(&s(&wide_budget)).unwrap();
+        assert!(wide.contains("task_context"), "{wide}");
+        let strict = run(&s(&["import", "--trace", t, "--strict"])).unwrap_err();
+        assert!(strict.to_string().contains("task_context"), "{strict}");
+        let doctor = run(&s(&["doctor", t])).unwrap();
+        assert!(doctor.contains("task_context"), "{doctor}");
+        run(&s(&["derive", "--trace", t])).unwrap();
+
+        let corpus = base.join("corpus");
+        let d = corpus.to_str().unwrap();
+        let added = run(&s(&["corpus", "add", t, "--dir", d])).unwrap();
+        assert!(added.contains("added task-context.ldoc"), "{added}");
+        run(&s(&["corpus", "build", "--dir", d])).unwrap();
+        let status = run(&s(&["corpus", "status", "--dir", d])).unwrap();
+        assert!(status.contains("task-context.ldoc: DEGRADED"), "{status}");
+        let fsck = run(&s(&["fsck", "--dir", d])).unwrap();
+        assert!(fsck.contains("fsck: clean"), "{fsck}");
+        fs::remove_dir_all(&base).ok();
+    }
+
+    /// `serve`: an `add` of a trace holding a task-kind `ContextEnter` to
+    /// a store with a healthy member answers ok and swaps in a snapshot
+    /// with both members.
+    #[test]
+    fn serve_add_of_a_task_context_trace_keeps_both_members() {
+        let base = std::env::temp_dir().join("lockdoc-task-context-serve-test");
+        fs::remove_dir_all(&base).ok();
+        fs::create_dir_all(&base).unwrap();
+        let bad = base.join("task-context.ldoc");
+        write_task_context_trace(&bad);
+        let good = base.join("good.ldoc");
+        let g = good.to_str().unwrap();
+        run(&s(&["trace", "--ops", "200", "--out", g])).unwrap();
+        let store = base.join("store");
+        let d = store.to_str().unwrap();
+        run(&s(&["corpus", "add", g, "--dir", d])).unwrap();
+        let queries = base.join("queries.jsonl");
+        let add = Json::obj(vec![
+            ("cmd", "add".to_json()),
+            ("path", bad.to_str().unwrap().to_json()),
+        ]);
+        fs::write(&queries, format!("{add}\n{{\"cmd\": \"status\"}}\n")).unwrap();
+        let q = queries.to_str().unwrap();
+        let resp = run(&s(&["serve", "--dir", d, "--once", "--input", q])).unwrap();
+        let lines: Vec<Json> = resp
+            .lines()
+            .map(|l| lockdoc_platform::json::parse(l).expect("response json"))
+            .collect();
+        assert_eq!(lines.len(), 2, "{resp}");
+        for line in &lines {
+            assert_eq!(line.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+        }
+        let status = lines[1].get("output").and_then(Json::as_str).unwrap();
+        assert!(status.contains("corpus: 2 trace(s)"), "{status}");
         fs::remove_dir_all(&base).ok();
     }
 

@@ -157,17 +157,10 @@ fn build_snapshot(ctx: &CorpusCtx) -> Result<Snapshot> {
     drop(members);
     // The merged events die with this statement: the passes read the store.
     let db = import(&merged_trace(ctx)?.0, &ctx.filter, 1);
-    let jobs = ctx.jobs;
     let mined = derived.rules;
     let parsed =
         parse_rules(rules::documented_rules()).map_err(|e| CliError::Rules(e.to_string()))?;
-    let passes = lint_passes(
-        &EvidenceIndex::build(&db, jobs),
-        &mined,
-        &parsed,
-        None,
-        jobs,
-    );
+    let passes = lint_passes(&EvidenceIndex::build(&db), &mined, &parsed, None);
     Ok(Snapshot {
         summary,
         groups_total: derived.groups_total,

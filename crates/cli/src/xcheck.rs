@@ -12,8 +12,10 @@
 //! (recall: overlap / pass members) — the numbers the original paper
 //! never had, since it lacked a second, independent oracle.
 //!
-//! Every stage is sharded on `platform::par`; the output is
-//! byte-identical at any `--jobs` (gated in `scripts/verify.sh`).
+//! The static front end (parsing and observation collection in
+//! `locksrc`) runs on `--jobs` workers and the dynamic passes run
+//! serially; the output is byte-identical at any `--jobs` (gated in
+//! `scripts/verify.sh`).
 
 use crate::{load_db_from, Args, CliError, Result};
 use ksim::rules;
@@ -159,8 +161,8 @@ pub fn cmd_xcheck(args: &Args) -> Result<String> {
             let t_ac: f64 = args.num("t-ac", 0.9f64)?;
             let parsed = parse_rules(rules::documented_rules())
                 .map_err(|e| CliError::Rules(e.to_string()))?;
-            let index = EvidenceIndex::build(&db, jobs);
-            let mined = derive_in(&index, &DeriveConfig::with_threshold(t_ac), jobs);
+            let index = EvidenceIndex::build(&db);
+            let mined = derive_in(&index, &DeriveConfig::with_threshold(t_ac));
             let statics = to_static_evidence(&report);
             let LintPasses {
                 checked,
@@ -168,7 +170,7 @@ pub fn cmd_xcheck(args: &Args) -> Result<String> {
                 races,
                 report: linted,
                 ..
-            } = lint_passes(&index, &mined, &parsed, Some(&statics), jobs);
+            } = lint_passes(&index, &mined, &parsed, Some(&statics));
 
             let mut passes: Vec<PassJoin> = Vec::new();
             passes.push(PassJoin {

@@ -65,13 +65,12 @@ pub struct CheckedRule {
 /// type-wide); a subclassed rule (e.g. `inode:ext4`) only against that
 /// subclass.
 pub fn check_rules(db: &TraceDb, rules: &[RuleSpec]) -> Vec<CheckedRule> {
-    check_rules_par(db, rules, 1)
+    check_rules_in(&EvidenceIndex::build(db), rules)
 }
 
-/// [`check_rules`] with the evidence index built on `jobs` workers.
-/// Results are identical at any worker count.
-pub fn check_rules_par(db: &TraceDb, rules: &[RuleSpec], jobs: usize) -> Vec<CheckedRule> {
-    check_rules_in(&EvidenceIndex::build(db, jobs), rules)
+/// [`check_rules`]; `_jobs` is unused, as in [`crate::derive::derive_par`].
+pub fn check_rules_par(db: &TraceDb, rules: &[RuleSpec], _jobs: usize) -> Vec<CheckedRule> {
+    check_rules(db, rules)
 }
 
 /// Checks documented rules against the observation lists of an evidence

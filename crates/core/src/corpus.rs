@@ -12,7 +12,7 @@
 //! makes the [`TraceMatrix`] — all aggregated observations of one trace —
 //! a *sufficient statistic* for derivation: [`derive_corpus`] over
 //! per-trace matrices is byte-identical to
-//! [`crate::derive::derive_par`] over the merged trace, without ever
+//! [`crate::derive::derive`] over the merged trace, without ever
 //! re-importing unchanged traces.
 //!
 //! Two cache layers exploit this:
@@ -87,10 +87,10 @@ pub struct TraceMatrix {
 }
 
 /// Builds the full observation matrix of one imported trace: the
-/// observation lists of its [`EvidenceIndex`], built on `jobs` workers.
-/// Output is byte-identical at any worker count.
-pub fn build_trace_matrix(db: &TraceDb, jobs: usize) -> TraceMatrix {
-    EvidenceIndex::build(db, jobs).trace_matrix()
+/// observation lists of its [`EvidenceIndex`]. `_jobs` is unused, as in
+/// [`crate::derive::derive_par`].
+pub fn build_trace_matrix(db: &TraceDb, _jobs: usize) -> TraceMatrix {
+    EvidenceIndex::build(db).trace_matrix()
 }
 
 /// Merges member observation lists that share no observation unit —
@@ -347,9 +347,9 @@ pub struct CorpusDerive {
 /// fingerprint (config, filter, merged ids, contributing trace
 /// checksums) matches exactly, so a stale or foreign cache degrades to
 /// a full derivation, never to a wrong answer. Groups are mined one
-/// after another: mining merged observation lists is milliseconds for a
-/// whole corpus, so `_jobs` is unused (the signature keeps it for
-/// existing callers). Output is the same with or without reuse.
+/// after another; `_jobs` is unused, as in
+/// [`crate::derive::derive_par`]. Output is the same with or without
+/// reuse.
 pub fn derive_corpus(
     traces: &[CorpusTrace],
     meta: &TraceMeta,

@@ -8,11 +8,8 @@
 //!
 //! The observations come from the shared
 //! [`crate::evidence::EvidenceIndex`], which resolves every observation
-//! unit's held locks once for all passes; [`derive_par`] is a one-line
-//! wrapper that builds the index, and [`derive_in`] mines an existing one
-//! — the index build is the parallel part (`jobs` workers over groups),
-//! then groups mine on one ordered [`par_map`]. Output is byte-identical
-//! at any worker count (`jobs = 1` is the exact serial path). The same
+//! unit's held locks once for all passes; [`derive`] builds the index and
+//! [`derive_in`] mines an existing one, group after group. The same
 //! per-group miner runs over merged per-trace observations in
 //! [`crate::corpus::derive_corpus`] and [`derive_pooled`].
 
@@ -20,7 +17,6 @@ use crate::corpus::{merge_members, MemberObs};
 use crate::evidence::{EvidenceIndex, GroupKey};
 use crate::hypothesis::{enumerate, Hypothesis};
 use crate::select::{select, SelectionConfig, Winner};
-use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::AccessKind;
 use lockdoc_trace::ids::{DataTypeId, Sym};
@@ -228,55 +224,50 @@ pub(crate) fn mine_group(
 
 /// Derives type-wide rules with all subclasses pooled (one group per data
 /// type). This is the granularity the Linux documentation speaks at; the
-/// subclassing ablation experiment compares it with [`derive`].
+/// subclassing ablation experiment compares it with [`derive`]. An
+/// allocation belongs to exactly one subclass, so no observation unit
+/// spans groups and a type's pooled observations are its groups' lists
+/// summed per lock sequence.
 pub fn derive_pooled(db: &TraceDb, config: &DeriveConfig) -> MinedRules {
-    derive_pooled_par(db, config, 1)
-}
-
-/// [`derive_pooled`] sharded across `jobs` workers; output is identical at
-/// any worker count. An allocation belongs to exactly one subclass, so no
-/// observation unit spans groups and a type's pooled observations are its
-/// groups' lists summed per lock sequence.
-pub fn derive_pooled_par(db: &TraceDb, config: &DeriveConfig, jobs: usize) -> MinedRules {
-    let index = EvidenceIndex::build(db, jobs);
+    let index = EvidenceIndex::build(db);
     let mut by_type: BTreeMap<DataTypeId, Vec<&[MemberObs]>> = BTreeMap::new();
     for g in index.groups() {
         by_type.entry(g.key.0).or_default().push(&g.members);
     }
-    let types: Vec<_> = by_type.into_iter().collect();
-    let groups = par_map(jobs, &types, |(dtid, lists)| {
-        let members = merge_members(lists.iter().copied());
-        mine_group(
-            (*dtid, None),
-            db.type_name(*dtid).to_owned(),
-            &members,
-            config,
-        )
-    });
+    let groups = by_type
+        .into_iter()
+        .map(|(dtid, lists)| {
+            let members = merge_members(lists);
+            let name = db.type_name(dtid).to_owned();
+            mine_group((dtid, None), name, &members, config)
+        })
+        .collect();
     MinedRules {
         groups,
         config: *config,
     }
 }
 
-/// Derives rules for every observation group in the database (serial
-/// path; equivalent to [`derive_par`] with `jobs = 1`).
+/// Derives rules for every observation group in the database: builds the
+/// evidence index and mines it.
 pub fn derive(db: &TraceDb, config: &DeriveConfig) -> MinedRules {
-    derive_par(db, config, 1)
+    derive_in(&EvidenceIndex::build(db), config)
 }
 
-/// [`derive`] on `jobs` workers: builds the evidence index and mines it.
-/// Output is byte-identical at any worker count.
-pub fn derive_par(db: &TraceDb, config: &DeriveConfig, jobs: usize) -> MinedRules {
-    derive_in(&EvidenceIndex::build(db, jobs), config, jobs)
+/// [`derive`]; `_jobs` is unused, as in [`lockdoc_trace::db::import`]:
+/// derivation is serial at any worker count (DESIGN.md §5.10).
+pub fn derive_par(db: &TraceDb, config: &DeriveConfig, _jobs: usize) -> MinedRules {
+    derive(db, config)
 }
 
-/// Derives rules for every group of an evidence index, one group per
-/// shard of an ordered [`par_map`].
-pub fn derive_in(index: &EvidenceIndex<'_>, config: &DeriveConfig, jobs: usize) -> MinedRules {
-    let groups = par_map(jobs, index.groups(), |g| {
-        mine_group(g.key, g.name.clone(), &g.members, config)
-    });
+/// Derives rules for every group of an evidence index, one group after
+/// another.
+pub fn derive_in(index: &EvidenceIndex<'_>, config: &DeriveConfig) -> MinedRules {
+    let groups = index
+        .groups()
+        .iter()
+        .map(|g| mine_group(g.key, g.name.clone(), &g.members, config))
+        .collect();
     MinedRules {
         groups,
         config: *config,
@@ -335,9 +326,8 @@ mod tests {
         assert!(group.rule_for("seconds", AccessKind::Write).is_some());
     }
 
-    /// The sharded derivator must be output-identical to the serial path
-    /// at any worker count — including worker counts far above the shard
-    /// count.
+    /// `derive_par` must be output-identical to the serial path at any
+    /// worker count.
     #[test]
     fn parallel_derivation_matches_serial_exactly() {
         let db = clock_db(500, 2);
@@ -346,14 +336,15 @@ mod tests {
         for jobs in [2, 3, 4, 8, 32] {
             assert_eq!(derive_par(&db, &config, jobs), serial, "jobs = {jobs}");
         }
-        let pooled_serial = derive_pooled(&db, &config);
-        for jobs in [2, 4, 8] {
-            assert_eq!(
-                derive_pooled_par(&db, &config, jobs),
-                pooled_serial,
-                "pooled jobs = {jobs}"
-            );
-        }
+    }
+
+    /// Without subclasses every data type is one group, so pooling
+    /// changes nothing.
+    #[test]
+    fn pooling_without_subclasses_is_the_identity() {
+        let db = clock_db(500, 2);
+        let config = DeriveConfig::default();
+        assert_eq!(derive_pooled(&db, &config), derive(&db, &config));
     }
 
     #[test]

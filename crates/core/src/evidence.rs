@@ -4,9 +4,8 @@
 //! The paper's derivator (Sec. 5.4), checker and violation finder
 //! (Sec. 5.5) are all queries over the same join, which LockDoc's MariaDB
 //! answers from its indexes. [`EvidenceIndex::build`] materializes that
-//! join in one pass over the access table plus one ordered
-//! [`par_map`] over observation groups (`jobs = 1` is the exact serial
-//! path), and every pass — [`crate::derive`], [`crate::checker`],
+//! join in one pass over the access table plus one loop over observation
+//! groups, and every pass — [`crate::derive`], [`crate::checker`],
 //! [`crate::violation`], [`crate::race`] and
 //! [`crate::corpus::build_trace_matrix`] — reads only the index:
 //!
@@ -36,7 +35,6 @@ use crate::hypothesis::Observation;
 use crate::lockset::LockDescriptor;
 use crate::matrix::{AccessMatrix, CellCounts, MemberMatrix, Unit};
 use lockdoc_platform::hash::FastMap;
-use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::{LockInstance, TraceDb};
 use lockdoc_trace::event::{AccessKind, LockFlavor};
 use lockdoc_trace::ids::{AllocId, DataTypeId, Sym};
@@ -132,9 +130,8 @@ pub struct EvidenceIndex<'db> {
 
 impl<'db> EvidenceIndex<'db> {
     /// Builds the index: one pass over the access table splits rows by
-    /// group, then groups resolve their units in parallel on `jobs`
-    /// workers. The index is identical at any worker count.
-    pub fn build(db: &'db TraceDb, jobs: usize) -> Self {
+    /// group, then each group resolves its units and takes its rows.
+    pub fn build(db: &'db TraceDb) -> Self {
         let (locks, lock_ids) = lock_table(db);
         let mut slot: FastMap<GroupKey, usize> = FastMap::default();
         let mut split: Vec<(GroupKey, Vec<u32>)> = Vec::new();
@@ -149,19 +146,10 @@ impl<'db> EvidenceIndex<'db> {
                 .push(u32::try_from(row).expect("access row ids fit in u32"));
         }
         split.sort_unstable_by_key(|(key, _)| *key);
-        let built = par_map(jobs, &split, |(key, rows)| {
-            build_group(db, &lock_ids, &locks, *key, rows)
-        });
-        // Keep copies made on the calling thread and free the workers'
-        // originals now: heap blocks a worker allocated that outlive it
-        // pin its glibc malloc arena, which raised the peak RSS of an
-        // 8-member cold `corpus build` at `--jobs 2` from 113 to 140 MB
-        // on a 2-vCPU VM.
-        let mut groups: Vec<GroupEvidence> = built.to_vec();
-        drop(built);
-        for (group, (_, rows)) in groups.iter_mut().zip(split) {
-            group.rows = rows;
-        }
+        let groups = split
+            .into_iter()
+            .map(|(key, rows)| build_group(db, &lock_ids, &locks, key, rows))
+            .collect();
         Self { db, locks, groups }
     }
 
@@ -273,15 +261,15 @@ fn lock_table(db: &TraceDb) -> (Vec<LockDescriptor>, Vec<LockIds>) {
     (table, ids)
 }
 
-/// Resolves one group: interns every unit's held-lock sequence, folds
-/// the access matrix, and aggregates the observation lists. The caller
-/// moves `rows` in afterwards.
+/// Resolves one group over its access rows: interns every unit's
+/// held-lock sequence, folds the access matrix, and aggregates the
+/// observation lists.
 fn build_group(
     db: &TraceDb,
     lock_ids: &[LockIds],
     locks: &[LockDescriptor],
     key: GroupKey,
-    rows: &[u32],
+    rows: Vec<u32>,
 ) -> GroupEvidence {
     let mut units: FastMap<Unit, SeqId> = FastMap::default();
     let mut interned: FastMap<Vec<DescId>, SeqId> = FastMap::default();
@@ -290,7 +278,7 @@ fn build_group(
     // (member, unit, is-write, sequence) of every access in a transaction.
     let mut touches: Vec<(u32, Unit, bool, SeqId)> = Vec::with_capacity(rows.len());
     let mut held_ids: Vec<DescId> = Vec::new();
-    for &row in rows {
+    for &row in &rows {
         let a = db.accesses.get(row as usize);
         let Some(txn) = a.txn else {
             row_seqs.push(NO_UNIT);
@@ -395,7 +383,7 @@ fn build_group(
     GroupEvidence {
         key,
         name: db.group_name(key),
-        rows: Vec::new(),
+        rows,
         row_seqs,
         seq_spans,
         seq_locks,

@@ -466,7 +466,7 @@ mod tests {
         // Every held lock survives in the evidence, directly resolved and
         // indexed alike …
         assert_eq!(observations[0].locks.len(), nlocks as usize);
-        let index = crate::evidence::EvidenceIndex::build(&db, 1);
+        let index = crate::evidence::EvidenceIndex::build(&db);
         let indexed = index.group((dt, None)).expect("group indexed");
         assert_eq!(
             indexed.member(0).expect("member indexed").write,

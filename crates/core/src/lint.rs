@@ -23,11 +23,9 @@
 //!   observed acquisition order** are flagged separately, since they
 //!   would introduce an inversion if followed literally.
 //!
-//! The join itself runs serially: it visits each observation group once
-//! and took 0.29 ms on one worker against 0.45 ms on two, so sharding it
-//! only added thread start-up. [`lint_passes`] runs the whole
-//! sequence — check, violations, races, order, lint — over one shared
-//! [`crate::evidence::EvidenceIndex`]; `lockdoc lint`, `xcheck --trace`
+//! [`lint_passes`] runs the whole sequence — check, violations, races,
+//! order, lint — over one shared [`crate::evidence::EvidenceIndex`], each
+//! pass one loop on the calling thread; `lockdoc lint`, `xcheck --trace`
 //! and `serve` all go through it.
 
 use crate::checker::{check_rules_in, CheckedRule, Verdict};
@@ -284,13 +282,12 @@ pub fn lint_passes(
     mined: &MinedRules,
     documented: &[RuleSpec],
     statics: Option<&StaticEvidence>,
-    jobs: usize,
 ) -> LintPasses {
     let db = index.db();
     let checked = check_rules_in(index, documented);
-    let violations = find_violations_in(index, mined, LINT_MAX_EXAMPLES, jobs);
-    let races = find_races_in(index, jobs);
-    let order = OrderGraph::build_par(db, jobs);
+    let violations = find_violations_in(index, mined, LINT_MAX_EXAMPLES);
+    let races = find_races_in(index);
+    let order = OrderGraph::build(db);
     let report = lint(
         db,
         &LintInputs {
@@ -301,7 +298,7 @@ pub fn lint_passes(
             order: &order,
             statics,
         },
-        jobs,
+        1,
     );
     LintPasses {
         checked,
@@ -325,9 +322,8 @@ fn descriptor_class(desc: &LockDescriptor) -> LockClass {
     LockClass { name }
 }
 
-/// Runs the consistency lint, one observation group after another: the
-/// join is too little work to gain from workers (`_jobs` is kept for
-/// callers that pass one setting to every pass).
+/// Runs the consistency lint, one observation group after another;
+/// `_jobs` is unused, as in [`crate::derive::derive_par`].
 pub fn lint(db: &TraceDb, inputs: &LintInputs<'_>, _jobs: usize) -> LintReport {
     let viol_by_group: HashMap<&str, &GroupViolations> = inputs
         .violations

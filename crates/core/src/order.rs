@@ -14,7 +14,6 @@
 //! carry witness information (source location, count) so a reported
 //! inversion can be tracked to code.
 
-use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::schema::HeldLock;
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::SourceLoc;
@@ -98,45 +97,10 @@ impl OrderGraph {
         graph
     }
 
-    /// [`OrderGraph::build`] sharded across `jobs` workers.
-    ///
-    /// Transactions are split into contiguous chunks; the partial edge
-    /// maps merge back in chunk order, summing counts and keeping the
-    /// earliest witness. Since the serial build's witness is also the
-    /// first occurrence in transaction order, the result is
-    /// byte-identical to `build` at any worker count.
-    pub fn build_par(db: &TraceDb, jobs: usize) -> Self {
-        // Split the columnar txn table's id space into at most `jobs`
-        // contiguous ranges.
-        let n = db.txns.len();
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        if n > 0 {
-            let size = n.div_ceil(jobs.max(1));
-            let mut start = 0;
-            while start < n {
-                let end = (start + size).min(n);
-                ranges.push((start, end));
-                start = end;
-            }
-        }
-        let parts = par_map(jobs, &ranges, |&(start, end)| {
-            let mut graph = OrderGraph::default();
-            for i in start..end {
-                graph.record_txn(db, db.txns.get(i).locks);
-            }
-            graph
-        });
-        let mut graph = OrderGraph::default();
-        for part in parts {
-            for (key, edge) in part.edges {
-                graph
-                    .edges
-                    .entry(key)
-                    .and_modify(|e| e.count += edge.count)
-                    .or_insert(edge);
-            }
-        }
-        graph
+    /// [`OrderGraph::build`]; `_jobs` is unused, as in
+    /// [`crate::derive::derive_par`].
+    pub fn build_par(db: &TraceDb, _jobs: usize) -> Self {
+        Self::build(db)
     }
 
     /// Records one transaction's acquisition-order edges.
@@ -607,15 +571,6 @@ mod tests {
         assert_eq!(cycles.len(), 1);
         let names: Vec<&str> = cycles[0].iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["a"]);
-    }
-
-    #[test]
-    fn parallel_build_matches_serial_exactly() {
-        let db = clock_db(2000, 3);
-        let serial = OrderGraph::build(&db);
-        for jobs in [2, 4, 8] {
-            assert_eq!(OrderGraph::build_par(&db, jobs), serial, "jobs = {jobs}");
-        }
     }
 
     #[test]

@@ -35,14 +35,12 @@
 //! Real locksets are the sorted descriptor-id sets of the units' interned
 //! sequences in the shared [`crate::evidence::EvidenceIndex`], so
 //! intersection and disjointness are merges over small integer slices;
-//! descriptors are materialized only for witnesses. Sharding follows
-//! `violation.rs`: one shard per observation group on
-//! [`lockdoc_platform::par`], byte-identical output at any jobs count.
+//! descriptors are materialized only for witnesses. Like `violation.rs`,
+//! the scan visits one observation group after another.
 
 use crate::evidence::{DescId, EvidenceIndex, GroupEvidence};
 use crate::lockset::LockDescriptor;
 use lockdoc_platform::hash::{FastMap, FastSet};
-use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::{Access, FlowKey, TraceDb};
 use lockdoc_trace::event::{AccessKind, ContextKind, SourceLoc};
 use lockdoc_trace::ids::{DataTypeId, StackId, Sym};
@@ -217,22 +215,25 @@ pub fn flow_name(db: &TraceDb, flow: FlowKey) -> String {
     }
 }
 
-/// Runs the race detector serially (`jobs = 1`).
+/// Runs the race detector over the trace.
 pub fn find_races(db: &TraceDb) -> RaceReport {
-    find_races_par(db, 1)
+    find_races_in(&EvidenceIndex::build(db))
 }
 
-/// Runs the race detector with the evidence index built on `jobs`
-/// workers. The report is identical at any worker count.
-pub fn find_races_par(db: &TraceDb, jobs: usize) -> RaceReport {
-    find_races_in(&EvidenceIndex::build(db, jobs), jobs)
+/// [`find_races`]; `_jobs` is unused, as in [`crate::derive::derive_par`].
+pub fn find_races_par(db: &TraceDb, _jobs: usize) -> RaceReport {
+    find_races(db)
 }
 
-/// Runs the race detector over an evidence index, one shard per
-/// observation group on an ordered [`par_map`].
-pub fn find_races_in(index: &EvidenceIndex<'_>, jobs: usize) -> RaceReport {
+/// Runs the race detector over an evidence index, one observation group
+/// after another.
+pub fn find_races_in(index: &EvidenceIndex<'_>) -> RaceReport {
     RaceReport {
-        groups: par_map(jobs, index.groups(), |g| scan_group(index, g)),
+        groups: index
+            .groups()
+            .iter()
+            .map(|g| scan_group(index, g))
+            .collect(),
     }
 }
 

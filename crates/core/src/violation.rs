@@ -13,7 +13,6 @@ use crate::derive::{GroupRules, MinedRules};
 use crate::evidence::{DescId, EvidenceIndex};
 use crate::hypothesis::complies;
 use crate::lockset::LockDescriptor;
-use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::{AccessKind, ContextKind, SourceLoc};
 use lockdoc_trace::ids::StackId;
@@ -89,33 +88,33 @@ pub fn find_violations(
     mined: &MinedRules,
     max_examples: usize,
 ) -> Vec<GroupViolations> {
-    find_violations_par(db, mined, max_examples, 1)
+    find_violations_in(&EvidenceIndex::build(db), mined, max_examples)
 }
 
-/// [`find_violations`] with the evidence index built on `jobs` workers.
-/// Output is identical at any worker count.
+/// [`find_violations`]; `_jobs` is unused, as in
+/// [`crate::derive::derive_par`].
 pub fn find_violations_par(
     db: &TraceDb,
     mined: &MinedRules,
     max_examples: usize,
-    jobs: usize,
+    _jobs: usize,
 ) -> Vec<GroupViolations> {
-    find_violations_in(&EvidenceIndex::build(db, jobs), mined, max_examples, jobs)
+    find_violations(db, mined, max_examples)
 }
 
 /// Scans an evidence index for accesses violating the mined rules, one
-/// shard per mined group on an ordered [`par_map`], so the report is
-/// identical at any worker count. Mined groups the index does not know
+/// mined group after another. Mined groups the index does not know
 /// (rules mined from another trace) scan no accesses.
 pub fn find_violations_in(
     index: &EvidenceIndex<'_>,
     mined: &MinedRules,
     max_examples: usize,
-    jobs: usize,
 ) -> Vec<GroupViolations> {
-    par_map(jobs, &mined.groups, |group_rules| {
-        scan_group(index, group_rules, max_examples)
-    })
+    mined
+        .groups
+        .iter()
+        .map(|group_rules| scan_group(index, group_rules, max_examples))
+        .collect()
 }
 
 /// A lock-requiring rule: the winner's locks, and their interned ids —

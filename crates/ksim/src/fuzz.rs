@@ -458,15 +458,15 @@ json_struct!(FuzzReport {
 });
 
 /// Runs one candidate through the simulator and the full analysis
-/// pipeline. Every inner stage is pinned to `jobs = 1`; campaign-level
-/// parallelism happens across candidates, not inside them.
+/// pipeline on the calling thread: its shards run one after another, and
+/// campaign-level parallelism happens across candidates, not inside them.
 pub fn evaluate(cand: &CandidateMix, ops: u64, shards: u64) -> Result<Signal, String> {
     let cfg = SimConfig::with_seed(cand.sim_seed);
     let run = run_mix_sharded(&cfg, Some(&cand.spec()), ops, shards, 1)?;
     let db = import(&run.trace, &rules::filter_config(), 1);
-    let index = EvidenceIndex::build(&db, 1);
-    let mined = derive_in(&index, &DeriveConfig::default(), 1);
-    let races = find_races_in(&index, 1);
+    let index = EvidenceIndex::build(&db);
+    let mined = derive_in(&index, &DeriveConfig::default());
+    let races = find_races_in(&index);
     let order = OrderGraph::build(&db);
     let analysis = AnalysisSignal::compute(&db, &mined, &races, &order);
     Ok(Signal {

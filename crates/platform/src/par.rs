@@ -1,13 +1,16 @@
 //! Deterministic scoped parallel execution on `std::thread::scope` —
 //! zero dependencies, no unsafe, no global state.
 //!
-//! The analysis phases of the pipeline (derivation, checking, violation
-//! scanning, threshold sweeps) are embarrassingly parallel per shard, but
-//! their *outputs* must stay byte-identical at any worker count so golden
-//! tests and trace diffs remain meaningful. [`par_map`] therefore provides
-//! an *ordered* map: results come back in input order regardless of
-//! completion order, and `jobs = 1` runs the closure inline on the calling
-//! thread (the exact serial path, no pool, no channels).
+//! Workers run only at a coarse grain: the shards of a generated trace,
+//! the files of the static front end and of `scan`, the candidates of a
+//! fuzzing campaign (each one whole pipeline run), and the thresholds of
+//! the fig7 sweep. Import and the evidence-index passes are serial, as
+//! no trace question ran faster on two workers. The *outputs* must stay
+//! byte-identical at any worker count so golden tests and trace diffs
+//! remain meaningful. [`par_map`] therefore provides an *ordered* map:
+//! results come back in input order regardless of completion order, and
+//! `jobs = 1` runs the closure inline on the calling thread (the exact
+//! serial path, no pool, no channels).
 //!
 //! Work distribution is a shared atomic cursor over the input slice, so
 //! uneven shards self-balance; each worker accumulates `(index, result)`
@@ -29,13 +32,15 @@ pub fn available_jobs() -> usize {
 /// Precedence: an explicit request (e.g. a `--jobs` CLI flag), then the
 /// `LOCKDOC_JOBS` environment variable, then the machine's available
 /// parallelism. Requests above the core count are clamped to
-/// [`available_jobs`]: every pass is output-identical at any worker count,
-/// so oversubscribing buys nothing and measurably costs wall-clock: on a
-/// 2-core box, a 20k-op derivation ran 1.66× faster than serial at jobs=2
-/// but only 1.45× at jobs=4. Setting `LOCKDOC_JOBS_FORCE=1` disables the
-/// clamp — the escape hatch the identity gates and benches use to exercise
-/// the true multi-worker code path on any machine. The result is always at
-/// least 1; `1` selects the exact serial code path in [`par_map`].
+/// [`available_jobs`]: every stage is output-identical at any worker
+/// count, so oversubscribing buys nothing. On a 2-vCPU VM, `lockdoc fuzz
+/// --budget 16 --ops 2000` ran 1.59× faster at jobs=2 than at jobs=1,
+/// and `xcheck --src` on a 1,000-site tree 1.22× faster; a trace question
+/// such as `lint` did not gain and runs serially. Setting
+/// `LOCKDOC_JOBS_FORCE=1` disables the clamp — the escape hatch the
+/// identity gates and benches use to exercise the true multi-worker code
+/// path on any machine. The result is always at least 1; `1` selects the
+/// exact serial code path in [`par_map`].
 pub fn resolve_jobs(explicit: Option<usize>) -> usize {
     let requested = explicit.map(|n| n.max(1)).or_else(|| {
         let v = std::env::var("LOCKDOC_JOBS").ok()?;

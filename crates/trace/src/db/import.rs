@@ -583,8 +583,9 @@ impl<'a> Importer<'a> {
 
     /// The quarantine checks of one event against the replay state, which
     /// they only read. The first failed check wins: the timestamp, then
-    /// metadata references, the allocation table, free validity and lock
-    /// balance — the order in which the replay would mishandle the event.
+    /// metadata references, the allocation table, free validity, lock
+    /// balance and the entered context — the order in which the replay
+    /// would mishandle the event.
     fn check(&self, ts: Timestamp, event: &Event) -> Result<(), (QuarantineClass, String)> {
         use QuarantineClass::*;
         let meta = self.meta;
@@ -687,6 +688,9 @@ impl<'a> Importer<'a> {
                 let tasks = meta.tasks.len();
                 dangling(format!("task #{} (table has {tasks})", task.0))
             }
+            Event::ContextEnter {
+                kind: ContextKind::Task,
+            } => Err((TaskContext, "context enter of the task context".into())),
             _ => Ok(()),
         }
     }
@@ -876,6 +880,10 @@ impl<'a> Importer<'a> {
                 self.current_task = *task;
                 self.refresh_flow();
             }
+            // Only interrupt contexts have a flow of their own.
+            Event::ContextEnter {
+                kind: ContextKind::Task,
+            } => self.stats.invalid_events += 1,
             Event::ContextEnter { kind } => {
                 self.ctx_stack.push(*kind);
                 self.refresh_flow();

@@ -50,6 +50,9 @@ pub enum QuarantineClass {
     /// A `LockRelease` of a registered lock the releasing control flow
     /// does not hold.
     UnbalancedRelease,
+    /// A `ContextEnter` of the task context: context events enter
+    /// interrupt contexts, and a task is entered by `TaskSwitch`.
+    TaskContext,
 }
 
 impl QuarantineClass {
@@ -63,6 +66,7 @@ impl QuarantineClass {
             QuarantineClass::DanglingFree => "dangling_free",
             QuarantineClass::DoubleFree => "double_free",
             QuarantineClass::UnbalancedRelease => "unbalanced_release",
+            QuarantineClass::TaskContext => "task_context",
         }
     }
 }

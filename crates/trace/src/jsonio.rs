@@ -98,6 +98,7 @@ json_unit_enum!(QuarantineClass {
     DanglingFree => "dangling_free",
     DoubleFree => "double_free",
     UnbalancedRelease => "unbalanced_release",
+    TaskContext => "task_context",
 });
 
 json_struct!(QuarantineEntry {

@@ -51,10 +51,14 @@ cargo test -q --offline --workspace
 # --- evidence-index passes determinism gate ----------------------------------
 # derive, check, violations, the race detector and the consistency lint
 # all read one shared evidence index and must be byte-identical at any
-# worker count, in both text and JSON renderings. Exercised through the
-# real CLI on a freshly generated racy-knob trace (quick mode: small op
-# count; the same gate runs below the CLI at jobs 1, 2, 4 and 8 in
-# tests/races.rs::races_and_lint_are_jobs_invariant and
+# worker count, in both text and JSON renderings. They run serially at
+# every --jobs (no trace question gained from workers, DESIGN.md §5.10),
+# so this gate now guards against a parallel path coming back without a
+# measured win; the commands that still fork workers are xcheck (its
+# static front end), fuzz and trace --shards, gated below. Exercised
+# through the real CLI on a freshly generated racy-knob trace (quick
+# mode: small op count; the same gate runs below the CLI at jobs 1, 2, 4
+# and 8 in tests/races.rs::races_and_lint_are_jobs_invariant and
 # tests/props.rs::derive_is_jobs_invariant).
 LOCKDOC="$(pwd)/target/release/lockdoc"
 GATE_DIR="$(mktemp -d)"
@@ -76,8 +80,9 @@ echo "derive/check/violations/races/lint determinism gate: OK (byte-identical at
 
 # --- fuzz campaign determinism gate -------------------------------------------
 # A quick coverage-guided fuzzing campaign must be byte-identical at any
-# worker count, in both text and JSON renderings (the same gate runs at
-# scale in the fuzz_campaign_scaling bench).
+# worker count, in both text and JSON renderings; its candidates run on
+# --jobs workers (the same gate runs at scale in the
+# fuzz_campaign_scaling bench).
 for fmt in "" "--json"; do
     # shellcheck disable=SC2086  # $fmt intentionally word-splits
     "$LOCKDOC" fuzz --budget 2 --ops 160 --seed 1 --jobs 1 $fmt > "$GATE_DIR/fuzz.1$fmt.out"
@@ -116,7 +121,9 @@ echo "cached-archive identity gate: OK (miss/hit byte-identical at --jobs 1 and 
 
 # --- corpus + serve determinism gate ------------------------------------------
 # `corpus build` and `serve --once` must answer byte-identically at any
-# worker count and cache temperature (DESIGN.md §5.7). The jobs runs use
+# worker count and cache temperature (DESIGN.md §5.7); both run serially
+# at every --jobs, so the jobs runs guard against a parallel path coming
+# back without a measured win. The jobs runs use
 # separate cold cache directories so nothing is shared but the members;
 # LOCKDOC_JOBS_FORCE=1 keeps the requested worker counts honest on
 # single-core CI runners. The third member is a copy of the first with its
@@ -140,8 +147,13 @@ diff -u "$GATE_DIR/corpus.1.txt" "$GATE_DIR/corpus.4.txt" \
 # The streaming screen-and-import of a build must agree with the path that
 # still materializes the sanitized trace: the rules section of the build
 # equals a batch derive over the trace `corpus export` writes.
+# The export is encoded straight into its file; the byte count it prints
+# must be the file's size.
 "$LOCKDOC" corpus export --dir "$CORPUS_DIR" --cache-dir "$GATE_DIR/ce" \
-    --out "$GATE_DIR/corpus.merged.ldoc" > /dev/null
+    --out "$GATE_DIR/corpus.merged.ldoc" > "$GATE_DIR/corpus.export.txt"
+exported=$(wc -c < "$GATE_DIR/corpus.merged.ldoc" | tr -d ' ')
+grep -q ", $exported bytes\$" "$GATE_DIR/corpus.export.txt" \
+    || { echo "corpus export printed a byte count other than its file's $exported" >&2; exit 1; }
 "$LOCKDOC" derive --trace "$GATE_DIR/corpus.merged.ldoc" --jobs 1 > "$GATE_DIR/corpus.derive.txt"
 for jobs in 1 4; do
     sed -n '/^\[/,$p' "$GATE_DIR/corpus.$jobs.txt" | diff -u "$GATE_DIR/corpus.derive.txt" - \
@@ -222,7 +234,9 @@ echo "crash-recovery gate: OK (roll-back and roll-forward both byte-identical)"
 # static findings must recover the renderer's injected-outlier oracle
 # exactly (the same gates run across seeds and at jobs 1, 2, 4 and 8 in
 # tests/static.rs::planted_outliers_are_recovered_exactly_across_seeds
-# and tests/static.rs::static_report_is_jobs_invariant).
+# and tests/static.rs::static_report_is_jobs_invariant). The static front
+# end parses and collects observations on --jobs workers; the dynamic
+# passes it joins run serially.
 LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" xcheck --trace "$GATE_DIR/racy.ldoc" \
     --seed 42 --jobs 1 > "$GATE_DIR/xcheck.1.txt"
 LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" xcheck --trace "$GATE_DIR/racy.ldoc" \
@@ -264,10 +278,14 @@ scripts/check_traceability.sh
 # property cases per test (default CI runs use the harness default). The
 # suite injects seeded corruption (lockdoc_trace::corrupt) and checks the
 # resilient importer's quarantine reports against the injection oracle.
+# It also runs the bounded-exhaustive ingest property over every
+# sequence of up to four events (an ignored test; release build).
 if [ -n "${LOCKDOC_PROPS_ITERS:-}" ]; then
     echo "corruption soak: ${LOCKDOC_PROPS_ITERS} cases per property"
     LOCKDOC_PROP_CASES="${LOCKDOC_PROPS_ITERS}" \
         cargo test -q --offline --test corruption
+    cargo test -q --offline --release --test corruption -- --ignored \
+        ingest_is_total_over_four_event_sequences
     echo "corruption soak: OK"
 fi
 

@@ -9,6 +9,8 @@
 //! single streaming pass (quarantine checks folded into the importer) is
 //! checked against the two-pass reference it replaced: salvage decoding,
 //! the separate detector in [`reference`], then import of the kept events.
+//! A bounded-exhaustive property feeds every short event sequence over a
+//! small alphabet ([`tiny_alphabet`]) through every ingest entry point.
 //!
 //! Property tests run on the in-tree `lockdoc_platform::prop` harness.
 //! A failing property prints its run seed; reproduce with
@@ -22,14 +24,16 @@ use lockdoc_trace::codec::{read_trace, read_trace_salvage, write_trace, TraceRea
 use lockdoc_trace::corpus::{screen, screen_trace, Health};
 use lockdoc_trace::corrupt::{inject, CorruptionClass, Oracle};
 use lockdoc_trace::db::{
-    import, import_resilient, ingest, quarantine_report, ImportError, ImportReport, IngestOptions,
-    ResilientConfig, TraceDb,
+    import, import_resilient, import_stream, ingest, quarantine_report, ImportError, ImportPolicy,
+    ImportReport, IngestOptions, ResilientConfig, TraceDb,
 };
 use lockdoc_trace::event::{
-    AccessKind, AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc, Trace,
+    AccessKind, AcquireMode, ContextKind, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc,
+    Trace, TraceEvent, TraceMeta,
 };
 use lockdoc_trace::filter::FilterConfig;
 use lockdoc_trace::ids::{AllocId, DataTypeId, FnId, Sym, TaskId};
+use std::sync::Arc;
 
 fn cfg() -> FilterConfig {
     FilterConfig::with_defaults()
@@ -719,6 +723,15 @@ mod reference {
                     }
                     current_task = *task;
                 }
+                Event::ContextEnter {
+                    kind: ContextKind::Task,
+                } => {
+                    quarantine!(
+                        idx,
+                        QuarantineClass::TaskContext,
+                        "context enter of the task context"
+                    );
+                }
                 Event::ContextEnter { kind } => ctx_stack.push(*kind),
                 Event::ContextExit { kind } => {
                     if ctx_stack.last() == Some(kind) {
@@ -975,4 +988,220 @@ fn folded_checks_match_reference_detector() {
             Ok(())
         },
     );
+}
+
+/// Metadata of the exhaustive property's traces: two strings (a file and
+/// a lock name), one data type with a plain and a lock member, one
+/// function and two tasks. Id 2 is one past the string and task tables,
+/// id 1 one past the type and function tables.
+fn tiny_meta() -> TraceMeta {
+    let mut meta = TraceMeta::default();
+    meta.strings.intern("tiny.c");
+    meta.strings.intern("tiny_lock");
+    let member = |name: &str, offset, is_lock| MemberDef {
+        name: name.into(),
+        offset,
+        size: 8,
+        atomic: false,
+        is_lock,
+    };
+    meta.add_data_type(DataTypeDef {
+        name: "tiny".into(),
+        size: 16,
+        members: vec![member("field", 0, false), member("lock", 8, true)],
+    });
+    meta.add_function("tiny_fn");
+    meta.add_task("t0");
+    meta.add_task("t1");
+    meta
+}
+
+/// The exhaustive property's alphabet over [`tiny_meta`]: every `Event`
+/// variant, every `LockFlavor`, `AcquireMode`, `AccessKind` and
+/// `ContextKind` tag, a reference one past each metadata table, and the
+/// allocations, frees and lock addresses that make the checks of
+/// [`reference::detect`] fire: allocation 0 embeds lock `EMBEDDED`, every
+/// other lock registers `GLOBAL`.
+fn tiny_alphabet() -> Vec<Event> {
+    const EMBEDDED: u64 = 0x108;
+    const GLOBAL: u64 = 0x900;
+    let ok = SourceLoc::new(Sym(0), 1);
+    let dangling_loc = SourceLoc::new(Sym(2), 1);
+    let alloc = |id, addr, data_type, subclass| Event::Alloc {
+        id: AllocId(id),
+        addr,
+        size: 16,
+        data_type: DataTypeId(data_type),
+        subclass,
+    };
+    let mut alphabet = vec![
+        alloc(0, 0x100, 0, Some(Sym(1))),
+        alloc(1, EMBEDDED, 0, None),      // overlaps allocation 0
+        alloc(1, u64::MAX - 7, 0, None),  // wraps the address space
+        alloc(1, 0x200, 1, Some(Sym(2))), // dangling type and subclass
+        alloc(2, 0x200, 0, Some(Sym(2))), // dangling subclass
+        Event::Free { id: AllocId(0) },
+        Event::Free { id: AllocId(3) }, // never allocated
+    ];
+    for (i, flavor) in [
+        LockFlavor::Spinlock,
+        LockFlavor::Rwlock,
+        LockFlavor::Mutex,
+        LockFlavor::Semaphore,
+        LockFlavor::RwSemaphore,
+        LockFlavor::Seqlock,
+        LockFlavor::Rcu,
+        LockFlavor::Softirq,
+        LockFlavor::Hardirq,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        alphabet.push(Event::LockInit {
+            addr: if i == 0 { EMBEDDED } else { GLOBAL },
+            // The last flavor's name is dangling.
+            name: Sym(if i == 8 { 2 } else { 1 }),
+            flavor,
+            is_static: i != 0,
+        });
+    }
+    for (addr, mode, loc) in [
+        (GLOBAL, AcquireMode::Shared, ok),
+        (EMBEDDED, AcquireMode::Exclusive, ok),
+        (GLOBAL, AcquireMode::Exclusive, dangling_loc),
+    ] {
+        alphabet.push(Event::LockAcquire { addr, mode, loc });
+    }
+    for (addr, loc) in [(GLOBAL, ok), (EMBEDDED, ok), (GLOBAL, dangling_loc)] {
+        alphabet.push(Event::LockRelease { addr, loc });
+    }
+    for (kind, addr, loc, atomic) in [
+        (AccessKind::Read, 0x100, ok, false),
+        (AccessKind::Write, 0x100, ok, false),
+        (AccessKind::Read, 0x10c, ok, true),
+        (AccessKind::Write, 0x100, dangling_loc, false),
+    ] {
+        let size = 4;
+        alphabet.push(Event::MemAccess {
+            kind,
+            addr,
+            size,
+            loc,
+            atomic,
+        });
+    }
+    alphabet.extend([
+        Event::FnEnter { func: FnId(0) },
+        Event::FnEnter { func: FnId(1) },
+        Event::FnExit { func: FnId(0) },
+        Event::TaskSwitch { task: TaskId(1) },
+        Event::TaskSwitch { task: TaskId(2) },
+    ]);
+    for kind in [
+        ContextKind::Task,
+        ContextKind::Softirq,
+        ContextKind::Hardirq,
+    ] {
+        alphabet.push(Event::ContextEnter { kind });
+        alphabet.push(Event::ContextExit { kind });
+    }
+    alphabet
+}
+
+/// Calls `f` on every sequence of `0..=k` letters of an alphabet of
+/// `letters` letters, shorter sequences first.
+fn for_each_sequence(letters: usize, k: usize, mut f: impl FnMut(&[usize])) {
+    for len in 0..=k {
+        let mut seq = vec![0; len];
+        'seqs: loop {
+            f(&seq);
+            for digit in seq.iter_mut().rev() {
+                *digit += 1;
+                if *digit < letters {
+                    continue 'seqs;
+                }
+                *digit = 0;
+            }
+            break;
+        }
+    }
+}
+
+/// One trace through every ingest entry point: `import`, `import_stream`
+/// of its encoding, and `ingest` under the lenient and the strict policy.
+/// Each must return; the streamed store equals the imported one, the
+/// lenient run equals the two-pass reference (report and store), and the
+/// strict run stops at the reference's first entry.
+fn ingest_every_way(trace: &Trace) {
+    let mut bytes = Vec::new();
+    write_trace(trace, &mut bytes).expect("a monotonic trace encodes");
+    // Small refills make records straddle chunk boundaries, and keep a
+    // debug build from zeroing a default 64 KiB chunk per reader.
+    let reader = || TraceReader::with_chunk_size(bytes.as_slice(), 16).expect("header decodes");
+    let db = import(trace, &cfg(), 1);
+    let streamed = import_stream(reader(), &cfg(), 1).expect("a clean container imports");
+    assert_eq!(
+        streamed, db,
+        "import_stream != import on {:?}",
+        trace.events
+    );
+    let ingest_under = |policy| {
+        let opts = IngestOptions {
+            policy,
+            tables: true,
+            keep_events: false,
+        };
+        ingest(reader(), &cfg(), opts).expect("a clean container ingests")
+    };
+    let (_, want, kept) = two_pass_import(trace.clone());
+    let lenient = ingest_under(ImportPolicy::Lenient);
+    assert_eq!(lenient.report, want, "lenient report on {:?}", trace.events);
+    assert_eq!(
+        lenient.db,
+        Some(kept),
+        "lenient store on {:?}",
+        trace.events
+    );
+    let strict = ingest_under(ImportPolicy::Strict);
+    let first = &want.quarantined[..want.quarantined.len().min(1)];
+    assert_eq!(
+        strict.report.quarantined, first,
+        "strict on {:?}",
+        trace.events
+    );
+}
+
+/// Runs [`ingest_every_way`] on every sequence of at most `k` events over
+/// [`tiny_alphabet`], timestamped 1, 2, 3, ...
+fn ingest_is_total_up_to(k: usize) {
+    let meta = Arc::new(tiny_meta());
+    let alphabet = tiny_alphabet();
+    for_each_sequence(alphabet.len(), k, |seq| {
+        let events = seq
+            .iter()
+            .enumerate()
+            .map(|(i, &letter)| TraceEvent {
+                ts: i as u64 + 1,
+                event: alphabet[letter].clone(),
+            })
+            .collect();
+        let meta = Arc::clone(&meta);
+        ingest_every_way(&Trace { meta, events });
+    });
+}
+
+/// Bounded-exhaustive ingest property: every sequence of up to three
+/// events over an alphabet that holds every event variant and enum tag
+/// and a dangling id per metadata table.
+#[test]
+fn ingest_is_total_over_short_sequences() {
+    ingest_is_total_up_to(3);
+}
+
+/// The same property over every sequence of up to four events (a soak:
+/// about two million sequences; CI's soak step runs it in release).
+#[test]
+#[ignore]
+fn ingest_is_total_over_four_event_sequences() {
+    ingest_is_total_up_to(4);
 }

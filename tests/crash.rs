@@ -7,7 +7,8 @@
 //! after the interrupted operation, never a torn hybrid; and the rules
 //! derived from the recovered corpus (through the possibly-stale cache)
 //! are byte-identical to a from-scratch derivation over the same
-//! members, at `--jobs` 1 and 4.
+//! members, and so are the rules of a second build over the cache the
+//! first one rewrote.
 //!
 //! The schedule is first run on an armed-but-counting in-memory
 //! filesystem to enumerate its injection points and record the member
@@ -109,8 +110,8 @@ fn member_state(store: &CorpusStore) -> BTreeMap<String, Vec<u8>> {
 
 /// Runs the full corpus pipeline (load + incremental derive) and renders
 /// the mined rules — the bytes the determinism contract is stated over.
-fn build_rules(store: &CorpusStore, jobs: usize) -> String {
-    let ctx = CorpusCtx::with_store(store.clone(), 0.9, jobs);
+fn build_rules(store: &CorpusStore) -> String {
+    let ctx = CorpusCtx::with_store(store.clone(), 0.9);
     let members = load_corpus(&ctx, true).unwrap();
     let derived = derive_members(&ctx, &members).unwrap();
     lockdoc_cli::render_rules_text(&derived.rules, false)
@@ -119,14 +120,14 @@ fn build_rules(store: &CorpusStore, jobs: usize) -> String {
 /// From-scratch rules over an explicit member set: a brand-new
 /// filesystem, members written straight into the corpus directory
 /// (membership IS the directory listing), cold caches.
-fn scratch_rules(members: &BTreeMap<String, Vec<u8>>, jobs: usize) -> String {
+fn scratch_rules(members: &BTreeMap<String, Vec<u8>>) -> String {
     let vfs = Vfs::mem();
     let store =
         CorpusStore::open_on(vfs.clone(), Path::new(CORPUS_DIR), Path::new(CACHE_DIR)).unwrap();
     for (name, bytes) in members {
         vfs.write(&store.trace_path(name), bytes).unwrap();
     }
-    build_rules(&store, jobs)
+    build_rules(&store)
 }
 
 /// Applies one schedule op. Returns Err only for I/O failures — which,
@@ -142,7 +143,7 @@ fn run_op(store: &CorpusStore, op: Op) -> Result<(), String> {
             // Cache writes are best-effort (counted, not propagated), so
             // a build can swallow a crash; the caller checks
             // `vfs.crashed()` rather than this result.
-            let ctx = CorpusCtx::with_store(store.clone(), 0.9, 1);
+            let ctx = CorpusCtx::with_store(store.clone(), 0.9);
             let members = load_corpus(&ctx, true).map_err(|e| e.to_string())?;
             let _ = derive_members(&ctx, &members);
             Ok(())
@@ -185,7 +186,7 @@ fn every_crash_point_recovers_to_pre_or_post_op_state() {
             return None;
         }
         if cache[idx].is_none() {
-            cache[idx] = Some(scratch_rules(&states[idx], 1));
+            cache[idx] = Some(scratch_rules(&states[idx]));
         }
         cache[idx].clone()
     };
@@ -246,19 +247,20 @@ fn every_crash_point_recovers_to_pre_or_post_op_state() {
             );
 
             // Rules from the recovered store — through whatever cache
-            // state survived the crash — equal a from-scratch derivation
-            // over the same members, at jobs 1 and 4.
+            // state survived the crash, then through the cache that first
+            // build rewrote — equal a from-scratch derivation over the
+            // same members.
             let idx = if after == states[i] { i } else { i + 1 };
             if let Some(want) = scratch_for(&states, &mut expected_rules, idx) {
-                let got1 = build_rules(&store, 1);
+                let recovered = build_rules(&store);
                 assert_eq!(
-                    got1, want,
-                    "point {k} seed {seed}: recovered rules (jobs 1) != scratch"
+                    recovered, want,
+                    "point {k} seed {seed}: recovered rules != scratch"
                 );
-                let got4 = build_rules(&store, 4);
+                let rebuilt = build_rules(&store);
                 assert_eq!(
-                    got4, want,
-                    "point {k} seed {seed}: recovered rules (jobs 4) != scratch"
+                    rebuilt, want,
+                    "point {k} seed {seed}: rebuilt rules != scratch"
                 );
             }
         }

@@ -410,7 +410,7 @@ fn evidence_index_matches_paper_definitions() {
 }
 
 fn check_evidence_index(db: &TraceDb) -> Result<(), String> {
-    let index = EvidenceIndex::build(db, 2);
+    let index = EvidenceIndex::build(db);
     prop_assert!(
         index.locks().windows(2).all(|w| w[0] < w[1]),
         "descriptor table is not strictly sorted"
