@@ -567,6 +567,11 @@ pub fn cmd_import(args: &Args) -> Result<String> {
         st.txns,
         st.stacks
     ));
+    // Without a policy a malformed event is skipped, not quarantined; say
+    // how many were (a policy reports them as quarantine entries above).
+    if st.invalid_events > 0 {
+        out.push_str(&format!("invalid_events: {}\n", st.invalid_events));
+    }
     if let Some(dir) = args.get("csv-dir") {
         fs::create_dir_all(dir)?;
         for (name, csv) in db.export_csv_tables() {
@@ -1832,6 +1837,7 @@ mod tests {
 
         let plain = run(&s(&["import", "--trace", t])).unwrap();
         assert!(plain.starts_with("events: 2\n"), "{plain}");
+        assert!(plain.ends_with("invalid_events: 1\n"), "{plain}");
         // One bad event in two is over the default budget.
         let lenient = run(&s(&["import", "--trace", t, "--lenient"])).unwrap_err();
         assert!(matches!(lenient, CliError::Import(_)), "{lenient}");

@@ -107,8 +107,10 @@ pub struct AccessMatrix {
 
 impl AccessMatrix {
     /// Builds the matrix for `group` from the imported trace by scanning
-    /// the access table (the analysis passes read the matrices of
-    /// [`crate::evidence::EvidenceIndex`] instead).
+    /// the access table. The analysis passes do not build matrices: they
+    /// read the observation lists and per-row write-over-read bits of
+    /// [`crate::evidence::EvidenceIndex`], which `tests/props.rs` pins to
+    /// this matrix.
     ///
     /// Every imported access carries a transaction id (lock-free spans are
     /// empty-set transactions), so each access maps to exactly one unit.

@@ -12,9 +12,11 @@
 //! Locks are grouped into *classes* like lockdep does: all `i_lock`
 //! instances form one class, global locks are singleton classes. Edges
 //! carry witness information (source location, count) so a reported
-//! inversion can be tracked to code.
+//! inversion can be tracked to code. [`OrderGraph::build`] names each
+//! lock instance's class once and counts edges by class-id pair; class
+//! names are materialized only for the finished edges.
 
-use lockdoc_trace::db::schema::HeldLock;
+use lockdoc_platform::hash::FastMap;
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::SourceLoc;
 use lockdoc_trace::ids::LockId;
@@ -88,43 +90,59 @@ impl OrderGraph {
     /// ordered after every lock already held). Same-class pairs (two
     /// `i_lock` instances of different inodes) are skipped: nested
     /// same-class locking needs instance-level rules, which lockdep also
-    /// special-cases.
+    /// special-cases. An edge's witness is its first observation, in
+    /// transaction order.
+    ///
+    /// Each lock instance's class is resolved once and interned; the
+    /// transaction loop counts edges by class-id pair.
     pub fn build(db: &TraceDb) -> Self {
-        let mut graph = OrderGraph::default();
+        let instance_classes: Vec<LockClass> = (0..db.locks.len())
+            .map(|i| lock_class(db, LockId(i as u32)))
+            .collect();
+        let mut classes = instance_classes.clone();
+        classes.sort_unstable();
+        classes.dedup();
+        let class_of: Vec<u32> = instance_classes
+            .iter()
+            .map(|c| classes.binary_search(c).expect("class is interned") as u32)
+            .collect();
+        // (from, to) class ids -> (count, first witness).
+        let mut counts: FastMap<(u32, u32), (u64, SourceLoc)> = FastMap::default();
         for txn in db.txns.iter() {
-            graph.record_txn(db, txn.locks);
+            let locks = txn.locks;
+            for j in 1..locks.len() {
+                let to = class_of[locks[j].lock.index()];
+                for held in &locks[..j] {
+                    let from = class_of[held.lock.index()];
+                    if from != to {
+                        counts
+                            .entry((from, to))
+                            .or_insert((0, locks[j].acquired_at))
+                            .0 += 1;
+                    }
+                }
+            }
         }
-        graph
+        let edges = counts
+            .into_iter()
+            .map(|((from, to), (count, witness))| {
+                let (from, to) = (&classes[from as usize], &classes[to as usize]);
+                let edge = OrderEdge {
+                    from: from.clone(),
+                    to: to.clone(),
+                    count,
+                    witness,
+                };
+                ((from.clone(), to.clone()), edge)
+            })
+            .collect();
+        OrderGraph { edges }
     }
 
     /// [`OrderGraph::build`]; `_jobs` is unused, as in
     /// [`crate::derive::derive_par`].
     pub fn build_par(db: &TraceDb, _jobs: usize) -> Self {
         Self::build(db)
-    }
-
-    /// Records one transaction's acquisition-order edges.
-    fn record_txn(&mut self, db: &TraceDb, locks: &[HeldLock]) {
-        for j in 1..locks.len() {
-            let to_class = lock_class(db, locks[j].lock);
-            for held in &locks[..j] {
-                let from_class = lock_class(db, held.lock);
-                if from_class == to_class {
-                    continue;
-                }
-                let key = (from_class.clone(), to_class.clone());
-                let witness = locks[j].acquired_at;
-                self.edges
-                    .entry(key)
-                    .and_modify(|e| e.count += 1)
-                    .or_insert(OrderEdge {
-                        from: from_class,
-                        to: to_class.clone(),
-                        count: 1,
-                        witness,
-                    });
-            }
-        }
     }
 
     /// Number of distinct classes in the graph.

@@ -244,23 +244,22 @@ impl<R: Read> ChunkedDecoder<R> {
         }
     }
 
-    /// Pulls one more chunk from the source (sets `eof` on empty read).
+    /// Pulls up to one more chunk from the source (sets `eof` on an empty
+    /// read). The bytes land in the buffer's spare capacity, which
+    /// `read_to_end` lends the source without zero-filling it first.
     fn fill(&mut self) -> Result<()> {
         let old = self.buf.len();
-        self.buf.resize(old + self.chunk, 0);
-        let n = loop {
-            match self.src.read(&mut self.buf[old..]) {
-                Ok(n) => break n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.buf.truncate(old);
-                    return Err(e.into());
-                }
+        self.buf.reserve(self.chunk);
+        match (&mut self.src)
+            .take(self.chunk as u64)
+            .read_to_end(&mut self.buf)
+        {
+            Ok(0) => self.eof = true,
+            Ok(_) => {}
+            Err(e) => {
+                self.buf.truncate(old);
+                return Err(e.into());
             }
-        };
-        self.buf.truncate(old + n);
-        if n == 0 {
-            self.eof = true;
         }
         Ok(())
     }

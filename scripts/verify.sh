@@ -49,9 +49,10 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
 # --- evidence-index passes determinism gate ----------------------------------
-# derive, check, violations, the race detector and the consistency lint
-# all read one shared evidence index and must be byte-identical at any
-# worker count, in both text and JSON renderings. They run serially at
+# derive, check, violations, the race detector, the lock-order graph and
+# the consistency lint all read one imported store (all but the order
+# graph through one shared evidence index) and must be byte-identical at
+# any worker count, in both text and JSON renderings. They run serially at
 # every --jobs (no trace question gained from workers, DESIGN.md §5.10),
 # so this gate now guards against a parallel path coming back without a
 # measured win; the commands that still fork workers are xcheck (its
@@ -64,7 +65,7 @@ LOCKDOC="$(pwd)/target/release/lockdoc"
 GATE_DIR="$(mktemp -d)"
 trap 'rm -rf "$GATE_DIR"' EXIT
 "$LOCKDOC" trace --ops 800 --racy --out "$GATE_DIR/racy.ldoc" > /dev/null
-for cmd in derive check violations races lint; do
+for cmd in derive check violations races lint order; do
     "$LOCKDOC" "$cmd" --trace "$GATE_DIR/racy.ldoc" --jobs 1 > "$GATE_DIR/$cmd.1.txt"
     "$LOCKDOC" "$cmd" --trace "$GATE_DIR/racy.ldoc" --jobs 4 > "$GATE_DIR/$cmd.4.txt"
     "$LOCKDOC" "$cmd" --trace "$GATE_DIR/racy.ldoc" --jobs 1 --json > "$GATE_DIR/$cmd.1.json"
@@ -76,7 +77,7 @@ for cmd in derive check violations races lint; do
 done
 grep -q "RACE" "$GATE_DIR/races.1.txt" \
     || { echo "racy-knob trace produced no race candidates" >&2; exit 1; }
-echo "derive/check/violations/races/lint determinism gate: OK (byte-identical at --jobs 1 and 4)"
+echo "derive/check/violations/races/lint/order determinism gate: OK (byte-identical at --jobs 1 and 4)"
 
 # --- fuzz campaign determinism gate -------------------------------------------
 # A quick coverage-guided fuzzing campaign must be byte-identical at any

@@ -17,7 +17,7 @@ use lockdoc_core::evidence::EvidenceIndex;
 use lockdoc_core::hypothesis::{complies, enumerate, observations_for, Observation};
 use lockdoc_core::lockset::{resolve_txn_locks, LockDescriptor};
 use lockdoc_core::matrix::AccessMatrix;
-use lockdoc_core::order::OrderGraph;
+use lockdoc_core::order::{lock_class, OrderEdge, OrderGraph};
 use lockdoc_core::rulespec::{parse_rule, parse_rules, RuleSpec};
 use lockdoc_core::select::{select, SelectionConfig};
 use lockdoc_platform::prop::{self, vec_of, Shrink};
@@ -360,13 +360,19 @@ fn derive_is_jobs_invariant() {
 /// * groups and their rows are `observation_groups` / `group_accesses`;
 /// * every unit's materialized sequence is `resolve_txn_locks` of that
 ///   unit, and no unit spans two groups;
-/// * every group's matrix is `AccessMatrix::build`, and every observation
-///   list is the uncached `observations_for`.
+/// * every row's write-over-read bit is set exactly when the row is a
+///   read and its unit's cell in `AccessMatrix::build` has writes, and
+///   every observation list is the uncached `observations_for`.
 #[test]
 fn evidence_index_matches_paper_definitions() {
-    let cfg = prop::Config {
-        cases: 16,
-        ..prop::Config::from_env()
+    // Most cases run the simulator, so tier-1 runs 16 of them; an explicit
+    // LOCKDOC_PROP_CASES (the CI soak step) sets the count instead.
+    let cfg = match std::env::var("LOCKDOC_PROP_CASES") {
+        Ok(_) => prop::Config::from_env(),
+        Err(_) => prop::Config {
+            cases: 16,
+            ..prop::Config::from_env()
+        },
     };
     let gen = |rng: &mut Rng| (rng.gen_range(0u64..1 << 48), rng.gen_range(0u8..4));
     prop::check_with(
@@ -444,8 +450,24 @@ fn check_evidence_index(db: &TraceDb) -> Result<(), String> {
                 (txn, a.alloc)
             );
         }
+        // The write-over-read bit is the violation scan's one question of
+        // the paper's access matrix: is this read's cell also written?
         let matrix = AccessMatrix::build(db, g.key);
-        prop_assert!(g.matrix == matrix, "matrix of {} differs", g.name);
+        for (pos, &row) in g.rows().iter().enumerate() {
+            let a = db.accesses.get(row as usize);
+            let written = a.txn.is_some_and(|txn| {
+                matrix
+                    .member(a.member)
+                    .and_then(|m| m.cells.get(&(txn, a.alloc)))
+                    .is_some_and(|c| c.writes > 0)
+            });
+            prop_assert_eq!(
+                g.row_wor(pos),
+                a.kind == AccessKind::Read && written,
+                "write-over-read bit of row {}",
+                row
+            );
+        }
         prop_assert_eq!(g.members.len(), matrix.members.len());
         for (&member, mm) in &matrix.members {
             let mo = g
@@ -841,14 +863,50 @@ fn matrix_wor_partitions_units() {
     });
 }
 
-/// Order-graph invariants: edge counts are bounded by lock pairs in
-/// transactions, and inversions are symmetric findings.
+/// The order graph by its definition: every transaction in order, every
+/// held lock against each later acquisition, both classes named by
+/// `lock_class`, same-class pairs skipped; an edge counts its pairs and
+/// keeps the first one's acquisition site as its witness.
+fn reference_order_graph(db: &TraceDb) -> OrderGraph {
+    let mut graph = OrderGraph::default();
+    for txn in db.txns.iter() {
+        let locks = txn.locks;
+        for j in 1..locks.len() {
+            let to = lock_class(db, locks[j].lock);
+            for held in &locks[..j] {
+                let from = lock_class(db, held.lock);
+                if from == to {
+                    continue;
+                }
+                graph
+                    .edges
+                    .entry((from.clone(), to.clone()))
+                    .and_modify(|e| e.count += 1)
+                    .or_insert(OrderEdge {
+                        from,
+                        to: to.clone(),
+                        count: 1,
+                        witness: locks[j].acquired_at,
+                    });
+            }
+        }
+    }
+    graph
+}
+
+/// Order-graph invariants: the graph equals the per-pair reference
+/// (classes, counts and first witnesses), edge counts are bounded by lock
+/// pairs in transactions, and inversions are symmetric findings.
 #[test]
 fn order_graph_invariants() {
     prop::check("order_graph_invariants", ops_gen(150), |ops| {
         let (trace, _) = build_trace(ops);
         let db = import(&trace, &FilterConfig::with_defaults(), 1);
         let graph = OrderGraph::build(&db);
+        prop_assert!(
+            graph == reference_order_graph(&db),
+            "order graph differs from the per-pair reference"
+        );
         // An edge requires at least one txn with >= 2 locks.
         let multi = db.txns.iter().filter(|t| t.locks.len() >= 2).count();
         if multi == 0 {
@@ -900,6 +958,11 @@ fn lockdep_warnings_are_order_graph_inversions() {
             let trace = machine.finish();
             let db = import(&trace, &ksim::rules::filter_config(), 1);
             let graph = OrderGraph::build(&db);
+            prop_assert!(
+                graph == reference_order_graph(&db),
+                "order graph differs from the per-pair reference (seed {})",
+                seed
+            );
             let inversion_pairs: Vec<(String, String)> = graph
                 .inversions()
                 .iter()
