@@ -74,8 +74,8 @@ pub struct CorpusCtx {
     pub derive_fp: u64,
     /// Cache writes that failed this process. Cache persistence stays
     /// best-effort — a failed write only costs the next run a rebuild —
-    /// but failures are counted and surfaced in `corpus status` / serve
-    /// `status` instead of vanishing.
+    /// but failures are counted and surfaced in `corpus status` instead
+    /// of vanishing.
     pub cache_write_errors: AtomicU64,
 }
 
@@ -283,19 +283,23 @@ pub fn load_corpus(ctx: &CorpusCtx, need_matrix: bool) -> Result<Vec<Member>> {
         .collect()
 }
 
-/// The merged corpus trace and the number of members in it: each
-/// readable member is screened (its sanitized events collected) and
-/// folded into one [`CorpusMerge`] in corpus order before the next member
-/// is read, so no member trace outlives its fold. Unreadable members are
-/// left out; a corpus with no readable member, or members that cannot be
-/// merged, is an error.
-pub(crate) fn merged_trace(ctx: &CorpusCtx) -> Result<(Trace, usize)> {
+/// The merged corpus trace, the number of members in it and every
+/// member's screening verdict in corpus order: each readable member is
+/// screened (its sanitized events collected) and folded into one
+/// [`CorpusMerge`] in corpus order before the next member is read, so no
+/// member trace outlives its fold. Unreadable members are left out; a
+/// corpus with no readable member, or members that cannot be merged, is
+/// an error.
+pub(crate) fn merged_trace(ctx: &CorpusCtx) -> Result<(Trace, usize, Vec<Health>)> {
     let mut merge = CorpusMerge::default();
+    let mut health = Vec::new();
     for name in ctx.store.trace_names()? {
         let bytes = ctx.store.vfs().read(&ctx.store.trace_path(&name))?;
         let Ok(screened) = screen(bytes.as_slice(), &ctx.filter, false, true) else {
+            health.push(Health::Unreadable);
             continue;
         };
+        health.push(Health::of(&screened.salvage, &screened.report));
         if let Some(trace) = screened.trace {
             merge
                 .push(trace)
@@ -304,7 +308,7 @@ pub(crate) fn merged_trace(ctx: &CorpusCtx) -> Result<(Trace, usize)> {
     }
     match merge.parts() {
         0 => Err(no_analyzable_traces()),
-        parts => Ok((merge.finish(), parts)),
+        parts => Ok((merge.finish(), parts, health)),
     }
 }
 
@@ -470,7 +474,7 @@ fn export_report(ctx: &CorpusCtx, args: &Args) -> Result<String> {
     let out_path = args
         .get("out")
         .ok_or_else(|| CliError::Usage("--out FILE is required".into()))?;
-    let (merged, parts) = merged_trace(ctx)?;
+    let (merged, parts, _) = merged_trace(ctx)?;
     let mut out = io::BufWriter::new(fs::File::create(out_path)?);
     write_trace(&merged, &mut out)?;
     let bytes = out

@@ -1799,7 +1799,12 @@ mod tests {
         assert_eq!(output(2), batch_lint, "serve lint != batch lint");
         let batch_order = run(&s(&["order", "--trace", merged.to_str().unwrap()])).unwrap();
         assert_eq!(output(3), batch_order, "serve order != batch order");
-        assert!(output(4).contains("corpus: 3 trace(s) — 2 healthy, 1 degraded"));
+        // status is the corpus summary and the number of derived groups.
+        let groups = batch_derive.lines().filter(|l| l.starts_with('[')).count();
+        assert_eq!(
+            output(4),
+            format!("corpus: 3 trace(s) — 2 healthy, 1 degraded, 0 unreadable\ngroups: {groups}\n")
+        );
         assert_eq!(lines[5].get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(lines[6].get("ok").and_then(Json::as_bool), Some(true));
 

@@ -1,18 +1,19 @@
 //! `lockdoc serve`: a concurrent query daemon over a trace corpus.
 //!
-//! The daemon holds one immutable **snapshot** of the corpus: the
-//! corpus-derived rules plus the race, lint, and lock-order reports of
-//! the merged corpus trace, all pre-rendered in exactly the text formats
-//! the batch subcommands print (the renderers are shared, so the formats
-//! cannot drift). Queries are line-delimited JSON, one request per line,
-//! one response per line:
+//! The daemon holds one immutable **snapshot** of the corpus: the rules,
+//! race, lint, and lock-order reports of the merged corpus trace, all
+//! answered from one import of that trace and pre-rendered in exactly the
+//! text formats the batch subcommands print (the renderers are shared, so
+//! the formats cannot drift). Serve reads and writes no cache file.
+//! Queries are line-delimited JSON, one request per line, one response
+//! per line:
 //!
 //! ```text
 //! {"cmd": "derive"}            -> {"ok": true, "output": "<derive text>"}
 //! {"cmd": "races"}             -> ... races text ...
 //! {"cmd": "lint"}              -> ... lint text ...
 //! {"cmd": "order"}             -> ... order text ...
-//! {"cmd": "status"}            -> corpus health + group-reuse summary
+//! {"cmd": "status"}            -> corpus health summary + group count
 //! {"cmd": "add", "path": "x"}  -> ingest a trace, swap in a new snapshot
 //! {"cmd": "shutdown"}          -> stop the daemon
 //! ```
@@ -47,9 +48,10 @@
 //!   (`--ingest-retries`); permanent refusals (duplicate member, bad
 //!   path) fail immediately.
 
-use crate::corpus::{corpus_summary, derive_members, load_corpus, merged_trace, CorpusCtx};
+use crate::corpus::{corpus_summary, merged_trace, CorpusCtx};
 use crate::{render_rules_text, Args, CliError, Result};
 use ksim::rules;
+use lockdoc_core::derive::derive_in;
 use lockdoc_core::evidence::EvidenceIndex;
 use lockdoc_core::lint::lint_passes;
 use lockdoc_core::rulespec::parse_rules;
@@ -137,34 +139,32 @@ fn read_bounded_line<R: BufRead>(r: &mut R, cap: usize) -> io::Result<ReqLine> {
 
 /// One immutable, fully-rendered answer set over the corpus.
 struct Snapshot {
-    summary: String,
-    groups_total: usize,
-    groups_reused: usize,
+    status_text: String,
     rules_text: String,
     races_text: String,
     lint_text: String,
     order_text: String,
 }
 
-/// Builds a snapshot: load the corpus the way `corpus build` does (cached
-/// matrices when warm), derive corpus rules group-incrementally, then
-/// import the merged trace once for the whole-corpus race/lint/order
-/// passes.
+/// Builds a snapshot: fold the members into the merged corpus trace,
+/// import it once and answer every query from one evidence index over
+/// that store. No cache file is read or written.
 fn build_snapshot(ctx: &CorpusCtx) -> Result<Snapshot> {
-    let members = load_corpus(ctx, true)?;
-    let derived = derive_members(ctx, &members)?;
-    let summary = corpus_summary(members.iter().map(|m| m.health));
-    drop(members);
-    // The merged events die with this statement: the passes read the store.
-    let db = import(&merged_trace(ctx)?.0, &ctx.filter, 1);
-    let mined = derived.rules;
+    let (merged, _, health) = merged_trace(ctx)?;
+    let db = import(&merged, &ctx.filter, 1);
+    // The passes read the store, not the merged events.
+    drop(merged);
+    let index = EvidenceIndex::build(&db);
+    let mined = derive_in(&index, &ctx.config);
     let parsed =
         parse_rules(rules::documented_rules()).map_err(|e| CliError::Rules(e.to_string()))?;
-    let passes = lint_passes(&EvidenceIndex::build(&db), &mined, &parsed, None);
+    let passes = lint_passes(&index, &mined, &parsed, None);
     Ok(Snapshot {
-        summary,
-        groups_total: derived.groups_total,
-        groups_reused: derived.groups_reused,
+        status_text: format!(
+            "{}\ngroups: {}\n",
+            corpus_summary(health),
+            mined.groups.len()
+        ),
         rules_text: render_rules_text(&mined, false),
         races_text: passes.races.render(&db),
         lint_text: passes.report.render(&db),
@@ -244,19 +244,7 @@ fn handle_line(state: &ServeState, line: &str) -> (bool, String) {
         "races" => (false, respond_ok(state.current().races_text.clone())),
         "lint" => (false, respond_ok(state.current().lint_text.clone())),
         "order" => (false, respond_ok(state.current().order_text.clone())),
-        "status" => {
-            let snap = state.current();
-            (
-                false,
-                respond_ok(format!(
-                    "{}\ngroups: {} total, {} reused\ncache write errors: {}\n",
-                    snap.summary,
-                    snap.groups_total,
-                    snap.groups_reused,
-                    state.ctx.cache_write_errors()
-                )),
-            )
-        }
+        "status" => (false, respond_ok(state.current().status_text.clone())),
         "add" => {
             let Some(path) = req.get("path").and_then(Json::as_str) else {
                 return (false, respond_err("add needs a `path` string".into()));

@@ -44,8 +44,10 @@
 //! `None` and the caller falls back to a fresh import (and typically
 //! rewrites the archive). The reader additionally cross-checks every id
 //! against the tables and `meta` it actually loaded (allocation
-//! references, lock/txn/stack indices, interned strings), so even a
-//! checksum collision cannot yield out-of-range references downstream.
+//! references, lock/txn/stack indices, interned strings) and checks that
+//! allocation ids strictly ascend, as [`TraceDb::allocation`]'s binary
+//! search needs, so even a checksum collision cannot yield out-of-range
+//! references downstream.
 //! A stale or corrupt cache can therefore cost a
 //! re-import, never a wrong answer: `archive_roundtrip_is_identity` and
 //! the CLI's `--cache-dir` gate in `scripts/verify.sh` check the loaded
@@ -539,6 +541,10 @@ pub fn read_archive(
         FlowKey::Irq(_) => true,
     };
     let alloc_ids: std::collections::HashSet<AllocId> = allocations.iter().map(|a| a.id).collect();
+    // Ids strictly ascend, as `TraceDb::allocation`'s binary search needs.
+    if allocations.windows(2).any(|w| w[0].id >= w[1].id) {
+        return None;
+    }
     for a in &allocations {
         if !valid_dt(&meta, a.data_type) || !a.subclass.is_none_or(|s| valid_sym(&meta, s)) {
             return None;
@@ -754,6 +760,27 @@ mod tests {
         let back =
             read_archive(&bytes, 0xabcd, 0x1234, Arc::clone(&db.meta)).expect("roundtrip must hit");
         assert_eq!(db, back);
+    }
+
+    /// A validly sealed archive whose allocation rows are out of id order
+    /// is a miss: `TraceDb::allocation` finds ids by binary search.
+    #[test]
+    fn unsorted_allocation_ids_are_a_miss() {
+        let mut db = sample_db();
+        let mut second = db.allocations[0].clone();
+        second.id = AllocId(2);
+        second.addr = 0x2000;
+        db.allocations.push(second);
+        let meta = || Arc::clone(&db.meta);
+        let sorted = write_archive(&db, 0xabcd, 0x1234);
+        assert_eq!(
+            read_archive(&sorted, 0xabcd, 0x1234, meta()).as_ref(),
+            Some(&db)
+        );
+        let mut swapped = db.clone();
+        swapped.allocations.swap(0, 1);
+        let resealed = write_archive(&swapped, 0xabcd, 0x1234);
+        assert!(read_archive(&resealed, 0xabcd, 0x1234, meta()).is_none());
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //!
 //! Row ids are implicit: row `i` of [`AccessTable`] *is* access id `i`,
 //! row `i` of [`TxnTable`] is `TxnId(i)`. Arena layout is deterministic
-//! because rows are only ever appended in id order — both the serial
-//! importer and the parallel merge push row `i` before row `i + 1` — so
-//! structural equality of two tables is exactly row-wise equality.
+//! because the importer only ever appends rows in id order, so structural
+//! equality of two tables is exactly row-wise equality.
 
 use crate::db::schema::{Access, FlowKey, HeldLock, Txn};
 use crate::event::{AccessKind, ContextKind, SourceLoc};

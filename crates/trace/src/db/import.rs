@@ -497,6 +497,9 @@ impl<'a> Importer<'a> {
             .filter(|l| l.embedded_in.is_some())
             .count() as u64;
         self.stats.stacks = self.stacks.len() as u64;
+        // Rows were appended in event order; `TraceDb::allocation` looks
+        // ids up by binary search. Ids are unique: a reused one is dropped.
+        self.allocations.sort_unstable_by_key(|a| a.id);
         TraceDb {
             meta,
             allocations: self.allocations,

@@ -37,7 +37,8 @@ pub struct TraceDb {
     /// Static metadata shared with the source trace (no deep copy: the
     /// interner and type/function/task tables are refcounted).
     pub meta: std::sync::Arc<TraceMeta>,
-    /// All observed allocations (live and freed).
+    /// All observed allocations (live and freed), sorted by their unique
+    /// id.
     pub allocations: Vec<Allocation>,
     /// All registered lock instances.
     pub locks: Vec<LockInstance>,
@@ -94,14 +95,13 @@ impl TraceDb {
         self.stacks.frames(id)
     }
 
-    /// An allocation by id (allocation ids are dense in import order).
+    /// An allocation by id: one binary search, since the table is sorted
+    /// by id (ids are assigned by the tracer and may be sparse).
     pub fn allocation(&self, id: crate::ids::AllocId) -> Option<&Allocation> {
-        // Ids are assigned by the tracer and may be sparse; fall back to scan.
         self.allocations
             .binary_search_by_key(&id, |a| a.id)
             .ok()
             .map(|i| &self.allocations[i])
-            .or_else(|| self.allocations.iter().find(|a| a.id == id))
     }
 
     /// All distinct observation groups `(data type, subclass)` that have at

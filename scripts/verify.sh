@@ -166,7 +166,7 @@ done
     --out "$GATE_DIR/corpus.merged.warm.ldoc" > /dev/null
 cmp "$GATE_DIR/corpus.merged.ldoc" "$GATE_DIR/corpus.merged.warm.ldoc" \
     || { echo "corpus export over a warm cache differs from the cold export" >&2; exit 1; }
-printf '{"cmd": "derive"}\n{"cmd": "races"}\n{"cmd": "lint"}\n{"cmd": "order"}\n{"cmd": "shutdown"}\n' \
+printf '{"cmd": "derive"}\n{"cmd": "races"}\n{"cmd": "lint"}\n{"cmd": "order"}\n{"cmd": "status"}\n{"cmd": "shutdown"}\n' \
     > "$GATE_DIR/queries.jsonl"
 LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" serve --dir "$CORPUS_DIR" \
     --cache-dir "$GATE_DIR/sc1" --once --input "$GATE_DIR/queries.jsonl" \
@@ -176,6 +176,10 @@ LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" serve --dir "$CORPUS_DIR" \
     --jobs 4 > "$GATE_DIR/serve.4.txt"
 diff -u "$GATE_DIR/serve.1.txt" "$GATE_DIR/serve.4.txt" \
     || { echo "serve --once differs between --jobs 1 and --jobs 4" >&2; exit 1; }
+# Serve answers from one import of the merged trace and writes no cache.
+if ls "$GATE_DIR/sc1" | grep -qE '\.ldmtx$|\.screen\.json$|^corpus\.rules\.json$'; then
+    echo "serve --once wrote a corpus cache file into its --cache-dir" >&2; exit 1
+fi
 LOCKDOC_JOBS_FORCE=1 "$LOCKDOC" serve --dir "$CORPUS_DIR" \
     --cache-dir "$GATE_DIR/cc1" --once --input "$GATE_DIR/queries.jsonl" \
     --jobs 1 > "$GATE_DIR/serve.warm.txt"
@@ -183,7 +187,7 @@ diff -u "$GATE_DIR/serve.1.txt" "$GATE_DIR/serve.warm.txt" \
     || { echo "serve --once over a warm cache differs from a cold one" >&2; exit 1; }
 grep -q '"ok":true' "$GATE_DIR/serve.1.txt" \
     || { echo "serve --once answered no query" >&2; exit 1; }
-echo "corpus/serve determinism gate: OK (byte-identical at --jobs 1 and 4 and over a warm cache, rules == derive over the export)"
+echo "corpus/serve determinism gate: OK (byte-identical at --jobs 1 and 4 and over a warm cache, rules == derive over the export, serve writes no cache)"
 
 # --- crash-recovery gate -------------------------------------------------------
 # Interrupting `corpus add` at a fixed injection point (the

@@ -10,8 +10,8 @@
 //!   bit in the rules cache or in a screening sidecar;
 //! * `serve --once` answers queries byte-identically to the batch
 //!   subcommands on the merged corpus, before and after an ingest, with
-//!   a cold or a warm cache, and `corpus export` writes the same bytes
-//!   whatever the cache holds.
+//!   a cold or a warm cache, and writes no cache file; `corpus export`
+//!   writes the same bytes whatever the cache holds.
 
 use lockdoc_cli::run;
 use lockdoc_platform::json::{parse, Json};
@@ -510,6 +510,37 @@ fn serve_once_matches_batch_and_survives_ingest() {
             resp,
             "serve differs across --jobs / cache temperature ({cache:?}, jobs {jobs})"
         );
+    }
+
+    // Serve answers from one import of the merged trace: with or without
+    // an add, it leaves no cache file behind.
+    let plain = base.join("q-plain.jsonl");
+    fs::write(&plain, "{\"cmd\": \"status\"}\n{\"cmd\": \"shutdown\"}\n").unwrap();
+    let cache2 = base.join("cache-plain");
+    run(&s(&[
+        "serve",
+        "--dir",
+        d,
+        "--once",
+        "--input",
+        plain.to_str().unwrap(),
+        "--cache-dir",
+        cache2.to_str().unwrap(),
+    ]))
+    .unwrap();
+    for cache in [&cache1, &cache2] {
+        let written: Vec<String> = fs::read_dir(cache)
+            .map(|rd| {
+                rd.map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                    .filter(|n| {
+                        n.ends_with(".ldmtx")
+                            || n.ends_with(".screen.json")
+                            || n == "corpus.rules.json"
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        assert!(written.is_empty(), "serve wrote {written:?} into {cache:?}");
     }
     fs::remove_dir_all(&base).ok();
 }

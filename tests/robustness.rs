@@ -552,3 +552,109 @@ fn wide_types_and_long_transactions_stay_exact() {
         assert_eq!(g.members_checked, u64::from(expected));
     }
 }
+
+/// `objects` allocations of one type, each embedding the spinlock that
+/// guards one write, taken under a static mutex; the i-th allocation gets
+/// id `id(i)`.
+fn embedded_lock_trace(objects: u64, id: impl Fn(u64) -> u64) -> Trace {
+    use lockdoc_trace::event::{DataTypeDef, MemberDef};
+    let mut tr = Trace::new();
+    let file = tr.meta_mut().strings.intern("obj.c");
+    let g_lock = tr.meta_mut().strings.intern("g_lock");
+    let obj_lock = tr.meta_mut().strings.intern("obj_lock");
+    let member = |name: &str, offset, is_lock| MemberDef {
+        name: name.into(),
+        offset,
+        size: 8,
+        atomic: false,
+        is_lock,
+    };
+    let dt = tr.meta_mut().add_data_type(DataTypeDef {
+        name: "obj".into(),
+        size: 0x40,
+        members: vec![member("lock", 0, true), member("v", 8, false)],
+    });
+    tr.meta_mut().add_task("t");
+    let loc = SourceLoc::new(file, 1);
+    let acquire = |addr| Event::LockAcquire {
+        addr,
+        mode: AcquireMode::Exclusive,
+        loc,
+    };
+    let mut events = vec![
+        Event::TaskSwitch { task: TaskId(0) },
+        Event::LockInit {
+            addr: 0x10,
+            name: g_lock,
+            flavor: LockFlavor::Mutex,
+            is_static: true,
+        },
+    ];
+    for i in 0..objects {
+        let addr = 0x10000 + i * 0x40;
+        events.extend([
+            Event::Alloc {
+                id: AllocId(id(i)),
+                addr,
+                size: 0x40,
+                data_type: dt,
+                subclass: None,
+            },
+            Event::LockInit {
+                addr,
+                name: obj_lock,
+                flavor: LockFlavor::Spinlock,
+                is_static: false,
+            },
+            acquire(0x10),
+            acquire(addr),
+            Event::MemAccess {
+                kind: AccessKind::Write,
+                addr: addr + 8,
+                size: 8,
+                loc,
+                atomic: false,
+            },
+            Event::LockRelease { addr, loc },
+            Event::LockRelease { addr: 0x10, loc },
+        ]);
+    }
+    for (ts, e) in events.into_iter().enumerate() {
+        tr.push(ts as u64 + 1, e);
+    }
+    tr
+}
+
+/// Allocation ids that descend in event order are looked up like
+/// ascending ones: the store sorts its allocations by id, and the
+/// evidence index, the order graph and the lint report equal those of
+/// the ascending twin.
+#[test]
+fn descending_allocation_ids_match_their_ascending_twin() {
+    use lockdoc_core::derive::{derive_in, DeriveConfig};
+    use lockdoc_core::lint::lint_passes;
+    use lockdoc_core::{EvidenceIndex, OrderGraph};
+
+    const OBJECTS: u64 = 500;
+    let filter = FilterConfig::with_defaults();
+    let asc = import(&embedded_lock_trace(OBJECTS, |i| i + 1), &filter, 1);
+    let desc = import(&embedded_lock_trace(OBJECTS, |i| OBJECTS - i), &filter, 1);
+    assert_eq!(desc.accesses.len() as u64, OBJECTS);
+    assert!(desc.allocations.windows(2).all(|w| w[0].id < w[1].id));
+    for id in 1..=OBJECTS {
+        assert_eq!(
+            desc.allocation(AllocId(id)).map(|a| a.id),
+            Some(AllocId(id))
+        );
+    }
+    let (asc_index, desc_index) = (EvidenceIndex::build(&asc), EvidenceIndex::build(&desc));
+    assert_eq!(asc_index.trace_matrix(), desc_index.trace_matrix());
+    let order = OrderGraph::build(&asc);
+    assert!(!order.edges.is_empty());
+    assert_eq!(order, OrderGraph::build(&desc));
+    let lint_of = |db, index| {
+        let mined = derive_in(index, &DeriveConfig::default());
+        lint_passes(index, &mined, &[], None).report.render(db)
+    };
+    assert_eq!(lint_of(&asc, &asc_index), lint_of(&desc, &desc_index));
+}
