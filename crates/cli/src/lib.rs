@@ -1328,8 +1328,33 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(fresh, cached, "stale archive must miss, not serve old data");
-        // A corrupt archive misses cleanly too.
+        // An archive of the previous format version at the same path is a
+        // clean miss, and the fresh import rewrites it in place at the
+        // current version.
         let apath = &archives[0];
+        {
+            use lockdoc_platform::artifact;
+            use lockdoc_trace::db::archive::{ARCHIVE_MAGIC, FORMAT_VERSION};
+            let keys = [
+                checksum(&fs::read(t).unwrap()),
+                filter_fingerprint(&rules::filter_config()),
+            ];
+            let current = fs::read(apath).unwrap();
+            let payload = artifact::open(&current, &ARCHIVE_MAGIC, FORMAT_VERSION, &keys)
+                .expect("the archive opens at the current version")
+                .to_vec();
+            let older = artifact::seal(&ARCHIVE_MAGIC, FORMAT_VERSION - 1, &keys, &payload);
+            fs::write(apath, older).unwrap();
+            let args = ["races", "--trace", t, "--jobs", "1", "--cache-dir", c];
+            let after_stale = run(&s(&args)).unwrap();
+            assert_eq!(fresh, after_stale, "an older-version archive must miss");
+            let rewritten = fs::read(apath).unwrap();
+            assert!(
+                artifact::open(&rewritten, &ARCHIVE_MAGIC, FORMAT_VERSION, &keys).is_some(),
+                "the miss rewrites the archive at version {FORMAT_VERSION}"
+            );
+        }
+        // A corrupt archive misses cleanly too.
         let mut bytes = fs::read(apath).unwrap();
         if let Some(b) = bytes.get_mut(40) {
             *b ^= 0xff;

@@ -194,8 +194,7 @@ mod tests {
         // 1000 iterations -> 16 roll-overs (1000/60), plus 1 faulty.
         let db = clock_db(1000, 1);
         let minute_writes = db
-            .accesses
-            .iter()
+            .iter_accesses()
             .filter(|a| a.kind == AccessKind::Write && a.member == 1)
             .count();
         assert_eq!(minute_writes, 17);
@@ -220,9 +219,6 @@ mod tests {
     fn faulty_run_holds_only_sec_lock() {
         let db = clock_db(0, 1);
         // All accesses of the single faulty run sit in one txn with one lock.
-        assert!(db
-            .accesses
-            .iter()
-            .all(|a| db.txn(a.txn.unwrap()).locks.len() == 1));
+        assert!(db.iter_accesses().all(|a| db.txn(a.txn).locks.len() == 1));
     }
 }

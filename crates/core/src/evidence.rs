@@ -9,7 +9,10 @@
 //! [`crate::violation`], [`crate::race`] and
 //! [`crate::corpus::build_trace_matrix`] — reads only the index:
 //!
-//! * **Rows.** Each observation group's access row ids, ascending.
+//! * **Rows.** Each observation group's access row ids, ascending. An
+//!   access's group is its allocation's, so the split maps each
+//!   allocation row to its group once, at the allocation's first access,
+//!   and every other row costs an array load.
 //! * **Lock table.** Every lock descriptor any lock instance can resolve
 //!   to, sorted and deduplicated, so a descriptor's id is its rank:
 //!   *id order equals [`LockDescriptor`]'s `Ord`*. Every lock instance's
@@ -20,12 +23,14 @@
 //! * **Units.** Per row, the held-lock sequence of its `(txn, alloc)`
 //!   unit as interned descriptor ids (first-acquisition order,
 //!   deduplicated exactly like [`crate::lockset::resolve_txn_locks`]).
+//!   Every access lies in a transaction, so every row has a unit.
 //!   Sequence ids are assigned in lexicographic order of their id slices,
 //!   which by the id-order invariant is the order of the resolved
 //!   descriptor sequences. A row finds its unit through a memo indexed by
 //!   its [`lockdoc_trace::ids::TxnId`] — the unit of the transaction's
-//!   previous access in the group — or, on a miss, a `(txn, alloc)` map,
-//!   so only the first access of a unit resolves held locks.
+//!   previous access in the group — or, on a miss, a map keyed by the
+//!   transaction and allocation rows, so only the first access of a unit
+//!   resolves held locks.
 //! * **Write-over-read bits.** Per row, whether it is a read whose unit
 //!   also writes the member — the one question the violation scan asks
 //!   of the paper's access matrix ([`crate::matrix::AccessMatrix`], which
@@ -34,8 +39,9 @@
 //!   [`Observation`] list after write-over-read folding, sorted by lock
 //!   sequence — exactly [`crate::hypothesis::observations_for`].
 //!
-//! Descriptors are materialized only for output: observation lists,
-//! violation examples and race witnesses.
+//! The build reads only the access table's allocation, transaction,
+//! member and kind columns. Descriptors are materialized only for output:
+//! observation lists, violation examples and race witnesses.
 
 use crate::corpus::{GroupMatrix, MemberObs, TraceMatrix};
 use crate::hypothesis::Observation;
@@ -43,7 +49,7 @@ use crate::lockset::LockDescriptor;
 use lockdoc_platform::hash::FastMap;
 use lockdoc_trace::db::{LockInstance, TraceDb};
 use lockdoc_trace::event::{AccessKind, LockFlavor};
-use lockdoc_trace::ids::{AllocId, DataTypeId, Sym};
+use lockdoc_trace::ids::{DataTypeId, Sym};
 
 /// Interned lock descriptor: an index into [`EvidenceIndex::locks`].
 pub type DescId = u32;
@@ -55,9 +61,6 @@ pub type SeqId = u32;
 /// An observation group: `(data type, subclass)`.
 pub type GroupKey = (DataTypeId, Option<Sym>);
 
-/// `row_seqs` marker for an access outside any transaction.
-const NO_UNIT: SeqId = SeqId::MAX;
-
 /// The descriptor ids one lock instance resolves to.
 #[derive(Debug, Clone, Copy)]
 struct LockIds {
@@ -66,8 +69,8 @@ struct LockIds {
     same: DescId,
     /// The id relative to any other allocation (`EO`).
     other: DescId,
-    /// The allocation embedding the lock, if any.
-    owner: Option<AllocId>,
+    /// The row of the allocation embedding the lock, if any.
+    owner: Option<u32>,
 }
 
 /// The evidence of one observation group `(data type, subclass)`.
@@ -79,8 +82,7 @@ pub struct GroupEvidence {
     pub name: String,
     /// Access row ids of the group, ascending.
     rows: Vec<u32>,
-    /// Per row (parallel to `rows`): the sequence of its unit, or
-    /// [`NO_UNIT`] for an access outside any transaction.
+    /// Per row (parallel to `rows`): the sequence of its unit.
     row_seqs: Vec<SeqId>,
     /// Per row (parallel to `rows`): whether it is a read that
     /// write-over-read folding covers.
@@ -100,10 +102,9 @@ impl GroupEvidence {
     }
 
     /// The held-lock sequence id of the unit of the `pos`-th row of
-    /// [`Self::rows`]; `None` when that access lies outside any
-    /// transaction.
-    pub fn row_seq(&self, pos: usize) -> Option<SeqId> {
-        Some(self.row_seqs[pos]).filter(|&s| s != NO_UNIT)
+    /// [`Self::rows`].
+    pub fn row_seq(&self, pos: usize) -> SeqId {
+        self.row_seqs[pos]
     }
 
     /// Whether the `pos`-th row of [`Self::rows`] is a read whose unit
@@ -142,19 +143,27 @@ pub struct EvidenceIndex<'db> {
 }
 
 impl<'db> EvidenceIndex<'db> {
-    /// Builds the index: one pass over the access table splits rows by
-    /// group, then each group resolves its units and takes its rows.
+    /// Builds the index: one pass over the access table's allocation
+    /// column splits rows by group, then each group resolves its units and
+    /// takes its rows.
     pub fn build(db: &'db TraceDb) -> Self {
         let (locks, lock_ids) = lock_table(db);
-        let mut slot: FastMap<GroupKey, usize> = FastMap::default();
+        let mut slot: FastMap<GroupKey, u32> = FastMap::default();
         let mut split: Vec<(GroupKey, Vec<u32>)> = Vec::new();
-        for (row, a) in db.accesses.iter().enumerate() {
-            let key = (a.data_type, a.subclass);
-            let i = *slot.entry(key).or_insert_with(|| {
-                split.push((key, Vec::new()));
-                split.len() - 1
-            });
-            split[i]
+        // Per allocation row: its group's slot in `split`, set at the
+        // allocation's first access.
+        let mut alloc_slot = vec![NO_SLOT; db.allocations.len()];
+        for row in 0..db.accesses.len() {
+            let alloc = db.accesses.alloc_row(row) as usize;
+            if alloc_slot[alloc] == NO_SLOT {
+                let a = &db.allocations[alloc];
+                let key = (a.data_type, a.subclass);
+                alloc_slot[alloc] = *slot.entry(key).or_insert_with(|| {
+                    split.push((key, Vec::new()));
+                    split.len() as u32 - 1
+                });
+            }
+            split[alloc_slot[alloc] as usize]
                 .1
                 .push(u32::try_from(row).expect("access row ids fit in u32"));
         }
@@ -225,12 +234,9 @@ impl<'db> EvidenceIndex<'db> {
 }
 
 /// The descriptor a lock instance resolves to, and for an embedded lock
-/// its owner allocation and the descriptor relative to any other object
-/// (mirrors [`crate::lockset::resolve_descriptor`]).
-fn classify(
-    db: &TraceDb,
-    lock: &LockInstance,
-) -> (LockDescriptor, Option<(AllocId, LockDescriptor)>) {
+/// its owner's allocation row and the descriptor relative to any other
+/// object (mirrors [`crate::lockset::resolve_descriptor`]).
+fn classify(db: &TraceDb, lock: &LockInstance) -> (LockDescriptor, Option<(u32, LockDescriptor)>) {
     let pseudo = match lock.flavor {
         LockFlavor::Rcu => Some("rcu"),
         LockFlavor::Softirq => Some("softirq"),
@@ -243,17 +249,17 @@ fn classify(
     let Some((owner, offset)) = lock.embedded_in else {
         return (LockDescriptor::global(db.sym(lock.name)), None);
     };
-    let alloc = db
-        .allocation(owner)
+    let row = db
+        .allocation_row(owner)
         .expect("embedded lock references a known allocation");
-    let def = db.data_type(alloc.data_type);
+    let def = db.data_type(db.allocations[row].data_type);
     let member = match def.member_at(offset) {
         Some(i) => def.members[i].name.as_str(),
         None => db.sym(lock.name),
     };
     (
         LockDescriptor::es(member, &def.name),
-        Some((owner, LockDescriptor::eo(member, &def.name))),
+        Some((row as u32, LockDescriptor::eo(member, &def.name))),
     )
 }
 
@@ -279,15 +285,16 @@ fn lock_table(db: &TraceDb) -> (Vec<LockDescriptor>, Vec<LockIds>) {
     (table, ids)
 }
 
-/// One observation unit `(txn, alloc)` of the group being built.
+/// One observation unit `(txn, alloc)` of the group being built, by
+/// transaction and allocation row.
 struct UnitSlot {
     txn: usize,
-    alloc: AllocId,
+    alloc: u32,
     /// The unit's held-lock sequence, in first-seen numbering.
     seq: SeqId,
 }
 
-/// `unit_heads` and per-row unit marker: no unit.
+/// `unit_heads` and allocation-slot marker: none yet.
 const NO_SLOT: u32 = u32::MAX;
 
 /// Tables indexed by a dense id of the trace, shared by every group and
@@ -309,9 +316,9 @@ struct Scratch {
 ///
 /// A row finds its unit through the memo: consecutive accesses of a
 /// transaction overwhelmingly target the same object, so such an access
-/// takes the head with one load and a compare; any other asks the
-/// `(txn, alloc)` map. Only the first access of a unit resolves held
-/// locks.
+/// takes the head with one load and a compare; any other asks the map
+/// keyed by transaction and allocation row. Only the first access of a
+/// unit resolves held locks.
 fn build_group(
     db: &TraceDb,
     lock_ids: &[LockIds],
@@ -322,32 +329,30 @@ fn build_group(
 ) -> GroupEvidence {
     let unit_heads = &mut scratch.unit_heads;
     let mut units: Vec<UnitSlot> = Vec::new();
-    let mut unit_of: FastMap<(usize, AllocId), u32> = FastMap::default();
+    let mut unit_of: FastMap<(usize, u32), u32> = FastMap::default();
     let mut interned: FastMap<Vec<DescId>, SeqId> = FastMap::default();
     let mut seqs: Vec<Vec<DescId>> = Vec::new();
-    // Per row: its unit (or NO_SLOT), member and kind.
+    // Per row: its unit, member and kind.
     let mut row_units: Vec<u32> = Vec::with_capacity(rows.len());
     let mut row_members: Vec<u32> = Vec::with_capacity(rows.len());
     let mut row_writes: Vec<bool> = Vec::with_capacity(rows.len());
     let mut held_ids: Vec<DescId> = Vec::new();
+    let accesses = &db.accesses;
     for &row in &rows {
-        let a = db.accesses.get(row as usize);
-        row_members.push(a.member);
-        row_writes.push(a.kind == AccessKind::Write);
-        let Some(txn) = a.txn else {
-            row_units.push(NO_SLOT);
-            continue;
-        };
-        let txn = usize::try_from(txn.0).expect("transaction ids fit in usize");
+        let row = row as usize;
+        row_members.push(accesses.member(row));
+        row_writes.push(accesses.kind(row) == AccessKind::Write);
+        let txn = accesses.txn(row).index();
+        let alloc = accesses.alloc_row(row);
         let head = unit_heads[txn];
-        let unit = if head != NO_SLOT && units[head as usize].alloc == a.alloc {
+        let unit = if head != NO_SLOT && units[head as usize].alloc == alloc {
             head
         } else {
-            *unit_of.entry((txn, a.alloc)).or_insert_with(|| {
+            *unit_of.entry((txn, alloc)).or_insert_with(|| {
                 held_ids.clear();
                 for held in db.txns.get(txn).locks {
                     let ids = lock_ids[held.lock.index()];
-                    let id = if ids.owner == Some(a.alloc) {
+                    let id = if ids.owner == Some(alloc) {
                         ids.same
                     } else {
                         ids.other
@@ -365,11 +370,7 @@ fn build_group(
                         s
                     }
                 };
-                units.push(UnitSlot {
-                    txn,
-                    alloc: a.alloc,
-                    seq,
-                });
+                units.push(UnitSlot { txn, alloc, seq });
                 u32::try_from(units.len() - 1).expect("unit ids fit in u32")
             })
         };
@@ -390,10 +391,7 @@ fn build_group(
     }
     let row_seqs = row_units
         .iter()
-        .map(|&u| match u {
-            NO_SLOT => NO_UNIT,
-            u => rank[units[u as usize].seq as usize],
-        })
+        .map(|&u| rank[units[u as usize].seq as usize])
         .collect();
     let mut seq_spans = Vec::with_capacity(seqs.len());
     let mut seq_locks = Vec::new();
@@ -406,7 +404,7 @@ fn build_group(
     // Bucket the rows by unit — unit ids are dense, so a counting sort —
     // each bucket in row order.
     let mut bucket_start = vec![0u32; units.len() + 1];
-    for &u in row_units.iter().filter(|&&u| u != NO_SLOT) {
+    for &u in &row_units {
         bucket_start[u as usize + 1] += 1;
     }
     for i in 1..bucket_start.len() {
@@ -415,10 +413,8 @@ fn build_group(
     let mut fill = bucket_start.clone();
     let mut by_unit = vec![0u32; bucket_start[units.len()] as usize];
     for (pos, &u) in row_units.iter().enumerate() {
-        if u != NO_SLOT {
-            by_unit[fill[u as usize] as usize] = pos as u32;
-            fill[u as usize] += 1;
-        }
+        by_unit[fill[u as usize] as usize] = pos as u32;
+        fill[u as usize] += 1;
     }
 
     // Fold each unit's rows into cells, one per member: a cell with a

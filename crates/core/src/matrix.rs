@@ -117,12 +117,11 @@ impl AccessMatrix {
     pub fn build(db: &TraceDb, group: (DataTypeId, Option<Sym>)) -> Self {
         let mut members: BTreeMap<u32, MemberMatrix> = BTreeMap::new();
         for a in db.group_accesses(group) {
-            let Some(txn) = a.txn else { continue };
             let cell = members
                 .entry(a.member)
                 .or_default()
                 .cells
-                .entry((txn, a.alloc))
+                .entry((a.txn, a.alloc))
                 .or_default();
             match a.kind {
                 AccessKind::Read => cell.reads += 1,

@@ -37,7 +37,9 @@
 //! intersection and disjointness are merges over small integer slices;
 //! descriptors are materialized only for witnesses. Like `violation.rs`,
 //! the scan visits one observation group after another; a row finds its
-//! member's state through a slot table indexed by member.
+//! member's state through a slot table indexed by member. The scan reads
+//! a row's member and kind columns and its transaction's flow, and joins
+//! a full access row only for a new representative.
 
 use crate::evidence::{DescId, EvidenceIndex, GroupEvidence};
 use crate::lockset::LockDescriptor;
@@ -242,8 +244,8 @@ pub fn find_races_in(index: &EvidenceIndex<'_>) -> RaceReport {
 /// combination: a witness-pair candidate.
 struct Rep<'s> {
     access: Access,
-    /// The access's unit sequence (`None` outside any transaction).
-    seq: Option<u32>,
+    /// The access's unit sequence.
+    seq: u32,
     /// The real lockset: sorted descriptor ids.
     locks: &'s [DescId],
 }
@@ -281,11 +283,9 @@ fn scan_group(
     member_slots: &mut Vec<u32>,
 ) -> GroupRaces {
     let db = index.db();
-    // Real locksets as sorted id sets, interned: `sets[set_of[seq]]`;
-    // set 0 is the empty set of accesses outside any transaction.
-    let mut sets: Vec<Vec<DescId>> = vec![Vec::new()];
+    // Real locksets as sorted id sets, interned: `sets[set_of[seq]]`.
+    let mut sets: Vec<Vec<DescId>> = Vec::new();
     let mut set_ids: FastMap<Vec<DescId>, u32> = FastMap::default();
-    set_ids.insert(Vec::new(), 0);
     let set_of: Vec<u32> = (0..group.seq_count() as u32)
         .map(|seq| {
             let mut set = group.seq(seq).to_vec();
@@ -303,31 +303,38 @@ fn scan_group(
     if member_slots.len() < n_members {
         member_slots.resize(n_members, NO_MEMBER);
     }
+    let accesses = &db.accesses;
     for (pos, &row) in group.rows().iter().enumerate() {
-        let access = db.accesses.get(row as usize);
+        let row = row as usize;
         let seq = group.row_seq(pos);
-        let set_id = seq.map_or(0, |s| set_of[s as usize]);
+        let set_id = set_of[seq as usize];
         let locks = sets[set_id as usize].as_slice();
-        let slot = &mut member_slots[access.member as usize];
+        let member = accesses.member(row);
+        let slot = &mut member_slots[member as usize];
         if *slot == NO_MEMBER {
             *slot = members.len() as u32;
-            members.push((access.member, MemberState::default()));
+            members.push((member, MemberState::default()));
         }
         let state = &mut members[*slot as usize].1;
         state.accesses += 1;
-        let write = access.kind == AccessKind::Write;
+        let write = accesses.kind(row) == AccessKind::Write;
         if write {
             state.writes += 1;
         }
-        state.flows.insert(access.flow);
+        let flow = db.txns.flow(accesses.txn(row));
+        state.flows.insert(flow);
         match &mut state.candidate {
             None => state.candidate = Some(locks.to_vec()),
             Some(cur) => cur.retain(|l| locks.binary_search(l).is_ok()),
         }
         // Representative bookkeeping for witness-pair selection: keep the
         // earliest access per (flow, write, real lockset) combination.
-        if state.seen.insert((access.flow, write, set_id)) {
-            state.reps.push(Rep { access, seq, locks });
+        if state.seen.insert((flow, write, set_id)) {
+            state.reps.push(Rep {
+                access: db.access(row),
+                seq,
+                locks,
+            });
         }
     }
 
@@ -378,9 +385,7 @@ fn race_access(index: &EvidenceIndex<'_>, group: &GroupEvidence, rep: &Rep<'_>) 
         kind: a.kind,
         context: a.context,
         flow: flow_name(index.db(), a.flow),
-        held: rep
-            .seq
-            .map_or_else(Vec::new, |s| index.materialize(group.seq(s))),
+        held: index.materialize(group.seq(rep.seq)),
         loc: a.loc,
         stack: a.stack,
         access_id: a.id,

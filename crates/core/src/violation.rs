@@ -7,7 +7,9 @@
 //! access's held locks are its unit's interned descriptor-id sequence,
 //! and write-over-read folding reads the row's bit. A row finds its rule
 //! in a slot table indexed by `(member, kind)`, and compliance compares
-//! id slices. Descriptors are materialized only for the example events.
+//! id slices. The scan reads the member and kind columns of each row and
+//! joins a full access row only for a violating one; descriptors are
+//! materialized only for the example events.
 
 use crate::derive::{GroupRules, MinedRules};
 use crate::evidence::{DescId, EvidenceIndex};
@@ -184,16 +186,13 @@ fn scan_group(
     }
     let mut tallies: BTreeMap<(&str, AccessKind), (u64, u64)> = BTreeMap::new();
     for (pos, &row) in group.rows().iter().enumerate() {
-        let access = db.accesses.get(row as usize);
+        let row = row as usize;
         let rule = slots
-            .get(slot(access.member, access.kind))
+            .get(slot(db.accesses.member(row), db.accesses.kind(row)))
             .map_or(NO_RULE, |&r| r);
         if rule == NO_RULE {
             continue;
         }
-        let Some(seq) = group.row_seq(pos) else {
-            continue;
-        };
         // Write-over-read folding (paper Sec. 4.2) applies to the scan as
         // well: a read inside a unit that also writes the member is
         // covered by the write rule (checked via the unit's writes), so
@@ -202,10 +201,11 @@ fn scan_group(
             continue;
         }
         let req = &required[rule as usize];
-        let held = group.seq(seq);
+        let held = group.seq(group.row_seq(pos));
         if req.ids.as_ref().is_some_and(|ids| complies(held, ids)) {
             continue;
         }
+        let access = db.access(row);
         gv.events += 1;
         let member_name = db.member_name(access.data_type, access.member);
         let tally = tallies.entry((member_name, access.kind)).or_default();

@@ -21,10 +21,14 @@
 //! the query layer directly (this loader copies into owned `Vec`s, since
 //! the workspace forbids `unsafe`; the sequential-slab layout is what
 //! makes the read cheap either way). `Option`s in the *cold* row tables
-//! (allocations, locks) are an explicit presence byte; the *hot* access
-//! columns reuse the in-memory sentinel encoding
-//! ([`AccessTable`]'s `NO_SUBCLASS` / `NO_TXN`) so loading is a straight
-//! copy.
+//! (allocations, locks) are an explicit presence byte. The access slab
+//! holds [`AccessTable`]'s nine columns and no sentinel: `ts` (u64),
+//! `kind` (u8), the allocation row (u32), `member` (u32), `size` (u8),
+//! the location file and line (u32 each), the transaction row (u32) and
+//! the stack id (u32) — 34 bytes per access. The writer pre-sizes its
+//! buffer at ~48 B per access, which covers the access slab plus the
+//! transaction, held-lock and allocation rows a ksim trace adds per
+//! access.
 //!
 //! ## Invalidation
 //!
@@ -42,12 +46,21 @@
 //!
 //! Any mismatch — or any structural inconsistency while reading — returns
 //! `None` and the caller falls back to a fresh import (and typically
-//! rewrites the archive). The reader additionally cross-checks every id
-//! against the tables and `meta` it actually loaded (allocation
-//! references, lock/txn/stack indices, interned strings) and checks that
-//! allocation ids strictly ascend, as [`TraceDb::allocation`]'s binary
-//! search needs, so even a checksum collision cannot yield out-of-range
-//! references downstream.
+//! rewrites the archive under the same file name); an archive of an
+//! older version, say a version-2 one with its 13-column access rows, is
+//! such a miss. The reader additionally cross-checks every id against the
+//! tables and `meta` it actually loaded, so even a checksum collision
+//! cannot yield out-of-range references downstream:
+//!
+//! * allocation ids strictly ascend, as [`TraceDb::allocation`]'s binary
+//!   search needs, and a lock's owner is found by that search;
+//! * every access's allocation row, transaction row and stack id lie
+//!   inside their tables, its location file is an interned string, and
+//!   its member lies inside its allocation's type;
+//! * every transaction flow is a known task, `Irq(0)` or `Irq(1)`, since
+//!   an access's context is derived from its transaction's flow
+//!   ([`FlowKey::context`]).
+//!
 //! A stale or corrupt cache can therefore cost a
 //! re-import, never a wrong answer: `archive_roundtrip_is_identity` and
 //! the CLI's `--cache-dir` gate in `scripts/verify.sh` check the loaded
@@ -58,7 +71,7 @@ use crate::db::columns::{AccessTable, StackTable, TxnTable};
 use crate::db::import::ImportStats;
 use crate::db::schema::{Allocation, FlowKey, HeldLock, LockInstance};
 use crate::db::TraceDb;
-use crate::event::{AccessKind, AcquireMode, ContextKind, LockFlavor, SourceLoc, TraceMeta};
+use crate::event::{AccessKind, AcquireMode, LockFlavor, SourceLoc, TraceMeta};
 use crate::filter::FilterConfig;
 use crate::ids::{AllocId, DataTypeId, FnId, LockId, StackId, Sym, TaskId};
 use lockdoc_platform::artifact::{self, Reader, Writer};
@@ -69,10 +82,9 @@ use std::sync::Arc;
 /// Archive container magic.
 pub const ARCHIVE_MAGIC: [u8; 8] = *b"LDARCH1\0";
 
-/// Bumped whenever the column layout, sentinel encoding, section order,
-/// or frame checksum changes. An archive written by any other version is
-/// a cache miss.
-pub const FORMAT_VERSION: u32 = 2;
+/// Bumped whenever the column layout, section order, or frame checksum
+/// changes. An archive written by any other version is a cache miss.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Deterministic fingerprint of a filter configuration.
 ///
@@ -144,16 +156,31 @@ fn read_flow(r: &mut Reader) -> Option<FlowKey> {
     }
 }
 
+/// Reads `n` values of one fixed-width column; `n` was bounded by the
+/// section's length prefix, so the reservation is backed by payload bytes.
+fn column<'a, T>(
+    r: &mut Reader<'a>,
+    n: usize,
+    read: impl Fn(&mut Reader<'a>) -> Option<T>,
+) -> Option<Vec<T>> {
+    let mut v = Vec::with_capacity(n);
+    for _ in 0..n {
+        v.push(read(r)?);
+    }
+    Some(v)
+}
+
 /// Serializes an imported store (minus its [`TraceMeta`], which lives in
 /// the source container) for the `(trace checksum, filter fingerprint)`
 /// cache key.
 pub fn write_archive(db: &TraceDb, trace_checksum: u64, filter_fp: u64) -> Vec<u8> {
-    // Rough pre-size: the access table dominates at ~64 B/row.
+    // Rough pre-size: the access table dominates at ~48 B/row (see the
+    // module docs).
     let mut w = Writer::new(
         &ARCHIVE_MAGIC,
         FORMAT_VERSION,
         &[trace_checksum, filter_fp],
-        256 + db.accesses.len() * 64,
+        256 + db.accesses.len() * 48,
     );
 
     // Allocations (cold row table; Options get presence bytes).
@@ -225,47 +252,36 @@ pub fn write_archive(db: &TraceDb, trace_checksum: u64, filter_fp: u64) -> Vec<u
         w.u64(h.acquired_ts);
     }
 
-    // Accesses: one slab per column, hot sentinels kept as-is.
-    w.len(db.accesses.len());
-    for &v in &db.accesses.ts {
+    // Accesses: one slab per column; allocation and transaction by row.
+    let t = &db.accesses;
+    w.len(t.len());
+    for &v in &t.ts {
         w.u64(v);
     }
-    for &k in &db.accesses.kind {
+    for &k in &t.kind {
         w.u8(match k {
             AccessKind::Read => 0,
             AccessKind::Write => 1,
         });
     }
-    for &v in &db.accesses.alloc {
-        w.u64(v.0);
-    }
-    for &v in &db.accesses.data_type {
-        w.u32(v.0);
-    }
-    for &v in &db.accesses.subclass {
+    for &v in &t.alloc {
         w.u32(v);
     }
-    for &v in &db.accesses.member {
+    for &v in &t.member {
         w.u32(v);
     }
-    w.bytes(&db.accesses.size);
-    for &v in &db.accesses.loc_file {
+    w.bytes(&t.size);
+    for &v in &t.loc_file {
         w.u32(v.0);
     }
-    for &v in &db.accesses.loc_line {
+    for &v in &t.loc_line {
         w.u32(v);
     }
-    for &v in &db.accesses.txn {
-        w.u64(v);
+    for &v in &t.txn {
+        w.u32(v);
     }
-    for &v in &db.accesses.stack {
+    for &v in &t.stack {
         w.u32(v.0);
-    }
-    for i in 0..db.accesses.len() {
-        write_flow(&mut w, db.accesses.flow[i]);
-    }
-    for &c in &db.accesses.context {
-        w.u8(c.tag());
     }
 
     // Stacks: spans + frame arena.
@@ -386,41 +402,29 @@ pub fn read_archive(
     }
 
     let n_txns = r.len(25)?;
-    let mut txns = TxnTable::default();
-    txns.flow.reserve(n_txns);
-    for _ in 0..n_txns {
-        txns.flow.push(read_flow(&mut r)?);
-    }
-    txns.start_ts.reserve(n_txns);
-    for _ in 0..n_txns {
-        txns.start_ts.push(r.u64()?);
-    }
-    txns.end_ts.reserve(n_txns);
-    for _ in 0..n_txns {
-        txns.end_ts.push(r.u64()?);
-    }
-    txns.lock_spans.reserve(n_txns);
-    for _ in 0..n_txns {
-        txns.lock_spans.push((r.u32()?, r.u32()?));
-    }
+    let span = |r: &mut Reader| Some((r.u32()?, r.u32()?));
+    let mut txns = TxnTable {
+        flow: column(&mut r, n_txns, read_flow)?,
+        start_ts: column(&mut r, n_txns, Reader::u64)?,
+        end_ts: column(&mut r, n_txns, Reader::u64)?,
+        lock_spans: column(&mut r, n_txns, span)?,
+        locks: Vec::new(),
+    };
     let n_held = r.len(21)?;
-    txns.locks.reserve(n_held);
-    for _ in 0..n_held {
+    txns.locks = column(&mut r, n_held, |r| {
         let lock = LockId(r.u32()?);
         let mode = match r.u8()? {
             0 => AcquireMode::Shared,
             1 => AcquireMode::Exclusive,
             _ => return None,
         };
-        let acquired_at = SourceLoc::new(Sym(r.u32()?), r.u32()?);
-        let acquired_ts = r.u64()?;
-        txns.locks.push(HeldLock {
+        Some(HeldLock {
             lock,
             mode,
-            acquired_at,
-            acquired_ts,
-        });
-    }
+            acquired_at: SourceLoc::new(Sym(r.u32()?), r.u32()?),
+            acquired_ts: r.u64()?,
+        })
+    })?;
     // Every span must lie inside the arena.
     for &(start, count) in &txns.lock_spans {
         let end = (start as usize).checked_add(count as usize)?;
@@ -429,73 +433,30 @@ pub fn read_archive(
         }
     }
 
-    let n_acc = r.len(50)?;
-    let mut accesses = AccessTable::default();
-    accesses.ts.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.ts.push(r.u64()?);
-    }
-    accesses.kind.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.kind.push(match r.u8()? {
-            0 => AccessKind::Read,
-            1 => AccessKind::Write,
-            _ => return None,
-        });
-    }
-    accesses.alloc.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.alloc.push(AllocId(r.u64()?));
-    }
-    accesses.data_type.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.data_type.push(DataTypeId(r.u32()?));
-    }
-    accesses.subclass.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.subclass.push(r.u32()?);
-    }
-    accesses.member.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.member.push(r.u32()?);
-    }
-    accesses.size.extend_from_slice(r.take(n_acc)?);
-    accesses.loc_file.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.loc_file.push(Sym(r.u32()?));
-    }
-    accesses.loc_line.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.loc_line.push(r.u32()?);
-    }
-    accesses.txn.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.txn.push(r.u64()?);
-    }
-    accesses.stack.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.stack.push(StackId(r.u32()?));
-    }
-    accesses.flow.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.flow.push(read_flow(&mut r)?);
-    }
-    accesses.context.reserve(n_acc);
-    for _ in 0..n_acc {
-        accesses.context.push(ContextKind::from_tag(r.u8()?)?);
-    }
+    let n_acc = r.len(34)?;
+    let accesses = AccessTable {
+        ts: column(&mut r, n_acc, Reader::u64)?,
+        kind: column(&mut r, n_acc, |r| match r.u8()? {
+            0 => Some(AccessKind::Read),
+            1 => Some(AccessKind::Write),
+            _ => None,
+        })?,
+        alloc: column(&mut r, n_acc, Reader::u32)?,
+        member: column(&mut r, n_acc, Reader::u32)?,
+        size: r.take(n_acc)?.to_vec(),
+        loc_file: column(&mut r, n_acc, |r| r.u32().map(Sym))?,
+        loc_line: column(&mut r, n_acc, Reader::u32)?,
+        txn: column(&mut r, n_acc, Reader::u32)?,
+        stack: column(&mut r, n_acc, |r| r.u32().map(StackId))?,
+    };
 
     let n_stacks = r.len(8)?;
-    let mut stacks = StackTable::default();
-    stacks.spans.reserve(n_stacks);
-    for _ in 0..n_stacks {
-        stacks.spans.push((r.u32()?, r.u32()?));
-    }
+    let spans = column(&mut r, n_stacks, span)?;
     let n_frames = r.len(4)?;
-    stacks.frames.reserve(n_frames);
-    for _ in 0..n_frames {
-        stacks.frames.push(FnId(r.u32()?));
-    }
+    let stacks = StackTable {
+        spans,
+        frames: column(&mut r, n_frames, |r| r.u32().map(FnId))?,
+    };
     for &(start, count) in &stacks.spans {
         let end = (start as usize).checked_add(count as usize)?;
         if end > stacks.frames.len() {
@@ -536,11 +497,6 @@ pub fn read_archive(
     // meta: even a checksum collision must not produce a dangling or
     // out-of-range id that a downstream pass would trip over.
     use crate::db::import::{valid_dt, valid_fn, valid_sym, valid_task};
-    let valid_flow = |f: &FlowKey| match *f {
-        FlowKey::Task(t) => valid_task(&meta, t),
-        FlowKey::Irq(_) => true,
-    };
-    let alloc_ids: std::collections::HashSet<AllocId> = allocations.iter().map(|a| a.id).collect();
     // Ids strictly ascend, as `TraceDb::allocation`'s binary search needs.
     if allocations.windows(2).any(|w| w[0].id >= w[1].id) {
         return None;
@@ -550,12 +506,9 @@ pub fn read_archive(
             return None;
         }
     }
+    let known_alloc = |id: AllocId| allocations.binary_search_by_key(&id, |a| a.id).is_ok();
     for l in &locks {
-        if !valid_sym(&meta, l.name)
-            || !l
-                .embedded_in
-                .is_none_or(|(aid, _)| alloc_ids.contains(&aid))
-        {
+        if !valid_sym(&meta, l.name) || !l.embedded_in.is_none_or(|(id, _)| known_alloc(id)) {
             return None;
         }
     }
@@ -565,23 +518,29 @@ pub fn read_archive(
             return None;
         }
     }
-    if !txns.flow.iter().all(&valid_flow) || !stacks.frames.iter().all(|&f| valid_fn(&meta, f)) {
+    // Only softirq and hardirq flows exist: an access's context is read
+    // off its transaction's flow.
+    let valid_flow = |f: &FlowKey| match *f {
+        FlowKey::Task(t) => valid_task(&meta, t),
+        FlowKey::Irq(n) => n <= 1,
+    };
+    if !txns.flow.iter().all(valid_flow) || !stacks.frames.iter().all(|&f| valid_fn(&meta, f)) {
         return None;
     }
-    let n_txn_rows = txns.len() as u64;
-    let n_stack_rows = stacks.len() as u32;
-    for i in 0..accesses.len() {
-        let t = accesses.txn[i];
-        let dt = accesses.data_type[i];
-        let sc = accesses.subclass[i];
-        let ok = (t == crate::db::columns::NO_TXN || t < n_txn_rows)
-            && accesses.stack[i].0 < n_stack_rows.max(1)
-            && alloc_ids.contains(&accesses.alloc[i])
-            && valid_dt(&meta, dt)
-            && (accesses.member[i] as usize) < meta.data_types[dt.index()].members.len()
-            && (sc == crate::db::columns::NO_SUBCLASS || valid_sym(&meta, Sym(sc)))
-            && valid_sym(&meta, accesses.loc_file[i])
-            && valid_flow(&accesses.flow[i]);
+    // Per allocation row, its type's member count.
+    let members: Vec<u32> = allocations
+        .iter()
+        .map(|a| meta.data_types[a.data_type.index()].members.len() as u32)
+        .collect();
+    let (n_txn_rows, n_stack_rows) = (txns.len() as u64, stacks.len() as u32);
+    let t = &accesses;
+    for i in 0..t.len() {
+        let ok = members
+            .get(t.alloc[i] as usize)
+            .is_some_and(|&n| t.member[i] < n)
+            && u64::from(t.txn[i]) < n_txn_rows
+            && t.stack[i].0 < n_stack_rows
+            && valid_sym(&meta, t.loc_file[i]);
         if !ok {
             return None;
         }
@@ -781,6 +740,39 @@ mod tests {
         swapped.allocations.swap(0, 1);
         let resealed = write_archive(&swapped, 0xabcd, 0x1234);
         assert!(read_archive(&resealed, 0xabcd, 0x1234, meta()).is_none());
+    }
+
+    /// A validly sealed archive whose access or transaction rows point
+    /// outside the tables they name is a miss: the passes index those
+    /// tables by row, and an access's context is read off its
+    /// transaction's flow.
+    #[test]
+    fn out_of_range_row_references_are_misses() {
+        type Corrupt = fn(&mut TraceDb);
+        let db = sample_db();
+        let cases: [(&str, Corrupt); 5] = [
+            ("allocation row", |db| {
+                db.accesses.alloc[0] = db.allocations.len() as u32;
+            }),
+            ("transaction row", |db| {
+                db.accesses.txn[0] = db.txns.len() as u32;
+            }),
+            ("member", |db| {
+                let dt = db.allocations[db.accesses.alloc[0] as usize].data_type;
+                db.accesses.member[0] = db.data_type(dt).members.len() as u32;
+            }),
+            ("transaction flow", |db| db.txns.flow[0] = FlowKey::Irq(2)),
+            ("stack", |db| {
+                db.accesses.stack[0] = StackId(db.stacks.len() as u32);
+            }),
+        ];
+        for (what, corrupt) in cases {
+            let mut bad = db.clone();
+            corrupt(&mut bad);
+            let resealed = write_archive(&bad, 0xabcd, 0x1234);
+            let back = read_archive(&resealed, 0xabcd, 0x1234, Arc::clone(&db.meta));
+            assert!(back.is_none(), "{what} out of range must miss");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Columnar (struct-of-arrays) storage for the hot [`TraceDb`] tables.
 //!
-//! The row types in [`super::schema`] remain the query-facing value types,
-//! but the big tables — accesses, transactions, stack traces — are stored
+//! The row types in [`super::schema`] remain the query-facing value types
+//! ([`TraceDb::access`] joins an access row into one), but the big tables — accesses, transactions, stack traces — are stored
 //! as parallel column vectors with arena-backed variable-length payloads
 //! (held-lock lists, stack frames). This buys three things:
 //!
@@ -9,7 +9,9 @@
 //!   per-row heap allocation; variable-length data appends to one shared
 //!   arena instead of allocating a `Vec` per row;
 //! * **memory density** — no per-row `Vec` headers, no padding between
-//!   heterogeneous fields, optional fields packed as sentinel integers;
+//!   heterogeneous fields, and no column that another table already
+//!   holds: an access names its allocation and transaction by row, so
+//!   type, subclass, flow and context are joined in, not copied;
 //! * **a flat cached-archive format** — every column serializes as a
 //!   fixed-stride little-endian array, so re-opening an imported trace is
 //!   a sequential read straight into the column vectors (see
@@ -19,40 +21,33 @@
 //! row `i` of [`TxnTable`] is `TxnId(i)`. Arena layout is deterministic
 //! because the importer only ever appends rows in id order, so structural
 //! equality of two tables is exactly row-wise equality.
+//!
+//! [`TraceDb`]: super::TraceDb
+//! [`TraceDb::access`]: super::TraceDb::access
 
-use crate::db::schema::{Access, FlowKey, HeldLock, Txn};
-use crate::event::{AccessKind, ContextKind, SourceLoc};
-use crate::ids::{AllocId, DataTypeId, FnId, StackId, Sym, Timestamp, TxnId};
+use crate::db::schema::{FlowKey, HeldLock, Txn};
+use crate::event::AccessKind;
+use crate::ids::{FnId, StackId, Sym, Timestamp, TxnId};
 
-/// Sentinel for "no subclass" in the packed subclass column.
-pub(crate) const NO_SUBCLASS: u32 = u32::MAX;
-/// Sentinel for "no transaction" in the packed txn column.
-pub(crate) const NO_TXN: u64 = u64::MAX;
-
-/// The central access table (paper's `accesses`), one column per field.
+/// The central access table (paper's `accesses`), one column per field
+/// that import cannot derive.
 ///
-/// There is no id column: an access's id is its row index. [`get`]
-/// re-materializes the [`Access`] row value, which is what the query API
-/// hands out; analyses keep compiling against plain `Access`.
-///
-/// [`get`]: AccessTable::get
+/// There is no id column: an access's id is its row index. `alloc` is a
+/// row of [`super::TraceDb::allocations`] and `txn` a row of
+/// [`TxnTable`], so the table alone cannot build an
+/// [`super::schema::Access`]: [`super::TraceDb::access`] joins the row
+/// with its allocation and transaction. Hot loops read single columns.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccessTable {
     pub(crate) ts: Vec<Timestamp>,
     pub(crate) kind: Vec<AccessKind>,
-    pub(crate) alloc: Vec<AllocId>,
-    pub(crate) data_type: Vec<DataTypeId>,
-    /// `Sym` raw value, [`NO_SUBCLASS`] for `None`.
-    pub(crate) subclass: Vec<u32>,
+    pub(crate) alloc: Vec<u32>,
     pub(crate) member: Vec<u32>,
     pub(crate) size: Vec<u8>,
     pub(crate) loc_file: Vec<Sym>,
     pub(crate) loc_line: Vec<u32>,
-    /// `TxnId` raw value, [`NO_TXN`] for `None`.
-    pub(crate) txn: Vec<u64>,
+    pub(crate) txn: Vec<u32>,
     pub(crate) stack: Vec<StackId>,
-    pub(crate) flow: Vec<FlowKey>,
-    pub(crate) context: Vec<ContextKind>,
 }
 
 impl AccessTable {
@@ -66,56 +61,32 @@ impl AccessTable {
         self.ts.is_empty()
     }
 
-    /// Appends a row. `a.id` must equal the row index it lands on (ids are
-    /// implicit and dense).
-    pub fn push(&mut self, a: Access) {
-        debug_assert_eq!(a.id, self.len() as u64, "access ids are row indices");
-        self.ts.push(a.ts);
-        self.kind.push(a.kind);
-        self.alloc.push(a.alloc);
-        self.data_type.push(a.data_type);
-        self.subclass.push(a.subclass.map_or(NO_SUBCLASS, |s| s.0));
-        self.member.push(a.member);
-        self.size.push(a.size);
-        self.loc_file.push(a.loc.file);
-        self.loc_line.push(a.loc.line);
-        self.txn.push(a.txn.map_or(NO_TXN, |t| t.0));
-        self.stack.push(a.stack);
-        self.flow.push(a.flow);
-        self.context.push(a.context);
-    }
-
-    /// Materializes row `i` as an [`Access`] value (with `id = i`).
+    /// The allocation row of access `i`: an index into
+    /// [`super::TraceDb::allocations`].
     ///
     /// # Panics
-    /// If `i` is out of bounds.
-    pub fn get(&self, i: usize) -> Access {
-        Access {
-            id: i as u64,
-            ts: self.ts[i],
-            kind: self.kind[i],
-            alloc: self.alloc[i],
-            data_type: self.data_type[i],
-            subclass: match self.subclass[i] {
-                NO_SUBCLASS => None,
-                s => Some(Sym(s)),
-            },
-            member: self.member[i],
-            size: self.size[i],
-            loc: SourceLoc::new(self.loc_file[i], self.loc_line[i]),
-            txn: match self.txn[i] {
-                NO_TXN => None,
-                t => Some(TxnId(t)),
-            },
-            stack: self.stack[i],
-            flow: self.flow[i],
-            context: self.context[i],
-        }
+    /// If `i` is out of bounds, as every per-column read does.
+    #[inline]
+    pub fn alloc_row(&self, i: usize) -> u32 {
+        self.alloc[i]
     }
 
-    /// Iterates over all rows as [`Access`] values in id order.
-    pub fn iter(&self) -> impl Iterator<Item = Access> + '_ {
-        (0..self.len()).map(|i| self.get(i))
+    /// The member index of access `i` within its allocation's type.
+    #[inline]
+    pub fn member(&self, i: usize) -> u32 {
+        self.member[i]
+    }
+
+    /// Whether access `i` read or wrote.
+    #[inline]
+    pub fn kind(&self, i: usize) -> AccessKind {
+        self.kind[i]
+    }
+
+    /// The transaction of access `i`.
+    #[inline]
+    pub fn txn(&self, i: usize) -> TxnId {
+        TxnId(u64::from(self.txn[i]))
     }
 }
 
@@ -193,6 +164,16 @@ impl TxnTable {
         self.start_ts.push(start_ts);
         self.end_ts.push(end_ts);
         id
+    }
+
+    /// The control flow of transaction `id`, which is the flow of every
+    /// access in it.
+    ///
+    /// # Panics
+    /// If `id` is out of bounds.
+    #[inline]
+    pub fn flow(&self, id: TxnId) -> FlowKey {
+        self.flow[id.index()]
     }
 
     /// Extends a still-open transaction's span to cover `ts`.
@@ -276,39 +257,8 @@ impl StackTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::AcquireMode;
+    use crate::event::{AcquireMode, SourceLoc};
     use crate::ids::{LockId, TaskId};
-
-    fn sample_access(id: u64, subclass: Option<Sym>, txn: Option<TxnId>) -> Access {
-        Access {
-            id,
-            ts: 10 + id,
-            kind: AccessKind::Write,
-            alloc: AllocId(7),
-            data_type: DataTypeId(1),
-            subclass,
-            member: 3,
-            size: 4,
-            loc: SourceLoc::new(Sym(2), 40),
-            txn,
-            stack: StackId(0),
-            flow: FlowKey::Task(TaskId(0)),
-            context: ContextKind::Task,
-        }
-    }
-
-    #[test]
-    fn access_roundtrips_through_columns() {
-        let mut t = AccessTable::default();
-        let a = sample_access(0, Some(Sym(9)), Some(TxnId(4)));
-        let b = sample_access(1, None, None);
-        t.push(a);
-        t.push(b);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(0), a);
-        assert_eq!(t.get(1), b);
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![a, b]);
-    }
 
     #[test]
     fn txn_table_arena_slices() {
@@ -331,6 +281,7 @@ mod tests {
         t.bump_end_ts(TxnId(1), 7); // never shrinks
         assert_eq!(t.get(1).end_ts, 9);
         assert_eq!(t.last().unwrap().id, TxnId(2));
+        assert_eq!(t.flow(TxnId(1)), FlowKey::Irq(0));
     }
 
     #[test]

@@ -50,7 +50,7 @@
 use crate::codec::{CodecError, DecodePolicy, SalvageReport, TraceReader};
 use crate::db::columns::{AccessTable, StackTable, TxnTable};
 use crate::db::resilient::{ImportPolicy, ImportReport, QuarantineClass, QuarantineEntry};
-use crate::db::schema::{Access, Allocation, FlowKey, HeldLock, LockInstance};
+use crate::db::schema::{Allocation, FlowKey, HeldLock, LockInstance};
 use crate::db::TraceDb;
 use crate::event::{
     AccessKind, AcquireMode, ContextKind, Event, SourceLoc, Trace, TraceEvent, TraceMeta,
@@ -423,7 +423,6 @@ pub(crate) struct Importer<'a> {
     /// Cached flow routing, recomputed only when a `TaskSwitch` or context
     /// event changes it — the per-access path does no hashing at all.
     cur_key: FlowKey,
-    cur_ctx: ContextKind,
     cur_flow: usize,
 
     filters: ResolvedFilters,
@@ -470,7 +469,6 @@ impl<'a> Importer<'a> {
             current_task: TaskId(0),
             ctx_stack: Vec::new(),
             cur_key,
-            cur_ctx: ContextKind::Task,
             cur_flow: 0,
             filters: ResolvedFilters::resolve(meta, config),
             policy,
@@ -499,7 +497,20 @@ impl<'a> Importer<'a> {
         self.stats.stacks = self.stacks.len() as u64;
         // Rows were appended in event order; `TraceDb::allocation` looks
         // ids up by binary search. Ids are unique: a reused one is dropped.
-        self.allocations.sort_unstable_by_key(|a| a.id);
+        // Sorting moves rows, so the access table's allocation rows follow
+        // them; a ksim trace allocates in id order and skips this.
+        if self.allocations.windows(2).any(|w| w[0].id > w[1].id) {
+            let mut order: Vec<u32> = (0..self.allocations.len() as u32).collect();
+            order.sort_unstable_by_key(|&row| self.allocations[row as usize].id);
+            let mut new_row = vec![0u32; order.len()];
+            for (new, &old) in order.iter().enumerate() {
+                new_row[old as usize] = new as u32;
+            }
+            for row in &mut self.accesses.alloc {
+                *row = new_row[*row as usize];
+            }
+            self.allocations.sort_unstable_by_key(|a| a.id);
+        }
         TraceDb {
             meta,
             allocations: self.allocations,
@@ -517,7 +528,6 @@ impl<'a> Importer<'a> {
             Some(kind) => FlowKey::irq(*kind),
             None => FlowKey::Task(self.current_task),
         };
-        self.cur_ctx = self.ctx_stack.last().copied().unwrap_or(ContextKind::Task);
         self.cur_flow = match self.flow_ids.get(&self.cur_key) {
             Some(&i) => i as usize,
             None => {
@@ -935,9 +945,7 @@ impl<'a> Importer<'a> {
             return;
         };
         let alloc = &self.allocations[row as usize];
-        let alloc_id = alloc.id;
         let data_type = alloc.data_type;
-        let subclass = alloc.subclass;
         let offset = (addr - alloc.addr) as u32;
         let def = &meta.data_types[data_type.index()];
         let Some(member_idx) = def.member_at(offset) else {
@@ -960,7 +968,6 @@ impl<'a> Importer<'a> {
             return;
         }
         let flow_key = self.cur_key;
-        let context = self.cur_ctx;
         let flow = &mut self.flows[self.cur_flow];
         if let Some(&innermost) = flow.fn_stack.last() {
             if self.filters.global_fn_blacklist[innermost.index()] {
@@ -979,8 +986,9 @@ impl<'a> Importer<'a> {
         // list, so that every access has a well-defined observation unit for
         // support counting (the paper keeps such accesses outside the `txns`
         // table and special-cases them; an empty-set transaction is the
-        // equivalent uniform representation).
-        let txn = Some(match flow.open_txn {
+        // equivalent uniform representation). The transaction is the
+        // flow's own, so the access's flow and context are its.
+        let txn = match flow.open_txn {
             Some(id) => {
                 self.txns.bump_end_ts(id, ts);
                 id
@@ -1000,7 +1008,7 @@ impl<'a> Importer<'a> {
                 flow.open_txn = Some(id);
                 id
             }
-        });
+        };
 
         // The current stack is identified by its trie node; the frame slice
         // is copied into the arena only the first time an access references
@@ -1015,21 +1023,19 @@ impl<'a> Importer<'a> {
             StackId(assigned)
         };
 
-        self.accesses.push(Access {
-            id: self.accesses.len() as u64,
-            ts,
-            kind,
-            alloc: alloc_id,
-            data_type,
-            subclass,
-            member: member_idx as u32,
-            size,
-            loc,
-            txn,
-            stack,
-            flow: flow_key,
-            context,
-        });
+        // Transactions are materialized only at an access, so their rows
+        // fit in u32 whenever the access rows do.
+        let t = &mut self.accesses;
+        t.ts.push(ts);
+        t.kind.push(kind);
+        t.alloc.push(row);
+        t.member.push(member_idx as u32);
+        t.size.push(size);
+        t.loc_file.push(loc.file);
+        t.loc_line.push(loc.line);
+        t.txn
+            .push(u32::try_from(txn.0).expect("transaction rows fit in u32"));
+        t.stack.push(stack);
         self.stats.accesses_imported += 1;
     }
 }

@@ -22,7 +22,7 @@ pub use resilient::{
 pub use schema::{Access, Allocation, FlowKey, HeldLock, LockInstance, Txn};
 
 use crate::codec::write_csv_field;
-use crate::event::{DataTypeDef, TraceMeta};
+use crate::event::{DataTypeDef, SourceLoc, TraceMeta};
 use crate::ids::{DataTypeId, FnId, LockId, StackId, Sym, TxnId};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -45,7 +45,9 @@ pub struct TraceDb {
     /// All materialized transactions (columnar; held-lock lists live in a
     /// shared arena).
     pub txns: TxnTable,
-    /// The central access table (columnar struct-of-arrays).
+    /// The central access table (columnar struct-of-arrays); each row
+    /// names its allocation and transaction by row. [`TraceDb::access`]
+    /// joins a row into an [`Access`] value.
     pub accesses: AccessTable,
     /// Deduplicated stack traces (columnar; frames live in a shared
     /// arena).
@@ -95,13 +97,49 @@ impl TraceDb {
         self.stacks.frames(id)
     }
 
-    /// An allocation by id: one binary search, since the table is sorted
-    /// by id (ids are assigned by the tracer and may be sparse).
+    /// The row of an allocation in [`TraceDb::allocations`] by id: one
+    /// binary search, since the table is sorted by id (ids are assigned
+    /// by the tracer and may be sparse).
+    pub fn allocation_row(&self, id: crate::ids::AllocId) -> Option<usize> {
+        self.allocations.binary_search_by_key(&id, |a| a.id).ok()
+    }
+
+    /// An allocation by id (see [`TraceDb::allocation_row`]).
     pub fn allocation(&self, id: crate::ids::AllocId) -> Option<&Allocation> {
-        self.allocations
-            .binary_search_by_key(&id, |a| a.id)
-            .ok()
-            .map(|i| &self.allocations[i])
+        self.allocation_row(id).map(|i| &self.allocations[i])
+    }
+
+    /// Access `i` as an [`Access`] row value: the access table's row
+    /// joined with its allocation (id, type, subclass) and its
+    /// transaction (flow, and the flow's context).
+    ///
+    /// # Panics
+    /// If `i` is out of bounds.
+    pub fn access(&self, i: usize) -> Access {
+        let t = &self.accesses;
+        let alloc = &self.allocations[t.alloc[i] as usize];
+        let txn = t.txn(i);
+        let flow = self.txns.flow(txn);
+        Access {
+            id: i as u64,
+            ts: t.ts[i],
+            kind: t.kind[i],
+            alloc: alloc.id,
+            data_type: alloc.data_type,
+            subclass: alloc.subclass,
+            member: t.member[i],
+            size: t.size[i],
+            loc: SourceLoc::new(t.loc_file[i], t.loc_line[i]),
+            txn,
+            stack: t.stack[i],
+            flow,
+            context: flow.context(),
+        }
+    }
+
+    /// Iterates over all accesses as [`Access`] values in id order.
+    pub fn iter_accesses(&self) -> impl Iterator<Item = Access> + '_ {
+        (0..self.accesses.len()).map(|i| self.access(i))
     }
 
     /// All distinct observation groups `(data type, subclass)` that have at
@@ -112,8 +150,7 @@ impl TraceDb {
     /// `subclass = None`.
     pub fn observation_groups(&self) -> Vec<(DataTypeId, Option<Sym>)> {
         let set: BTreeSet<(DataTypeId, Option<Sym>)> = self
-            .accesses
-            .iter()
+            .iter_accesses()
             .map(|a| (a.data_type, a.subclass))
             .collect();
         set.into_iter().collect()
@@ -129,14 +166,13 @@ impl TraceDb {
 
     /// Iterates over accesses belonging to one observation group.
     ///
-    /// Rows are materialized by value from the columnar table ([`Access`]
-    /// is `Copy`).
+    /// Rows are joined by value ([`TraceDb::access`]; [`Access`] is
+    /// `Copy`).
     pub fn group_accesses(
         &self,
         group: (DataTypeId, Option<Sym>),
     ) -> impl Iterator<Item = Access> + '_ {
-        self.accesses
-            .iter()
+        self.iter_accesses()
             .filter(move |a| a.data_type == group.0 && a.subclass == group.1)
     }
 
@@ -222,7 +258,7 @@ impl TraceDb {
         let mut accs = String::with_capacity(72 + self.accesses.len() * 80);
         accs.push_str("id,ts,kind,alloc,data_type,subclass,member,size,loc,txn,stack\n");
         let mut loc_buf = String::new();
-        for a in self.accesses.iter() {
+        for a in self.iter_accesses() {
             let _ = write!(accs, "{},{},{},{},", a.id, a.ts, a.kind, a.alloc.0);
             write_csv_field(&mut accs, self.type_name(a.data_type));
             accs.push(',');
@@ -233,11 +269,7 @@ impl TraceDb {
             loc_buf.clear();
             let _ = write!(loc_buf, "{}:{}", self.sym(a.loc.file), a.loc.line);
             write_csv_field(&mut accs, &loc_buf);
-            accs.push(',');
-            if let Some(t) = a.txn {
-                let _ = write!(accs, "{}", t.0);
-            }
-            let _ = write!(accs, ",{}", a.stack.0);
+            let _ = write!(accs, ",{},{}", a.txn.0, a.stack.0);
             accs.push('\n');
         }
         tables.push(("accesses".to_owned(), accs));
@@ -474,23 +506,137 @@ mod tests {
         let db = import(&build_trace(), &config(), 1);
         let member_of = |a: &Access| db.member_name(a.data_type, a.member).to_owned();
         let seconds: Vec<Access> = db
-            .accesses
-            .iter()
+            .iter_accesses()
             .filter(|a| member_of(a) == "seconds")
             .collect();
         assert_eq!(seconds.len(), 2);
-        assert_eq!(seconds[0].txn, Some(TxnId(0)));
-        assert_eq!(seconds[1].txn, Some(TxnId(2)));
+        assert_eq!(seconds[0].txn, TxnId(0));
+        assert_eq!(seconds[1].txn, TxnId(2));
         let minutes: Vec<Access> = db
-            .accesses
-            .iter()
+            .iter_accesses()
             .filter(|a| member_of(a) == "minutes")
             .collect();
         assert_eq!(minutes.len(), 2);
-        assert_eq!(minutes[0].txn, Some(TxnId(1)));
+        assert_eq!(minutes[0].txn, TxnId(1));
         // The lock-free read gets an empty-set transaction of its own.
-        let free_txn = db.txn(minutes[1].txn.unwrap());
+        let free_txn = db.txn(minutes[1].txn);
         assert!(free_txn.locks.is_empty());
+    }
+
+    /// `TraceDb::access` joins each narrow access row with its
+    /// allocation and transaction: id, type and subclass come from the
+    /// allocation row (which the id sort moved), flow from the
+    /// transaction and context from the flow.
+    #[test]
+    fn access_joins_allocation_and_transaction_rows() {
+        use crate::event::AccessKind::{Read, Write};
+        let mut tr = Trace::new();
+        let file = tr.meta_mut().strings.intern("j.c");
+        let lock = tr.meta_mut().strings.intern("l");
+        let sub = tr.meta_mut().strings.intern("ext4");
+        let member = |name: &str, offset| MemberDef {
+            name: name.into(),
+            offset,
+            size: 4,
+            atomic: false,
+            is_lock: false,
+        };
+        let dt = tr.meta_mut().add_data_type(DataTypeDef {
+            name: "obj".into(),
+            size: 8,
+            members: vec![member("a", 0), member("b", 4)],
+        });
+        let task = tr.meta_mut().add_task("t");
+        let loc = |line| SourceLoc::new(file, line);
+        let access = |kind, addr, line| Event::MemAccess {
+            kind,
+            addr,
+            size: 4,
+            loc: loc(line),
+            atomic: false,
+        };
+        let (softirq, hardirq) = (ContextKind::Softirq, ContextKind::Hardirq);
+        let events = [
+            Event::TaskSwitch { task },
+            Event::LockInit {
+                addr: 0x10,
+                name: lock,
+                flavor: LockFlavor::Spinlock,
+                is_static: true,
+            },
+            // Ids descend in event order, so sorting by id moves rows.
+            Event::Alloc {
+                id: AllocId(9),
+                addr: 0x1000,
+                size: 8,
+                data_type: dt,
+                subclass: Some(sub),
+            },
+            Event::Alloc {
+                id: AllocId(4),
+                addr: 0x2000,
+                size: 8,
+                data_type: dt,
+                subclass: None,
+            },
+            Event::LockAcquire {
+                addr: 0x10,
+                mode: AcquireMode::Exclusive,
+                loc: loc(1),
+            },
+            access(Write, 0x1004, 2),
+            Event::ContextEnter { kind: softirq },
+            access(Read, 0x2000, 3),
+            Event::ContextEnter { kind: hardirq },
+            access(Write, 0x1000, 4),
+            Event::ContextExit { kind: hardirq },
+            Event::ContextExit { kind: softirq },
+            Event::LockRelease {
+                addr: 0x10,
+                loc: loc(5),
+            },
+            access(Read, 0x2004, 6),
+        ];
+        for (ts, e) in events.into_iter().enumerate() {
+            tr.push(ts as u64, e);
+        }
+        let db = import(&tr, &FilterConfig::with_defaults(), 1);
+        let ids: Vec<AllocId> = db.allocations.iter().map(|a| a.id).collect();
+        assert_eq!(ids, [AllocId(4), AllocId(9)]);
+        let (task_flow, task_ctx) = (FlowKey::Task(task), ContextKind::Task);
+        let want = [
+            (5, Write, 9, Some(sub), 1, 2, 0, task_flow, task_ctx),
+            (7, Read, 4, None, 0, 3, 1, FlowKey::Irq(0), softirq),
+            (9, Write, 9, Some(sub), 0, 4, 2, FlowKey::Irq(1), hardirq),
+            (13, Read, 4, None, 1, 6, 3, task_flow, task_ctx),
+        ];
+        assert_eq!(db.accesses.len(), want.len());
+        for (i, (ts, kind, alloc, subclass, member, line, txn, flow, context)) in
+            want.into_iter().enumerate()
+        {
+            let expected = Access {
+                id: i as u64,
+                ts,
+                kind,
+                alloc: AllocId(alloc),
+                data_type: dt,
+                subclass,
+                member,
+                size: 4,
+                loc: loc(line),
+                txn: TxnId(txn),
+                stack: StackId(0),
+                flow,
+                context,
+            };
+            assert_eq!(db.access(i), expected, "access {i}");
+            assert_eq!(db.accesses.alloc_row(i), u32::from(alloc == 9));
+            assert_eq!(db.txns.flow(db.accesses.txn(i)), flow);
+        }
+        assert_eq!(db.iter_accesses().count(), 4);
+        assert_eq!(db.observation_groups(), [(dt, None), (dt, Some(sub))]);
+        let subclassed: Vec<u64> = db.group_accesses((dt, Some(sub))).map(|a| a.id).collect();
+        assert_eq!(subclassed, [0, 2]);
     }
 
     #[test]
@@ -578,13 +724,12 @@ mod tests {
         );
         let db = import(&tr, &config(), 1);
         let irq_access = db
-            .accesses
-            .iter()
+            .iter_accesses()
             .find(|a| a.context == ContextKind::Hardirq)
             .expect("irq access imported");
         // The task's sec_lock does not leak into the irq flow: the irq
         // access lands in an empty-set transaction.
-        assert!(db.txn(irq_access.txn.unwrap()).locks.is_empty());
+        assert!(db.txn(irq_access.txn).locks.is_empty());
         assert_eq!(irq_access.flow, FlowKey::Irq(1));
     }
 
@@ -697,7 +842,7 @@ mod tests {
         assert_eq!(db.txns.len(), 1);
         assert_eq!(db.txns.get(0).locks.len(), 1);
         assert_eq!(db.accesses.len(), 2);
-        assert!(db.accesses.iter().all(|a| a.txn == Some(TxnId(0))));
+        assert!(db.iter_accesses().all(|a| a.txn == TxnId(0)));
         assert_eq!(db.stats.unmatched_releases, 0);
     }
 
@@ -766,16 +911,15 @@ mod tests {
         // softirq flow's empty stack.
         assert_eq!(db.txns.len(), 5);
         assert_eq!(db.stacks.len(), 2);
-        let irq = db.accesses.get(4);
+        let irq = db.access(4);
         assert_eq!(irq.alloc, AllocId(2));
         assert_eq!(irq.flow, FlowKey::Irq(0));
         assert_eq!(irq.context, ContextKind::Softirq);
-        assert_eq!(irq.txn, Some(TxnId(4)));
+        assert_eq!(irq.txn, TxnId(4));
         assert!(db.txn(TxnId(4)).locks.is_empty());
         assert_eq!(db.format_stack(irq.stack), "<empty>");
         assert_eq!(
-            db.accesses
-                .iter()
+            db.iter_accesses()
                 .filter(|a| a.flow == FlowKey::Irq(0))
                 .count(),
             1

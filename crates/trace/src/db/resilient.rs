@@ -476,7 +476,7 @@ mod tests {
         );
         assert_eq!(db.stats.unresolved, 0);
         assert_eq!(db.stats.accesses_imported, 1);
-        assert_eq!(db.accesses.get(0).alloc, AllocId(2));
+        assert_eq!(db.access(0).alloc, AllocId(2));
     }
 
     #[test]

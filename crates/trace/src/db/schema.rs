@@ -107,9 +107,23 @@ impl FlowKey {
             ContextKind::Hardirq => FlowKey::Irq(1),
         }
     }
+
+    /// The execution context of the flow, the inverse of [`FlowKey::irq`].
+    /// Only `Irq(0)` and `Irq(1)` are ever keyed (the archive reader
+    /// rejects any other), so the catch-all arm is hardirq.
+    pub fn context(self) -> ContextKind {
+        match self {
+            FlowKey::Task(_) => ContextKind::Task,
+            FlowKey::Irq(0) => ContextKind::Softirq,
+            FlowKey::Irq(_) => ContextKind::Hardirq,
+        }
+    }
 }
 
-/// One memory access (the central `accesses` table of the paper's schema).
+/// One memory access (the central `accesses` table of the paper's schema),
+/// joined with its allocation and transaction: the table stores only the
+/// allocation and transaction rows, and [`crate::db::TraceDb::access`]
+/// fills in the id, type, subclass, flow and context from them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
     /// Dense row id (position in the access table).
@@ -120,9 +134,9 @@ pub struct Access {
     pub kind: AccessKind,
     /// Accessed allocation.
     pub alloc: AllocId,
-    /// The type of the accessed allocation (denormalized for query speed).
+    /// The type of the accessed allocation.
     pub data_type: DataTypeId,
-    /// Subclass of the accessed allocation (denormalized).
+    /// Subclass of the accessed allocation.
     pub subclass: Option<Sym>,
     /// Index of the accessed member within the type layout.
     pub member: u32,
@@ -130,13 +144,14 @@ pub struct Access {
     pub size: u8,
     /// Source location of the access.
     pub loc: SourceLoc,
-    /// Enclosing transaction, if any lock was held.
-    pub txn: Option<TxnId>,
+    /// Enclosing transaction. Every imported access has one: a lock-free
+    /// span is a transaction with an empty lock list.
+    pub txn: TxnId,
     /// Call stack at the time of the access.
     pub stack: StackId,
-    /// The control flow that performed the access.
+    /// The control flow that performed the access: its transaction's.
     pub flow: FlowKey,
-    /// Execution context kind.
+    /// Execution context kind: its flow's.
     pub context: ContextKind,
 }
 
@@ -165,5 +180,9 @@ mod tests {
     fn flow_key_for_irq_kinds() {
         assert_eq!(FlowKey::irq(ContextKind::Softirq), FlowKey::Irq(0));
         assert_eq!(FlowKey::irq(ContextKind::Hardirq), FlowKey::Irq(1));
+        for kind in [ContextKind::Softirq, ContextKind::Hardirq] {
+            assert_eq!(FlowKey::irq(kind).context(), kind);
+        }
+        assert_eq!(FlowKey::Task(TaskId(3)).context(), ContextKind::Task);
     }
 }

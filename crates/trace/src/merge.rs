@@ -708,14 +708,13 @@ mod tests {
         // part's access.
         let bridged = concat_traces(vec![part(0x1000, "worker"), part(0x2000, "worker")]).unwrap();
         let db = import(&bridged, &FilterConfig::with_defaults(), 1);
-        assert_eq!(db.accesses.get(0).txn, db.accesses.get(1).txn);
+        assert_eq!(db.access(0).txn, db.access(1).txn);
         // The corpus merge renames tasks per part, keeping each part's
         // flows (and thus transactions) to itself.
         let merged = corpus_merge(vec![part(0x1000, "worker"), part(0x1000, "worker")]).unwrap();
         let db = import(&merged, &FilterConfig::with_defaults(), 1);
         assert_eq!(db.stats.invalid_events, 0);
-        assert!(db.accesses.get(0).txn.is_some());
-        assert_ne!(db.accesses.get(0).txn, db.accesses.get(1).txn);
+        assert_ne!(db.access(0).txn, db.access(1).txn);
         assert_eq!(
             merged.meta.tasks,
             vec!["worker.t0".to_owned(), "worker.t1".to_owned()]
@@ -735,8 +734,7 @@ mod tests {
         let merged = corpus_merge(vec![implicit("worker"), implicit("worker")]).unwrap();
         let db = import(&merged, &FilterConfig::with_defaults(), 1);
         assert_eq!(db.stats.invalid_events, 0);
-        assert!(db.accesses.get(0).txn.is_some());
-        assert_ne!(db.accesses.get(0).txn, db.accesses.get(1).txn);
+        assert_ne!(db.access(0).txn, db.access(1).txn);
     }
 
     #[test]

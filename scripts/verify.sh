@@ -100,9 +100,11 @@ echo "fuzz determinism gate: OK (byte-identical at --jobs 1 and 4)"
 # Re-opening a trace through --cache-dir must be byte-identical to a fresh
 # import, at any worker count, and must actually populate the cache
 # (DESIGN.md §5.6; unit-level twin: cache_dir_hits_are_byte_identical_to_
-# fresh_imports in crates/cli).
+# fresh_imports in crates/cli). Every consumer of the evidence index runs
+# on the loaded store, whose access rows name allocations and
+# transactions by row.
 CACHE_DIR="$GATE_DIR/archive-cache"
-for cmd in races lint order; do
+for cmd in derive violations races lint order; do
     "$LOCKDOC" "$cmd" --trace "$GATE_DIR/racy.ldoc" --jobs 1 --json \
         > "$GATE_DIR/$cmd.fresh.json"                           # uncached baseline
     "$LOCKDOC" "$cmd" --trace "$GATE_DIR/racy.ldoc" --jobs 1 --json \

@@ -12,9 +12,10 @@
 //! A failing property prints its run seed; reproduce with
 //! `LOCKDOC_PROP_SEED=<seed> cargo test -q <test-name>`.
 
-use lockdoc_core::derive::{derive_par, DeriveConfig};
+use lockdoc_core::derive::{derive_in, derive_par, DeriveConfig};
 use lockdoc_core::evidence::EvidenceIndex;
 use lockdoc_core::hypothesis::{complies, enumerate, observations_for, Observation};
+use lockdoc_core::lint::lint_passes;
 use lockdoc_core::lockset::{resolve_txn_locks, LockDescriptor};
 use lockdoc_core::matrix::AccessMatrix;
 use lockdoc_core::order::{lock_class, OrderEdge, OrderGraph};
@@ -215,10 +216,10 @@ fn txn_reconstruction_matches_reference() {
             let (trace, expected) = build_trace(ops);
             let db = import(&trace, &FilterConfig::with_defaults(), 1);
             prop_assert_eq!(db.accesses.len(), expected.len());
-            for (access, (m, w, held)) in db.accesses.iter().zip(&expected) {
+            for (access, (m, w, held)) in db.iter_accesses().zip(&expected) {
                 prop_assert_eq!(access.member, u32::from(*m));
                 prop_assert_eq!(access.kind == AccessKind::Write, *w);
-                let txn = db.txn(access.txn.expect("every access has a txn"));
+                let txn = db.txn(access.txn);
                 let got: Vec<u64> = txn.locks.iter().map(|h| db.lock(h.lock).addr).collect();
                 let want: Vec<u64> = held.iter().map(|&l| 0x100 + 0x100 * u64::from(l)).collect();
                 prop_assert_eq!(got, want, "held-lock order must be acquisition order");
@@ -428,14 +429,8 @@ fn check_evidence_index(db: &TraceDb) -> Result<(), String> {
         let want_rows: Vec<u32> = db.group_accesses(g.key).map(|a| a.id as u32).collect();
         prop_assert_eq!(g.rows(), want_rows.as_slice(), "rows of {}", g.name);
         for (pos, &row) in g.rows().iter().enumerate() {
-            let a = db.accesses.get(row as usize);
-            let Some(txn) = a.txn else {
-                prop_assert!(g.row_seq(pos).is_none(), "lock-free row {} has a unit", row);
-                continue;
-            };
-            let seq = g
-                .row_seq(pos)
-                .ok_or_else(|| format!("row {row} lost its unit"))?;
+            let a = db.access(row as usize);
+            let (txn, seq) = (a.txn, g.row_seq(pos));
             let unit_owner = unit_group.entry((txn, a.alloc)).or_insert(g.key);
             prop_assert!(
                 *unit_owner == g.key,
@@ -454,13 +449,11 @@ fn check_evidence_index(db: &TraceDb) -> Result<(), String> {
         // the paper's access matrix: is this read's cell also written?
         let matrix = AccessMatrix::build(db, g.key);
         for (pos, &row) in g.rows().iter().enumerate() {
-            let a = db.accesses.get(row as usize);
-            let written = a.txn.is_some_and(|txn| {
-                matrix
-                    .member(a.member)
-                    .and_then(|m| m.cells.get(&(txn, a.alloc)))
-                    .is_some_and(|c| c.writes > 0)
-            });
+            let a = db.access(row as usize);
+            let written = matrix
+                .member(a.member)
+                .and_then(|m| m.cells.get(&(a.txn, a.alloc)))
+                .is_some_and(|c| c.writes > 0);
             prop_assert_eq!(
                 g.row_wor(pos),
                 a.kind == AccessKind::Read && written,
@@ -721,10 +714,14 @@ fn resealed_archive_payloads_never_panic() {
                 payload[i] ^= mask;
             }
             let resealed = artifact::seal(&ARCHIVE_MAGIC, FORMAT_VERSION, &keys, &payload);
+            // The passes index the loaded tables by row: whatever loads
+            // must derive, check, scan for violations and races, build the
+            // order graph, lint (`lint_passes` runs all of these) and
+            // export without a panic.
             if let Some(back) = read_archive(&resealed, keys[0], keys[1], db.meta.clone()) {
-                derive_par(&back, &DeriveConfig::default(), 1);
-                OrderGraph::build(&back);
-                lockdoc_core::race::find_races_par(&back, 1);
+                let index = EvidenceIndex::build(&back);
+                let mined = derive_in(&index, &DeriveConfig::default());
+                lint_passes(&index, &mined, &[], None);
                 back.export_csv_tables();
             }
             Ok(())

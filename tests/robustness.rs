@@ -222,7 +222,7 @@ fn free_deactivates_exactly_the_locks_in_its_range() {
     assert_eq!(fresh.addr, 0x1008);
     assert_eq!(fresh.embedded_in, Some((AllocId(2), 8)));
     assert_eq!(db.accesses.len(), 1);
-    let txn = db.accesses.get(0).txn.expect("access in a transaction");
+    let txn = db.access(0).txn;
     let held: Vec<_> = db.txn(txn).locks.iter().map(|h| h.lock).collect();
     assert_eq!(held, vec![fresh.id]);
 }
@@ -468,12 +468,11 @@ fn wide_types_and_long_transactions_stay_exact() {
     for g in index.groups().iter().take(4) {
         let matrix = AccessMatrix::build(&db, g.key);
         for (pos, &row) in g.rows().iter().enumerate() {
-            let a = db.accesses.get(row as usize);
-            let txn = a.txn.expect("every access is in a transaction");
+            let a = db.access(row as usize);
+            let txn = a.txn;
             let held: Vec<_> = db.txn(txn).locks.iter().map(|h| h.lock).collect();
-            let seq = g.row_seq(pos).expect("row has a unit");
             assert_eq!(
-                index.materialize(g.seq(seq)),
+                index.materialize(g.seq(g.row_seq(pos))),
                 resolve_txn_locks(&db, a.alloc, &held)
             );
             let written = matrix.members[&a.member].cells[&(txn, a.alloc)].writes > 0;
@@ -526,7 +525,7 @@ fn wide_types_and_long_transactions_stay_exact() {
             let Some(required) = ruled.get(&(a.member, a.kind)) else {
                 continue;
             };
-            let txn = a.txn.expect("every access is in a transaction");
+            let txn = a.txn;
             if a.kind == AccessKind::Read
                 && matrix.members[&a.member].cells[&(txn, a.alloc)].writes > 0
             {
@@ -626,9 +625,9 @@ fn embedded_lock_trace(objects: u64, id: impl Fn(u64) -> u64) -> Trace {
 }
 
 /// Allocation ids that descend in event order are looked up like
-/// ascending ones: the store sorts its allocations by id, and the
-/// evidence index, the order graph and the lint report equal those of
-/// the ascending twin.
+/// ascending ones: the store sorts its allocations by id, each access's
+/// allocation row follows the sort, and the evidence index, the order
+/// graph and the lint report equal those of the ascending twin.
 #[test]
 fn descending_allocation_ids_match_their_ascending_twin() {
     use lockdoc_core::derive::{derive_in, DeriveConfig};
@@ -646,6 +645,10 @@ fn descending_allocation_ids_match_their_ascending_twin() {
             desc.allocation(AllocId(id)).map(|a| a.id),
             Some(AllocId(id))
         );
+    }
+    // The i-th access touched the i-th allocated object, id OBJECTS - i.
+    for (i, a) in desc.iter_accesses().enumerate() {
+        assert_eq!(a.alloc, AllocId(OBJECTS - i as u64));
     }
     let (asc_index, desc_index) = (EvidenceIndex::build(&asc), EvidenceIndex::build(&desc));
     assert_eq!(asc_index.trace_matrix(), desc_index.trace_matrix());
