@@ -243,10 +243,14 @@ oracle precision/recall) and, when `--trace FILE` is given, joins the
 static findings with races/checker/violations/lint by (type, member),
 reporting per-pass precision and recall.
 
-`import --lenient` salvages damaged containers and quarantines corrupt
-events (up to `--max-bad-frac`, default 0.05); `import --strict` refuses
-the first corrupt event with a typed diagnosis. `doctor` reports a trace's
-health (salvage + quarantine summary) without importing it.
+A plain `import`, and every question asked of a trace, skips a
+malformed event (a double free, say) and counts it in `invalid_events`
+(an unbalanced release in `unmatched_releases`), so it answers from the
+tables `import --lenient` keeps. `import --lenient` salvages damaged
+containers and quarantines corrupt events, naming each (up to
+`--max-bad-frac`, default 0.05); `import --strict` refuses the first
+corrupt event with a typed diagnosis. `doctor` reports a trace's health
+(salvage + quarantine summary) without importing it.
 
 `fuzz` runs a coverage-guided campaign over workload mixes: --budget
 mutated candidates (in rounds of --generation), each running --ops
@@ -884,33 +888,16 @@ pub fn cmd_scan(args: &Args) -> Result<String> {
         .get("dir")
         .ok_or_else(|| CliError::Usage("--dir PATH is required".into()))?;
     let root = Path::new(dir);
-    if !root.exists() {
-        return Err(CliError::Usage(format!("no such directory: {dir}")));
-    }
-    let mut paths: Vec<std::path::PathBuf> = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(path) = stack.pop() {
-        if path.is_dir() {
-            for entry in fs::read_dir(&path)? {
-                stack.push(entry?.path());
-            }
-        } else if matches!(
-            path.extension().and_then(|e| e.to_str()),
-            Some("c") | Some("h")
-        ) {
-            paths.push(path);
-        }
-    }
+    // Sorted as paths, not as strings: `a/b.c` comes before `a.c`.
+    let mut paths = xcheck::source_paths(root)?;
     paths.sort();
     let jobs = args.jobs()?;
     let per_file = lockdoc_platform::par::par_map(jobs, &paths, |path| {
         let src = xcheck::read_source(path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        Ok((rel, locksrc::scan_source(&src)))
+        Ok((
+            xcheck::relative_path(root, path),
+            locksrc::scan_source(&src),
+        ))
     })
     .into_iter()
     .collect::<Result<Vec<(String, locksrc::scan::LockUsageCounts)>>>()?;
@@ -1854,8 +1841,82 @@ mod tests {
         save_trace(&trace, path).unwrap();
     }
 
-    /// A task-kind `ContextEnter` is skipped without a policy and
-    /// quarantined under one, at every entry point that ingests a trace.
+    /// Writes a 15-event trace whose second `Free` of allocation 1 comes
+    /// after allocation 2 took its address and embedded a lock, followed
+    /// by three locked writes to allocation 2. Replayed, that free would
+    /// deactivate allocation 2 and its lock and leave the writes
+    /// unresolved.
+    fn write_double_free_trace(path: &Path) {
+        use lockdoc_trace::event::{
+            AccessKind, AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc,
+        };
+        use lockdoc_trace::ids::AllocId;
+        let mut trace = Trace::new();
+        let meta = trace.meta_mut();
+        let file = meta.strings.intern("obj.c");
+        let name = meta.strings.intern("lock");
+        let member = |name: &str, offset, is_lock| MemberDef {
+            name: name.into(),
+            offset,
+            size: 8,
+            atomic: false,
+            is_lock,
+        };
+        let data_type = meta.add_data_type(DataTypeDef {
+            name: "obj".into(),
+            size: 0x40,
+            members: vec![member("v", 0, false), member("lock", 8, true)],
+        });
+        let task = meta.add_task("t0");
+        let alloc = |id| Event::Alloc {
+            id: AllocId(id),
+            addr: 0x1000,
+            size: 0x40,
+            data_type,
+            subclass: None,
+        };
+        let mut events = vec![
+            Event::TaskSwitch { task },
+            alloc(1),
+            Event::Free { id: AllocId(1) },
+            alloc(2),
+            Event::LockInit {
+                addr: 0x1008,
+                name,
+                flavor: LockFlavor::Spinlock,
+                is_static: false,
+            },
+            Event::Free { id: AllocId(1) },
+        ];
+        for line in 0..3 {
+            let loc = SourceLoc::new(file, 10 * line);
+            events.extend([
+                Event::LockAcquire {
+                    addr: 0x1008,
+                    mode: AcquireMode::Exclusive,
+                    loc,
+                },
+                Event::MemAccess {
+                    kind: AccessKind::Write,
+                    addr: 0x1000,
+                    size: 8,
+                    loc: SourceLoc::new(file, 10 * line + 1),
+                    atomic: false,
+                },
+                Event::LockRelease { addr: 0x1008, loc },
+            ]);
+        }
+        for (ts, event) in events.into_iter().enumerate() {
+            trace.push(ts as u64 + 1, event);
+        }
+        save_trace(&trace, path).unwrap();
+    }
+
+    /// A malformed event — a task-kind `ContextEnter`, or a double free
+    /// after its address was reused — is skipped without a policy and
+    /// quarantined under one, at every entry point that ingests a trace,
+    /// and every question is answered from the tables the lenient import
+    /// keeps.
     #[test]
     fn task_context_event_is_dropped_at_every_entry_point() {
         let base = std::env::temp_dir().join("lockdoc-task-context-test");
@@ -1879,6 +1940,34 @@ mod tests {
         let doctor = run(&s(&["doctor", t])).unwrap();
         assert!(doctor.contains("task_context"), "{doctor}");
         run(&s(&["derive", "--trace", t])).unwrap();
+
+        let double_free = base.join("double-free.ldoc");
+        write_double_free_trace(&double_free);
+        let t2 = double_free.to_str().unwrap();
+        let plain = run(&s(&["import", "--trace", t2])).unwrap();
+        let accesses = "accesses: 3 seen, 3 imported, 0 filtered, 0 unresolved\n";
+        assert!(plain.contains(accesses), "{plain}");
+        assert!(plain.ends_with("invalid_events: 1\n"), "{plain}");
+        let wide_budget = ["import", "--trace", t2, "--lenient", "--max-bad-frac", "1"];
+        let wide = run(&s(&wide_budget)).unwrap();
+        assert!(wide.contains("double_free"), "{wide}");
+        let strict = run(&s(&["import", "--trace", t2, "--strict"])).unwrap_err();
+        assert!(strict.to_string().contains("double_free"), "{strict}");
+        let doctor = run(&s(&["doctor", t2])).unwrap();
+        assert!(doctor.contains("double_free"), "{doctor}");
+        let derived = run(&s(&["derive", "--trace", t2])).unwrap();
+        assert!(derived.contains("v:w = ES(lock in obj)"), "{derived}");
+        let screened = lockdoc_trace::corpus::screen(
+            fs::File::open(&double_free).unwrap(),
+            &FilterConfig::default(),
+            false,
+            true,
+        )
+        .unwrap();
+        let sanitized = base.join("sanitized.ldoc");
+        save_trace(&screened.trace.unwrap(), &sanitized).unwrap();
+        let t3 = sanitized.to_str().unwrap();
+        assert_eq!(derived, run(&s(&["derive", "--trace", t3])).unwrap());
 
         let corpus = base.join("corpus");
         let d = corpus.to_str().unwrap();
@@ -1949,6 +2038,39 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
+        fs::remove_dir_all(&dir).ok();
+
+        // `scan` sorts paths and `xcheck` relative path strings, which
+        // order `a/b.c` and `a.c` differently; each keeps its order.
+        let dir = std::env::temp_dir().join("lockdoc-scan-order-test");
+        fs::remove_dir_all(&dir).ok();
+        fs::create_dir_all(dir.join("a")).unwrap();
+        fs::write(dir.join("a.c"), "spin_lock_init(&x);\n").unwrap();
+        fs::write(dir.join("a/b.c"), "mutex_init(&y);\n").unwrap();
+        let d = dir.to_str().unwrap();
+        let out = run(&s(&["scan", "--dir", d, "--per-file"])).unwrap();
+        let files: Vec<&str> = out
+            .lines()
+            .skip(1)
+            .filter_map(|l| l.trim_start().split(": ").next())
+            .collect();
+        assert_eq!(files, ["a/b.c", "a.c"], "{out}");
+        let json = run(&s(&["scan", "--dir", d, "--per-file", "--json"])).unwrap();
+        let v = lockdoc_platform::json::parse(&json).expect("valid json");
+        let per_file: Vec<&str> = v
+            .get("per_file")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|f| f.get("path").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(per_file, ["a/b.c", "a.c"]);
+        let collected: Vec<String> = xcheck::collect_source_files(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|(rel, _)| rel)
+            .collect();
+        assert_eq!(collected, ["a.c", "a/b.c"]);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -30,7 +30,7 @@ use locksrc::{analyze_tree, MinerConfig, StaticReport};
 use std::collections::BTreeSet;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Reads one source file as text. Bytes that are not UTF-8 (a Latin-1
 /// name in a comment, say) decode to U+FFFD, which leaves every `\n`,
@@ -45,17 +45,16 @@ pub fn read_source(path: &Path) -> Result<String> {
     })
 }
 
-/// Collects `(relative path, content)` of every `.c`/`.h` file under
-/// `root`, sorted by path — the deterministic input order the parser
-/// expects. Contents are read with [`read_source`].
-pub fn collect_source_files(root: &Path) -> Result<Vec<(String, String)>> {
+/// Every `.c`/`.h` path under `root`, in walk order; a missing `root` is
+/// a usage error. Each caller sorts the paths its own way.
+pub(crate) fn source_paths(root: &Path) -> Result<Vec<PathBuf>> {
     if !root.exists() {
         return Err(CliError::Usage(format!(
             "no such directory: {}",
             root.display()
         )));
     }
-    let mut out: Vec<(String, String)> = Vec::new();
+    let mut paths = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(path) = stack.pop() {
         if path.is_dir() {
@@ -66,14 +65,28 @@ pub fn collect_source_files(root: &Path) -> Result<Vec<(String, String)>> {
             path.extension().and_then(|e| e.to_str()),
             Some("c") | Some("h")
         ) {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            out.push((rel, read_source(&path)?));
+            paths.push(path);
         }
     }
+    Ok(paths)
+}
+
+/// `path` relative to `root`, with `/` separators.
+pub(crate) fn relative_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// Collects `(relative path, content)` of every `.c`/`.h` file under
+/// `root`, sorted by relative path — the deterministic input order the
+/// parser expects. Contents are read with [`read_source`].
+pub fn collect_source_files(root: &Path) -> Result<Vec<(String, String)>> {
+    let mut out = source_paths(root)?
+        .iter()
+        .map(|path| Ok((relative_path(root, path), read_source(path)?)))
+        .collect::<Result<Vec<_>>>()?;
     out.sort();
     Ok(out)
 }

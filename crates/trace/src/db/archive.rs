@@ -82,9 +82,12 @@ use std::sync::Arc;
 /// Archive container magic.
 pub const ARCHIVE_MAGIC: [u8; 8] = *b"LDARCH1\0";
 
-/// Bumped whenever the column layout, section order, or frame checksum
-/// changes. An archive written by any other version is a cache miss.
-pub const FORMAT_VERSION: u32 = 3;
+/// Bumped whenever the column layout, section order, frame checksum, or
+/// the store import builds from the same trace changes. An archive
+/// written by any other version is a cache miss. Version 4: a plain
+/// import skips a malformed event instead of replaying it, so a version-3
+/// archive of a malformed trace holds a store import no longer builds.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Deterministic fingerprint of a filter configuration.
 ///

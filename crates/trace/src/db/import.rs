@@ -30,22 +30,22 @@
 //! `(type, member)` id. The lock registry is sorted by address, so a
 //! `Free` finds the locks inside its range without scanning it whole.
 //!
-//! The same importer screens untrusted traces. Under a quarantine policy
-//! (strict or lenient, [`crate::db::resilient`]) `feed` first checks each
-//! event against the importer's own replay state — timestamp high-water
-//! mark, metadata tables, allocation index and live ranges, lock registry,
-//! each flow's held locks — and records a malformed event as a
-//! [`QuarantineEntry`] instead of replaying it; without a policy every
-//! event is replayed and anomalies are absorbed into counters. In
-//! table-free mode the importer keeps only that replay state and builds no
-//! access, transaction or stack table, which is all screening needs.
+//! The same importer screens untrusted traces. Each event is checked
+//! against the importer's own replay state — timestamp high-water mark,
+//! metadata tables, allocation index and live ranges, lock registry, each
+//! flow's held locks — by the one pass that replays it, before its first
+//! effect, so a malformed event reaches no table. Under a quarantine policy
+//! (strict or lenient, [`crate::db::resilient`]) it is recorded as a
+//! [`QuarantineEntry`]; without one it is skipped and counted. Either way
+//! the tables are the same. In table-free mode the importer keeps only
+//! that replay state and builds no access, transaction or stack table,
+//! which is all screening needs.
 //!
 //! [`ingest`] drives a [`crate::codec::TraceReader`] straight into the
 //! importer, so decoding, screening and import are one streaming pass and
 //! the event vector is never materialized unless the caller asks for the
-//! sanitized trace. [`import`], [`import_stream`],
-//! [`crate::db::import_resilient`] and [`crate::db::quarantine_report`]
-//! are wrappers over the same importer.
+//! sanitized trace. [`import`], [`import_stream`] and
+//! [`crate::db::import_resilient`] are wrappers over the same importer.
 
 use crate::codec::{CodecError, DecodePolicy, SalvageReport, TraceReader};
 use crate::db::columns::{AccessTable, StackTable, TxnTable};
@@ -65,7 +65,8 @@ use std::sync::Arc;
 /// Counters describing an import run (reported like paper Sec. 7.2).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ImportStats {
-    /// Total events replayed.
+    /// Events fed: every one without a quarantine policy, only the kept
+    /// ones under one.
     pub events: u64,
     /// Memory-access events seen.
     pub accesses_seen: u64,
@@ -75,7 +76,9 @@ pub struct ImportStats {
     pub filtered: HashMap<String, u64>,
     /// Accesses that hit untracked memory or a layout hole.
     pub unresolved: u64,
-    /// Lock releases without a matching acquisition.
+    /// Lock releases without a matching acquisition: of an unregistered
+    /// address, or, without a quarantine policy, of a registered lock the
+    /// releasing flow does not hold.
     pub unmatched_releases: u64,
     /// Acquisitions of unregistered lock addresses.
     pub unknown_lock_acquires: u64,
@@ -89,12 +92,16 @@ pub struct ImportStats {
     pub embedded_locks: u64,
     /// Allocation events.
     pub allocs: u64,
-    /// Deallocation events.
+    /// Frees of live allocations. A free of an id never allocated or
+    /// already freed is malformed and changes nothing.
     pub frees: u64,
     /// Distinct stack traces recorded.
     pub stacks: u64,
-    /// Events dropped because they referenced unknown metadata (possible
-    /// in corrupted or foreign traces; a well-formed tracer emits none).
+    /// Malformed events skipped without a quarantine policy: every
+    /// quarantine class but an unbalanced release, which counts in
+    /// `unmatched_releases`. Possible in corrupted or foreign traces; a
+    /// well-formed tracer emits none. Under a policy they are quarantined
+    /// instead and this stays zero.
     pub invalid_events: u64,
 }
 
@@ -246,7 +253,9 @@ impl ResolvedFilters {
     }
 }
 
-/// Replays `trace` into a [`TraceDb`], applying `config`.
+/// Replays `trace` into a [`TraceDb`], applying `config`. A malformed
+/// event is skipped and counted (see [`ImportStats::invalid_events`]), so
+/// the tables are the ones a lenient [`crate::db::import_resilient`] keeps.
 ///
 /// `_jobs` is unused: import is one serial pass at any worker count. The
 /// argument stays so existing callers keep compiling.
@@ -427,11 +436,11 @@ pub(crate) struct Importer<'a> {
 
     filters: ResolvedFilters,
 
-    /// Quarantine policy; `None` replays every event.
+    /// Quarantine policy; `None` counts malformed events instead.
     policy: Option<ImportPolicy>,
     /// Build the access, transaction and stack tables.
     tables: bool,
-    /// Events fed under a policy, kept or not: the next event's index.
+    /// Events fed, kept or not: the next event's index.
     fed: u64,
     /// Timestamp high-water mark of the kept events.
     max_ts: Timestamp,
@@ -578,156 +587,64 @@ impl<'a> Importer<'a> {
         }
     }
 
-    /// Feeds one event and returns whether it was kept. Under a policy the
-    /// event is checked first: a malformed one is recorded and reaches no
-    /// counter or table, and under the strict policy nothing is kept after
-    /// the first. Without a policy every event is replayed.
+    /// Feeds one event and returns whether it was kept. A malformed event
+    /// reaches no table: under a policy it is recorded, and under the
+    /// strict policy nothing is kept after the first; without one it is
+    /// counted, an unbalanced release in `unmatched_releases` and any
+    /// other in `invalid_events`.
     pub(crate) fn feed(&mut self, ts: Timestamp, event: &Event) -> bool {
-        if let Some(policy) = self.policy {
-            let event_index = self.fed;
-            self.fed += 1;
-            if policy == ImportPolicy::Strict && !self.quarantined.is_empty() {
-                return false;
-            }
-            if let Err((class, detail)) = self.check(ts, event) {
-                // An unbalanced release still happened at its time, so it
-                // moves the high-water mark; every other class is dropped
-                // before any of its effects register.
-                if class == QuarantineClass::UnbalancedRelease {
-                    self.max_ts = ts;
-                }
-                self.quarantined.push(QuarantineEntry {
-                    event_index,
-                    class,
-                    detail,
-                });
-                return false;
-            }
+        let event_index = self.fed;
+        self.fed += 1;
+        if self.policy == Some(ImportPolicy::Strict) && !self.quarantined.is_empty() {
+            return false;
+        }
+        let Err((class, detail)) = self.apply(ts, event) else {
+            self.max_ts = ts;
+            self.stats.events += 1;
+            return true;
+        };
+        // An unbalanced release still happened at its time, so it moves the
+        // high-water mark; every other class is dropped before any of its
+        // effects register.
+        if class == QuarantineClass::UnbalancedRelease {
             self.max_ts = ts;
         }
-        self.replay(ts, event);
-        true
+        if self.policy.is_some() {
+            self.quarantined.push(QuarantineEntry {
+                event_index,
+                class,
+                detail,
+            });
+        } else {
+            self.stats.events += 1;
+            match class {
+                QuarantineClass::UnbalancedRelease => self.stats.unmatched_releases += 1,
+                _ => self.stats.invalid_events += 1,
+            }
+        }
+        false
     }
 
-    /// The quarantine checks of one event against the replay state, which
-    /// they only read. The first failed check wins: the timestamp, then
-    /// metadata references, the allocation table, free validity, lock
-    /// balance and the entered context — the order in which the replay
-    /// would mishandle the event.
-    fn check(&self, ts: Timestamp, event: &Event) -> Result<(), (QuarantineClass, String)> {
+    /// Checks one event against the replay state and replays it into the
+    /// state and, unless table-free, the tables. Every check of an event
+    /// runs before its first effect, so a malformed one changes nothing and
+    /// comes back as its quarantine class and detail. The first failed
+    /// check wins: the timestamp, then metadata references, the allocation
+    /// table, free validity, lock balance and the entered context — the
+    /// order in which a replay would mishandle the event. Anomalies
+    /// tolerated by design (unregistered lock addresses, fn-exit and
+    /// context-exit mismatches, unresolved accesses) are counters.
+    fn apply(&mut self, ts: Timestamp, event: &Event) -> Result<(), (QuarantineClass, String)> {
         use QuarantineClass::*;
-        let meta = self.meta;
-        // Timestamps first: an event that travels back in time is dropped
-        // before any of its effects register, and the high-water mark only
-        // advances on kept events so one regressed event cannot drag a
-        // healthy successor into quarantine with it.
+        // Timestamps first: the high-water mark only advances on kept
+        // events, so one regressed event cannot drag a healthy successor
+        // into quarantine with it.
         if ts < self.max_ts {
             let detail = format!("ts {} after high-water mark {}", ts, self.max_ts);
             return Err((TimestampRegression, detail));
         }
-        let strings = meta.strings.len();
-        let dangling = |detail: String| Err((DanglingMeta, detail));
-        match event {
-            Event::LockInit { name, .. } if !valid_sym(meta, *name) => dangling(format!(
-                "lock name string #{} (table has {strings})",
-                name.0
-            )),
-            Event::Alloc {
-                id,
-                addr,
-                size,
-                data_type,
-                subclass,
-            } => {
-                if !valid_dt(meta, *data_type) {
-                    let types = meta.data_types.len();
-                    return dangling(format!("data type #{} (table has {types})", data_type.0));
-                }
-                if let Some(s) = subclass.filter(|s| !valid_sym(meta, *s)) {
-                    return dangling(format!("subclass string #{} (table has {strings})", s.0));
-                }
-                if self.alloc_index.contains_key(id) {
-                    let detail = format!("alloc id {} already in use", id.0);
-                    return Err((DuplicateAllocId, detail));
-                }
-                match addr.checked_add(u64::from(*size)) {
-                    None => Err((
-                        OverlappingAlloc,
-                        format!("range {addr:#x}+{size} wraps the address space"),
-                    )),
-                    Some(end) if self.overlaps_live(*addr, end) => Err((
-                        OverlappingAlloc,
-                        format!("range {addr:#x}+{size} overlaps a live allocation"),
-                    )),
-                    Some(_) => Ok(()),
-                }
-            }
-            // Defined double-free semantics: the second free is quarantined
-            // instead of deactivating whatever allocation occupies the
-            // address now.
-            Event::Free { id } => match self.alloc_index.get(id) {
-                None => Err((
-                    DanglingFree,
-                    format!("free of alloc id {} never allocated", id.0),
-                )),
-                Some(&row) if self.allocations[row].free_ts.is_some() => {
-                    Err((DoubleFree, format!("alloc id {} already freed", id.0)))
-                }
-                Some(_) => Ok(()),
-            },
-            Event::LockAcquire { loc, .. } if !valid_loc(meta, loc) => dangling(format!(
-                "acquire loc file string #{} (table has {strings})",
-                loc.file.0
-            )),
-            Event::LockRelease { addr, loc } => {
-                if !valid_loc(meta, loc) {
-                    return dangling(format!(
-                        "release loc file string #{} (table has {strings})",
-                        loc.file.0
-                    ));
-                }
-                // Releases of unregistered addresses are tolerated like the
-                // replay's `unmatched_releases` counter: with no registration
-                // there is no flow to balance against.
-                match self.active_locks.get(addr) {
-                    Some(&lock)
-                        if !self.flows[self.cur_flow]
-                            .held
-                            .iter()
-                            .any(|h| h.lock == lock) =>
-                    {
-                        Err((
-                            UnbalancedRelease,
-                            format!("release of lock {addr:#x} not held by this flow"),
-                        ))
-                    }
-                    _ => Ok(()),
-                }
-            }
-            Event::MemAccess { loc, .. } if !valid_loc(meta, loc) => dangling(format!(
-                "access loc file string #{} (table has {strings})",
-                loc.file.0
-            )),
-            Event::FnEnter { func } if !valid_fn(meta, *func) => {
-                let functions = meta.functions.len();
-                dangling(format!("function #{} (table has {functions})", func.0))
-            }
-            Event::TaskSwitch { task } if !valid_task(meta, *task) => {
-                let tasks = meta.tasks.len();
-                dangling(format!("task #{} (table has {tasks})", task.0))
-            }
-            Event::ContextEnter {
-                kind: ContextKind::Task,
-            } => Err((TaskContext, "context enter of the task context".into())),
-            _ => Ok(()),
-        }
-    }
-
-    /// Replays one event into the state and, unless table-free, the
-    /// tables, absorbing anomalies into counters.
-    fn replay(&mut self, ts: Timestamp, event: &Event) {
-        self.stats.events += 1;
         let meta = self.meta;
+        let dangling = |detail: String| Err((DanglingMeta, detail));
         match event {
             Event::LockInit {
                 addr,
@@ -736,8 +653,11 @@ impl<'a> Importer<'a> {
                 is_static,
             } => {
                 if !valid_sym(meta, *name) {
-                    self.stats.invalid_events += 1;
-                    return;
+                    let strings = meta.strings.len();
+                    return dangling(format!(
+                        "lock name string #{} (table has {strings})",
+                        name.0
+                    ));
                 }
                 let embedded_in = self.resolve_alloc(*addr).map(|row| {
                     let alloc = &self.allocations[row as usize];
@@ -761,20 +681,28 @@ impl<'a> Importer<'a> {
                 data_type,
                 subclass,
             } => {
-                if !valid_dt(meta, *data_type)
-                    || subclass.map(|s| !valid_sym(meta, s)).unwrap_or(false)
-                    || self.alloc_index.contains_key(id)
-                {
-                    self.stats.invalid_events += 1;
-                    return;
+                if !valid_dt(meta, *data_type) {
+                    let types = meta.data_types.len();
+                    return dangling(format!("data type #{} (table has {types})", data_type.0));
+                }
+                if let Some(s) = subclass.filter(|s| !valid_sym(meta, *s)) {
+                    let strings = meta.strings.len();
+                    return dangling(format!("subclass string #{} (table has {strings})", s.0));
+                }
+                if self.alloc_index.contains_key(id) {
+                    let detail = format!("alloc id {} already in use", id.0);
+                    return Err((DuplicateAllocId, detail));
                 }
                 // Overlap with a live allocation indicates a broken or
-                // hostile tracer; resolving accesses in the overlap would
-                // be ambiguous, so drop the event and count it. The range
-                // end saturates so hostile `addr + size` cannot panic.
-                if self.overlaps_live(*addr, addr.saturating_add(u64::from(*size))) {
-                    self.stats.invalid_events += 1;
-                    return;
+                // hostile tracer; resolving accesses in the overlap would be
+                // ambiguous.
+                let Some(end) = addr.checked_add(u64::from(*size)) else {
+                    let detail = format!("range {addr:#x}+{size} wraps the address space");
+                    return Err((OverlappingAlloc, detail));
+                };
+                if self.overlaps_live(*addr, end) {
+                    let detail = format!("range {addr:#x}+{size} overlaps a live allocation");
+                    return Err((OverlappingAlloc, detail));
                 }
                 self.stats.allocs += 1;
                 let idx = self.allocations.len();
@@ -793,43 +721,46 @@ impl<'a> Importer<'a> {
                     u32::try_from(idx).expect("allocation rows fit in u32"),
                 );
             }
+            // A second free is refused instead of deactivating whatever
+            // allocation occupies the address now.
             Event::Free { id } => {
+                let Some(&idx) = self.alloc_index.get(id) else {
+                    let detail = format!("free of alloc id {} never allocated", id.0);
+                    return Err((DanglingFree, detail));
+                };
+                let alloc = &mut self.allocations[idx];
+                if alloc.free_ts.is_some() {
+                    return Err((DoubleFree, format!("alloc id {} already freed", id.0)));
+                }
+                alloc.free_ts = Some(ts);
+                let (addr, end) = (alloc.addr, alloc.addr.saturating_add(u64::from(alloc.size)));
                 self.stats.frees += 1;
-                if let Some(&idx) = self.alloc_index.get(id) {
-                    let (addr, size) = {
-                        let alloc = &mut self.allocations[idx];
-                        alloc.free_ts = Some(ts);
-                        (alloc.addr, alloc.size)
-                    };
-                    self.active_allocs.remove(&addr);
-                    self.alloc_cache = None;
-                    // Deactivate embedded lock addresses so a later
-                    // reallocation at the same address registers fresh
-                    // instances.
-                    let end = addr.saturating_add(u64::from(size));
-                    while let Some((&a, _)) = self.active_locks.range(addr..end).next() {
-                        self.active_locks.remove(&a);
-                    }
+                self.active_allocs.remove(&addr);
+                self.alloc_cache = None;
+                // Deactivate embedded lock addresses so a later reallocation
+                // at the same address registers fresh instances.
+                while let Some((&a, _)) = self.active_locks.range(addr..end).next() {
+                    self.active_locks.remove(&a);
                 }
             }
             Event::LockAcquire { addr, mode, loc } => {
                 if !valid_loc(meta, loc) {
-                    self.stats.invalid_events += 1;
-                    return;
+                    return dangling(format!(
+                        "acquire loc file string #{} (table has {})",
+                        loc.file.0,
+                        meta.strings.len()
+                    ));
                 }
-                let lock_id = match self.active_locks.get(addr) {
-                    Some(&id) => id,
-                    None => {
-                        self.stats.unknown_lock_acquires += 1;
-                        return;
-                    }
+                let Some(&lock_id) = self.active_locks.get(addr) else {
+                    self.stats.unknown_lock_acquires += 1;
+                    return Ok(());
                 };
                 let flavor = self.locks[lock_id.index()].flavor;
                 let flow = &mut self.flows[self.cur_flow];
                 if flavor.reentrant() {
                     if let Some(entry) = flow.held.iter_mut().find(|h| h.lock == lock_id) {
                         entry.count += 1;
-                        return;
+                        return Ok(());
                     }
                 }
                 flow.held.push(HeldEntry {
@@ -843,29 +774,30 @@ impl<'a> Importer<'a> {
             }
             Event::LockRelease { addr, loc } => {
                 if !valid_loc(meta, loc) {
-                    self.stats.invalid_events += 1;
-                    return;
+                    return dangling(format!(
+                        "release loc file string #{} (table has {})",
+                        loc.file.0,
+                        meta.strings.len()
+                    ));
                 }
-                let lock_id = match self.active_locks.get(addr) {
-                    Some(&id) => id,
-                    None => {
-                        self.stats.unmatched_releases += 1;
-                        return;
-                    }
+                // A release of an unregistered address is tolerated: with no
+                // registration there is no flow to balance against.
+                let Some(&lock_id) = self.active_locks.get(addr) else {
+                    self.stats.unmatched_releases += 1;
+                    return Ok(());
                 };
                 let flow = &mut self.flows[self.cur_flow];
                 // Search from the most recent acquisition backwards.
-                match flow.held.iter().rposition(|h| h.lock == lock_id) {
-                    Some(pos) => {
-                        if flow.held[pos].count > 1 {
-                            flow.held[pos].count -= 1;
-                            return;
-                        }
-                        flow.held.remove(pos);
-                        self.close_open_txn(ts);
-                    }
-                    None => self.stats.unmatched_releases += 1,
+                let Some(pos) = flow.held.iter().rposition(|h| h.lock == lock_id) else {
+                    let detail = format!("release of lock {addr:#x} not held by this flow");
+                    return Err((UnbalancedRelease, detail));
+                };
+                if flow.held[pos].count > 1 {
+                    flow.held[pos].count -= 1;
+                    return Ok(());
                 }
+                flow.held.remove(pos);
+                self.close_open_txn(ts);
             }
             Event::MemAccess {
                 kind,
@@ -875,8 +807,11 @@ impl<'a> Importer<'a> {
                 atomic,
             } => {
                 if !valid_loc(meta, loc) {
-                    self.stats.invalid_events += 1;
-                    return;
+                    return dangling(format!(
+                        "access loc file string #{} (table has {})",
+                        loc.file.0,
+                        meta.strings.len()
+                    ));
                 }
                 self.stats.accesses_seen += 1;
                 if self.tables {
@@ -885,17 +820,16 @@ impl<'a> Importer<'a> {
             }
             Event::FnEnter { func } => {
                 if !valid_fn(meta, *func) {
-                    self.stats.invalid_events += 1;
-                    return;
+                    let functions = meta.functions.len();
+                    return dangling(format!("function #{} (table has {functions})", func.0));
                 }
-                if !self.tables {
-                    return;
+                if self.tables {
+                    let flow = &mut self.flows[self.cur_flow];
+                    let parent = flow.node_stack.last().copied().unwrap_or(ROOT_NODE);
+                    let node = self.interner.child(parent, *func);
+                    flow.fn_stack.push(*func);
+                    flow.node_stack.push(node);
                 }
-                let flow = &mut self.flows[self.cur_flow];
-                let parent = flow.node_stack.last().copied().unwrap_or(ROOT_NODE);
-                let node = self.interner.child(parent, *func);
-                flow.fn_stack.push(*func);
-                flow.node_stack.push(node);
             }
             Event::FnExit { func } => {
                 let flow = &mut self.flows[self.cur_flow];
@@ -907,16 +841,16 @@ impl<'a> Importer<'a> {
             }
             Event::TaskSwitch { task } => {
                 if !valid_task(meta, *task) {
-                    self.stats.invalid_events += 1;
-                    return;
+                    return dangling(format!("task #{} (table has {})", task.0, meta.tasks.len()));
                 }
                 self.current_task = *task;
                 self.refresh_flow();
             }
-            // Only interrupt contexts have a flow of their own.
+            // Only interrupt contexts have a flow of their own: a task is
+            // entered by `TaskSwitch`.
             Event::ContextEnter {
                 kind: ContextKind::Task,
-            } => self.stats.invalid_events += 1,
+            } => return Err((TaskContext, "context enter of the task context".into())),
             Event::ContextEnter { kind } => {
                 self.ctx_stack.push(*kind);
                 self.refresh_flow();
@@ -928,6 +862,7 @@ impl<'a> Importer<'a> {
                 }
             }
         }
+        Ok(())
     }
 
     fn handle_access(

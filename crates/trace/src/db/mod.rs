@@ -16,8 +16,8 @@ pub use import::{import, import_stream, ingest, ImportStats, IngestOptions, Inge
 /// Re-exported at its old path, where the benchmark crate imports it.
 pub use lockdoc_platform::hash::fnv1a;
 pub use resilient::{
-    import_resilient, quarantine_report, ImportError, ImportPolicy, ImportReport, QuarantineClass,
-    QuarantineEntry, ResilientConfig,
+    import_resilient, ImportError, ImportPolicy, ImportReport, QuarantineClass, QuarantineEntry,
+    ResilientConfig,
 };
 pub use schema::{Access, Allocation, FlowKey, HeldLock, LockInstance, Txn};
 

@@ -1,12 +1,12 @@
 //! Resilient, quarantining trace import.
 //!
-//! [`crate::db::import`] is the fast path: it assumes a well-formed trace
-//! from our own tracer and silently absorbs the few anomaly kinds it can
-//! detect into counters. This module is the curated path for *untrusted*
-//! traces — archived files, foreign tools, salvaged streams. Under a
-//! quarantine policy the importer checks every event against its own
-//! replay state before replaying it and classifies each malformed one into
-//! a [`QuarantineClass`], and the caller picks the policy:
+//! The importer checks every event against its own replay state before
+//! replaying it and classifies each malformed one into a
+//! [`QuarantineClass`]. [`crate::db::import`] skips a malformed event and
+//! counts it in [`crate::db::ImportStats::invalid_events`]. This module is
+//! the path that reports *what* was dropped, for untrusted traces —
+//! archived files, foreign tools, salvaged streams — and the caller picks
+//! the policy:
 //!
 //! * [`ImportPolicy::Strict`] — the first malformed event aborts the
 //!   import with a typed [`ImportError`] naming its class and event index.
@@ -18,9 +18,10 @@
 //!
 //! The checks run inside the same pass as decoding and import
 //! ([`crate::db::ingest`]), so resilience costs no extra pass over the
-//! trace. On a clean trace nothing is quarantined and every event is
-//! replayed, so the resulting [`TraceDb`] is structurally identical to the
-//! fast path's — never a different answer.
+//! trace. Every policy keeps the same tables as a plain import: on a clean
+//! trace nothing is quarantined and the resulting [`TraceDb`] is
+//! structurally identical to the plain import's, and on a malformed one
+//! only the counters differ — never a different answer.
 
 use crate::db::import::Importer;
 use crate::db::TraceDb;
@@ -251,27 +252,14 @@ impl fmt::Display for ImportError {
 
 impl std::error::Error for ImportError {}
 
-/// Runs the quarantine checks over `trace` and reports every malformed
-/// event, building no table. This is the screening half of
-/// [`import_resilient`]: the report equals the one a lenient import with
-/// an unlimited budget returns.
-pub fn quarantine_report(trace: &Trace) -> ImportReport {
-    let filter = FilterConfig::default();
-    let mut imp = Importer::new(&trace.meta, &filter, Some(ImportPolicy::Lenient), false);
-    for te in &trace.events {
-        imp.feed(te.ts, &te.event);
-    }
-    imp.take_report()
-}
-
 /// Imports `trace` with malformed-event detection and quarantining.
 ///
 /// Strict policy: returns [`ImportError::Corrupt`] naming the class and
 /// event index of the first malformed event. Lenient policy: quarantines
 /// malformed events, imports every other event, and returns the
-/// [`TraceDb`] together with the [`quarantine_report`] — unless the
-/// quarantined fraction exceeds [`ResilientConfig::max_bad_frac`], which
-/// returns [`ImportError::BudgetExceeded`].
+/// [`TraceDb`] together with the [`ImportReport`] — unless the quarantined
+/// fraction exceeds [`ResilientConfig::max_bad_frac`], which returns
+/// [`ImportError::BudgetExceeded`].
 ///
 /// A clean trace yields a `TraceDb` identical to `import(trace, config,
 /// jobs)` and an empty report. `_jobs` is unused, as in
@@ -382,16 +370,17 @@ mod tests {
         let (db, report) = import_resilient(&tr, &cfg(), 1, &ResilientConfig::default()).unwrap();
         assert!(report.is_clean());
         assert_eq!(report.events, tr.len() as u64);
-        assert_eq!(report, quarantine_report(&tr));
+        let (_, wide) = import_resilient(&tr, &cfg(), 1, &ResilientConfig::lenient(1.0)).unwrap();
+        assert_eq!(report, wide);
         assert_eq!(db, fast);
         let (strict, _) = import_resilient(&tr, &cfg(), 1, &ResilientConfig::strict()).unwrap();
         assert_eq!(strict, fast);
     }
 
-    /// The satellite-defining test: a double free of id 1 *after* its
-    /// address was reused by id 2. The fast path deactivates id 2 (the
-    /// current occupant); the resilient path quarantines the second free
-    /// so id 2 stays live and its later access resolves.
+    /// A double free of id 1 *after* its address was reused by id 2 is
+    /// refused by every path, so id 2 stays live and its later access
+    /// resolves: a plain import skips and counts the second free, and the
+    /// resilient path quarantines it.
     #[test]
     fn double_free_is_quarantined_not_absorbed() {
         let mut tr = Trace::new();
@@ -431,7 +420,7 @@ mod tests {
                 subclass: None,
             },
         );
-        // Malformed second free of id 1: the fast path would deactivate
+        // Malformed second free of id 1: replayed, it would deactivate
         // id 2 here.
         tr.push(4, Event::Free { id: AllocId(1) });
         tr.push(
@@ -445,10 +434,12 @@ mod tests {
             },
         );
 
-        // Fast path: the access after the bogus free is unresolved.
-        let fast = import(&tr, &cfg(), 1);
-        assert_eq!(fast.stats.unresolved, 1);
-        assert_eq!(fast.stats.accesses_imported, 0);
+        // Plain import: the bogus free is skipped and counted, and the
+        // access after it resolves.
+        let plain = import(&tr, &cfg(), 1);
+        assert_eq!(plain.stats.invalid_events, 1);
+        assert_eq!(plain.stats.unresolved, 0);
+        assert_eq!(plain.stats.accesses_imported, 1);
 
         // Strict: typed refusal naming class and index.
         let err = import_resilient(&tr, &cfg(), 1, &ResilientConfig::strict()).unwrap_err();
@@ -477,6 +468,8 @@ mod tests {
         assert_eq!(db.stats.unresolved, 0);
         assert_eq!(db.stats.accesses_imported, 1);
         assert_eq!(db.access(0).alloc, AllocId(2));
+        assert_eq!(db.allocations, plain.allocations);
+        assert_eq!(db.accesses, plain.accesses);
     }
 
     #[test]
@@ -540,8 +533,9 @@ mod tests {
             },
         );
         let n = tr.events.len() as u64;
+        let (_, report) = import_resilient(&tr, &cfg(), 1, &ResilientConfig::lenient(1.0)).unwrap();
         assert_eq!(
-            quarantine_report(&tr)
+            report
                 .quarantined
                 .iter()
                 .map(|q| (q.class, q.event_index))
@@ -572,7 +566,7 @@ mod tests {
         // `Trace::push` refuses time travel; rewind the acquire directly.
         tr.events.last_mut().unwrap().ts = last_ts + 5;
         let n = tr.events.len() as u64;
-        let report = quarantine_report(&tr);
+        let (_, report) = import_resilient(&tr, &cfg(), 1, &ResilientConfig::lenient(1.0)).unwrap();
         assert_eq!(
             report
                 .quarantined

@@ -814,10 +814,10 @@ mod tests {
         );
         let merged = concat_traces(vec![tr]).unwrap();
         let db = import(&merged, &FilterConfig::with_defaults(), 1);
-        // The dangling LockInit stays invalid; the unknown free is counted
-        // but registers nothing.
-        assert_eq!(db.stats.invalid_events, 1);
-        assert_eq!(db.stats.frees, 1);
+        // The dangling LockInit stays invalid, and so does the free of an
+        // id the merge did not invent an allocation for.
+        assert_eq!(db.stats.invalid_events, 2);
+        assert_eq!(db.stats.frees, 0);
         assert_eq!(db.allocations.len(), 0);
     }
 }

@@ -286,7 +286,9 @@ scripts/check_traceability.sh
 # suite injects seeded corruption (lockdoc_trace::corrupt) and checks the
 # resilient importer's quarantine reports against the injection oracle.
 # It also runs the bounded-exhaustive ingest property over every
-# sequence of up to four events (an ignored test; release build).
+# sequence of up to four events, about two million (an ignored test;
+# release build), which also checks on each that a plain import keeps
+# the tables a lenient one keeps.
 if [ -n "${LOCKDOC_PROPS_ITERS:-}" ]; then
     echo "corruption soak: ${LOCKDOC_PROPS_ITERS} cases per property"
     LOCKDOC_PROP_CASES="${LOCKDOC_PROPS_ITERS}" \

@@ -2,15 +2,16 @@
 //! labelled corruption into generated traces and the resilient pipeline
 //! must observe *exactly* what the oracle says — strict mode refuses with
 //! the precise class and event index, lenient mode's quarantine report
-//! matches the injected oracle entry-for-entry (as do the import-free
-//! `quarantine_report` and corpus screening), salvage recovers the exact
+//! matches the injected oracle entry-for-entry (as does corpus
+//! screening), salvage recovers the exact
 //! intact prefix of a truncated container, and a clean trace pushed
 //! through the resilient path is byte-identical to the fast path. The
 //! single streaming pass (quarantine checks folded into the importer) is
 //! checked against the two-pass reference it replaced: salvage decoding,
 //! the separate detector in [`reference`], then import of the kept events.
 //! A bounded-exhaustive property feeds every short event sequence over a
-//! small alphabet ([`tiny_alphabet`]) through every ingest entry point.
+//! small alphabet ([`tiny_alphabet`]) through every ingest entry point,
+//! and pins that a plain import keeps the tables a lenient one keeps.
 //!
 //! Property tests run on the in-tree `lockdoc_platform::prop` harness.
 //! A failing property prints its run seed; reproduce with
@@ -24,8 +25,8 @@ use lockdoc_trace::codec::{read_trace, read_trace_salvage, write_trace, TraceRea
 use lockdoc_trace::corpus::{screen, screen_trace, Health};
 use lockdoc_trace::corrupt::{inject, CorruptionClass, Oracle};
 use lockdoc_trace::db::{
-    import, import_resilient, import_stream, ingest, quarantine_report, ImportError, ImportPolicy,
-    ImportReport, IngestOptions, ResilientConfig, TraceDb,
+    import, import_resilient, import_stream, ingest, ImportError, ImportPolicy, ImportReport,
+    ImportStats, IngestOptions, ResilientConfig, TraceDb,
 };
 use lockdoc_trace::event::{
     AccessKind, AcquireMode, ContextKind, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc,
@@ -147,9 +148,8 @@ fn entries(report: &ImportReport) -> Vec<(String, u64)> {
 
 /// The tentpole property: for every event-level corruption class, strict
 /// mode refuses with the oracle's first entry, lenient mode's quarantine
-/// report equals the oracle exactly, the import-free `quarantine_report`
-/// equals the lenient report, and corpus screening's sanitized trace
-/// imports to the lenient database.
+/// report equals the oracle exactly, and corpus screening gives the same
+/// report and a sanitized trace that imports to the lenient database.
 #[test]
 fn event_level_oracles_are_exact() {
     prop::check(
@@ -195,12 +195,6 @@ fn event_level_oracles_are_exact() {
                 &entries(&report),
                 &expected,
                 "lenient report != oracle for {}",
-                class
-            );
-            prop_assert_eq!(
-                &quarantine_report(corrupted),
-                &report,
-                "quarantine_report != lenient report for {}",
                 class
             );
 
@@ -981,7 +975,6 @@ fn folded_checks_match_reference_detector() {
                 scramble(&mut rng, &mut trace);
             }
             let (_, report, db) = two_pass_import(trace.clone());
-            prop_assert_eq!(&quarantine_report(&trace), &report);
             let (lenient_db, lenient_report) = lenient(&trace);
             prop_assert_eq!(&lenient_report, &report);
             prop_assert!(lenient_db == db, "lenient store differs");
@@ -1127,11 +1120,23 @@ fn for_each_sequence(letters: usize, k: usize, mut f: impl FnMut(&[usize])) {
     }
 }
 
+/// `db` with its `stats` zeroed, so that two stores compare by their
+/// tables alone: a plain import counts the malformed events a policy
+/// quarantines, and counts every fed event.
+fn tables(db: &TraceDb) -> TraceDb {
+    let stats = ImportStats::default();
+    TraceDb {
+        stats,
+        ..db.clone()
+    }
+}
+
 /// One trace through every ingest entry point: `import`, `import_stream`
 /// of its encoding, and `ingest` under the lenient and the strict policy.
 /// Each must return; the streamed store equals the imported one, the
-/// lenient run equals the two-pass reference (report and store), and the
-/// strict run stops at the reference's first entry.
+/// lenient run equals the two-pass reference (report and store), the
+/// imported store holds the lenient store's tables, and the strict run
+/// stops at the reference's first entry.
 fn ingest_every_way(trace: &Trace) {
     let mut bytes = Vec::new();
     write_trace(trace, &mut bytes).expect("a monotonic trace encodes");
@@ -1156,6 +1161,12 @@ fn ingest_every_way(trace: &Trace) {
     let (_, want, kept) = two_pass_import(trace.clone());
     let lenient = ingest_under(ImportPolicy::Lenient);
     assert_eq!(lenient.report, want, "lenient report on {:?}", trace.events);
+    assert_eq!(
+        tables(&db),
+        tables(&kept),
+        "plain import's tables != lenient's on {:?}",
+        trace.events
+    );
     assert_eq!(
         lenient.db,
         Some(kept),
@@ -1192,7 +1203,10 @@ fn ingest_is_total_up_to(k: usize) {
 
 /// Bounded-exhaustive ingest property: every sequence of up to three
 /// events over an alphabet that holds every event variant and enum tag
-/// and a dangling id per metadata table.
+/// and a dangling id per metadata table. Among them, the one-letter trace
+/// holding the `Alloc` that wraps the address space and `[Alloc 0,
+/// Free 0, Free 0]` each hold a malformed event that, replayed, would
+/// change the plain import's tables.
 #[test]
 fn ingest_is_total_over_short_sequences() {
     ingest_is_total_up_to(3);
