@@ -42,19 +42,19 @@ use lockdoc_core::order::OrderGraph;
 use lockdoc_core::race::find_races;
 use lockdoc_core::rulespec::parse_rules;
 use lockdoc_core::violation::find_violations_in;
-use lockdoc_platform::hash::{checksum, fnv1a};
+use lockdoc_platform::hash::{fnv1a, HashingReader};
 use lockdoc_platform::json::{Json, ToJson};
 use lockdoc_platform::par::resolve_jobs;
 use lockdoc_trace::codec::{write_trace, SalvageReport, TraceReader};
 use lockdoc_trace::corpus::{screen, Health};
 use lockdoc_trace::db::{
-    filter_fingerprint, import_stream, ingest, read_archive, write_archive, ImportError,
+    filter_fingerprint, import_stream, ingest, read_archive, write_archive, CsvTable, ImportError,
     ImportReport, IngestOptions, ResilientConfig, TraceDb,
 };
 use lockdoc_trace::event::Trace;
 use lockdoc_trace::filter::FilterConfig;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Errors surfaced to the user.
@@ -359,39 +359,42 @@ fn load_db_from(path: &str, args: &Args) -> Result<TraceDb> {
     }
 }
 
-/// Archive location for a trace path: keyed by file name for readability
-/// plus an FNV-1a hash of the full path so same-named traces in different
-/// directories cannot collide. Older builds named archives the same way,
-/// so a rebuilt archive overwrites the one they left instead of
-/// orphaning it.
+/// Archive location for a trace: keyed by file name for readability plus
+/// an FNV-1a hash of the canonical path (the path as given when it cannot
+/// be resolved), so same-named traces in different directories cannot
+/// collide and every spelling of one trace's path (`t.ldoc`, `./t.ldoc`,
+/// an absolute path, a symlink) shares one archive.
 fn archive_path(cache_dir: &Path, trace_path: &str) -> std::path::PathBuf {
-    let name = Path::new(trace_path)
-        .file_name()
-        .and_then(|s| s.to_str())
-        .unwrap_or("trace");
+    let path = fs::canonicalize(trace_path).unwrap_or_else(|_| trace_path.into());
+    let name = path.file_name().and_then(|s| s.to_str()).unwrap_or("trace");
     cache_dir.join(format!(
         "{name}.{:016x}.ldarc",
-        fnv1a(trace_path.as_bytes())
+        fnv1a(path.as_os_str().as_encoded_bytes())
     ))
 }
 
+/// The archive key is the checksum of the trace bytes read in the same
+/// pass as the header whose metadata the store is paired with (a hit) or
+/// as the events imported (a miss), so a trace rewritten in the middle
+/// of a question can only miss: it is never served another content's
+/// store or metadata. Neither path holds the trace file.
 fn load_db_cached(
     trace_path: &str,
     cache_dir: &Path,
     config: &lockdoc_trace::filter::FilterConfig,
 ) -> Result<TraceDb> {
-    let bytes = fs::read(trace_path)?;
-    let trace_sum = checksum(&bytes);
     let fp = filter_fingerprint(config);
     let apath = archive_path(cache_dir, trace_path);
-    let reader = TraceReader::new(bytes.as_slice())?;
-    let meta = std::sync::Arc::clone(reader.meta());
     if let Ok(abytes) = fs::read(&apath) {
-        if let Some(db) = read_archive(&abytes, trace_sum, fp, std::sync::Arc::clone(&meta)) {
+        let mut trace = HashingReader::new(fs::File::open(trace_path)?);
+        let meta = std::sync::Arc::clone(TraceReader::new(&mut trace)?.meta());
+        if let Some(db) = read_archive(&abytes, trace.finish()?, fp, meta) {
             return Ok(db);
         }
     }
-    let db = import_stream(reader, config, 1)?;
+    let mut trace = HashingReader::new(fs::File::open(trace_path)?);
+    let db = import_stream(TraceReader::new(&mut trace)?, config, 1)?;
+    let trace_sum = trace.finish()?;
     // Atomic best-effort write: the rename keeps a crashed run from ever
     // leaving a torn archive under the final name (a torn one would fail
     // validation and merely miss), and failure to cache — including a
@@ -578,9 +581,11 @@ pub fn cmd_import(args: &Args) -> Result<String> {
     }
     if let Some(dir) = args.get("csv-dir") {
         fs::create_dir_all(dir)?;
-        for (name, csv) in db.export_csv_tables() {
-            let path = Path::new(dir).join(format!("{name}.csv"));
-            fs::write(&path, csv)?;
+        for table in CsvTable::ALL {
+            let path = Path::new(dir).join(format!("{}.csv", table.name()));
+            let mut file = io::BufWriter::with_capacity(1 << 16, fs::File::create(&path)?);
+            db.write_csv(table, &mut file)?;
+            file.flush()?;
             out.push_str(&format!("wrote {}\n", path.display()));
         }
     }
@@ -1126,6 +1131,7 @@ pub fn save_trace(trace: &Trace, path: &Path) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockdoc_platform::hash::checksum;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -1375,6 +1381,176 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(fresh, answer, "an uncreatable --cache-dir must not fail");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Backdates `path`'s modification time, so that a rewrite shows.
+    fn backdate(path: &Path) -> std::time::SystemTime {
+        let old = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000_000);
+        let file = fs::OpenOptions::new().write(true).open(path).unwrap();
+        file.set_modified(old).unwrap();
+        old
+    }
+
+    #[test]
+    fn cache_archives_are_keyed_by_content_and_named_by_canonical_path() {
+        let dir = std::env::temp_dir().join("lockdoc-cache-key-test");
+        fs::remove_dir_all(&dir).ok();
+        fs::create_dir_all(&dir).unwrap();
+        let cache = dir.join("cache");
+        let c = cache.to_str().unwrap();
+        let plain = dir.join("t.ldoc");
+        let dotted = dir.join(".").join("t.ldoc");
+        let (t, t2) = (plain.to_str().unwrap(), dotted.to_str().unwrap());
+        run(&s(&["trace", "--ops", "400", "--out", t])).unwrap();
+        let fresh = run(&s(&["order", "--trace", t])).unwrap();
+        let archives = || -> Vec<_> {
+            fs::read_dir(&cache)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect()
+        };
+        // The first spelling misses and writes the archive; the second
+        // finds it: one archive, not rewritten.
+        let miss = run(&s(&["order", "--trace", t, "--cache-dir", c])).unwrap();
+        assert_eq!(fresh, miss);
+        let [apath] = archives().try_into().unwrap();
+        let old = backdate(&apath);
+        let hit = run(&s(&["order", "--trace", t2, "--cache-dir", c])).unwrap();
+        assert_eq!(fresh, hit);
+        assert_eq!(
+            archives(),
+            [apath.as_path()],
+            "one archive for both spellings"
+        );
+        let modified = fs::metadata(&apath).unwrap().modified().unwrap();
+        assert_eq!(modified, old, "the second spelling hits");
+        // The streamed key is the checksum of the whole file, as an older
+        // build computed it: the archive is byte-equal to one sealed with
+        // that key, and such an archive hits.
+        let reader = TraceReader::new(fs::File::open(t).unwrap()).unwrap();
+        let config = rules::filter_config();
+        let db = import_stream(reader, &config, 1).unwrap();
+        let key = checksum(&fs::read(t).unwrap());
+        let sealed = write_archive(&db, key, filter_fingerprint(&config));
+        assert!(
+            fs::read(&apath).unwrap() == sealed,
+            "archive keyed by checksum(file)"
+        );
+        fs::write(&apath, &sealed).unwrap();
+        let old = backdate(&apath);
+        let hit = run(&s(&["order", "--trace", t, "--cache-dir", c])).unwrap();
+        assert_eq!(fresh, hit);
+        let modified = fs::metadata(&apath).unwrap().modified().unwrap();
+        assert_eq!(modified, old, "an archive sealed with checksum(file) hits");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A trace whose type, subclass, member, lock and file names hold
+    /// commas, quotes, CRs and LFs: one access under a plain lock and a
+    /// nasty one, so the held-lock list is quoted as a whole.
+    fn write_nasty_names_trace(path: &Path) {
+        use lockdoc_trace::event::{
+            AccessKind, AcquireMode, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc,
+        };
+        use lockdoc_trace::ids::AllocId;
+        let mut trace = Trace::new();
+        let meta = trace.meta_mut();
+        let file = meta.strings.intern("fs/\"odd\",\r\nname.c");
+        let plain_lock = meta.strings.intern("plain_lock");
+        let nasty_lock = meta.strings.intern("lock,\"b\"\n");
+        let subclass = meta.strings.intern("sub\rclass,");
+        let data_type = meta.add_data_type(DataTypeDef {
+            name: "type \"q\",\n".into(),
+            size: 0x40,
+            members: vec![MemberDef {
+                name: "mem,\"ber\"\r".into(),
+                offset: 0,
+                size: 8,
+                atomic: false,
+                is_lock: false,
+            }],
+        });
+        let task = meta.add_task("t0");
+        let loc = SourceLoc::new(file, 7);
+        let lock = |addr, name| Event::LockInit {
+            addr,
+            name,
+            flavor: LockFlavor::Spinlock,
+            is_static: true,
+        };
+        let acquire = |addr| Event::LockAcquire {
+            addr,
+            mode: AcquireMode::Exclusive,
+            loc,
+        };
+        let events = [
+            Event::TaskSwitch { task },
+            lock(0x100, plain_lock),
+            lock(0x200, nasty_lock),
+            Event::Alloc {
+                id: AllocId(1),
+                addr: 0x1000,
+                size: 0x40,
+                data_type,
+                subclass: Some(subclass),
+            },
+            acquire(0x100),
+            acquire(0x200),
+            Event::MemAccess {
+                kind: AccessKind::Write,
+                addr: 0x1000,
+                size: 8,
+                loc,
+                atomic: false,
+            },
+            Event::LockRelease { addr: 0x200, loc },
+            Event::LockRelease { addr: 0x100, loc },
+            Event::Free { id: AllocId(1) },
+        ];
+        for (ts, event) in events.into_iter().enumerate() {
+            trace.push(ts as u64 + 1, event);
+        }
+        let mut buf = Vec::new();
+        write_trace(&trace, &mut buf).unwrap();
+        fs::write(path, buf).unwrap();
+    }
+
+    #[test]
+    fn csv_dir_streams_the_exported_tables() {
+        let dir = std::env::temp_dir().join("lockdoc-csv-dir-test");
+        fs::remove_dir_all(&dir).ok();
+        fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("nasty.ldoc");
+        write_nasty_names_trace(&p);
+        let t = p.to_str().unwrap();
+        let csv_dir = dir.join("csv");
+        let out = run(&s(&[
+            "import",
+            "--trace",
+            t,
+            "--csv-dir",
+            csv_dir.to_str().unwrap(),
+        ]))
+        .unwrap();
+        // The stats, then one `wrote` line per table in export order.
+        let mut want = run(&s(&["import", "--trace", t])).unwrap();
+        let reader = TraceReader::new(fs::File::open(&p).unwrap()).unwrap();
+        let db = import_stream(reader, &rules::filter_config(), 1).unwrap();
+        assert_eq!(db.stats.accesses_imported, 1, "the access is kept");
+        for (name, csv) in db.export_csv_tables() {
+            let path = csv_dir.join(format!("{name}.csv"));
+            want.push_str(&format!("wrote {}\n", path.display()));
+            assert!(csv.contains('"'), "{name}: some field is quoted");
+            assert_eq!(fs::read_to_string(&path).unwrap(), csv, "{name}.csv");
+        }
+        assert_eq!(out, want);
+        // A `--csv-dir` naming a regular file is an I/O error, not a panic.
+        let err = run(&s(&["import", "--trace", t, "--csv-dir", t])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Io(e) if e.kind() == io::ErrorKind::AlreadyExists),
+            "{err}"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,9 @@
 //! Deterministic, non-cryptographic hashing: a fast hasher for
 //! integer-keyed interior hash maps, [`checksum`], the word-at-a-time
-//! checksum every cache frame and content key uses, and [`fnv1a`], kept
-//! for the values an older build persisted and for short fingerprints.
+//! checksum every cache frame and content key uses (with [`Checksum`], its
+//! state over input that arrives in pieces, and [`HashingReader`], which
+//! hashes a stream as it is read), and [`fnv1a`], kept for the values an
+//! older build persisted and for short fingerprints.
 //!
 //! `std`'s default SipHash is DoS-resistant but costs tens of nanoseconds
 //! per small key, which dominates per-event work in hot import loops whose
@@ -13,6 +15,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::io::{self, Read};
 
 /// Multiplier from the FxHash family (derived from the golden ratio).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -127,23 +130,104 @@ fn tail_word(bytes: &[u8]) -> u64 {
 /// final bijective mix spreads every bit. So two inputs of equal length
 /// that differ in a single word, and in particular in a single bit,
 /// never share a checksum.
+///
+/// This is [`Checksum`] fed `bytes` in one piece, through the same block
+/// loop and finalization, without first copying the bytes after the last
+/// block into the state.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut lanes = [P1, P2, P3, P4];
+    let rest = absorb_blocks(&mut lanes, bytes);
+    finalize(lanes, rest, bytes.len() as u64)
+}
+
+/// The running state of [`checksum`] over input that arrives in pieces:
+/// after [`Checksum::update`] with each piece in order,
+/// [`Checksum::finish`] is the `checksum` of their concatenation, however
+/// it was split.
+#[derive(Debug)]
+pub struct Checksum {
+    lanes: [u64; 4],
+    /// The bytes after the last whole 32-byte block seen so far.
+    tail: [u8; 32],
+    tail_len: usize,
+    len: u64,
+}
+
+impl Default for Checksum {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Checksum {
+    /// The state before any input.
+    pub fn new() -> Self {
+        Self {
+            lanes: [P1, P2, P3, P4],
+            tail: [0; 32],
+            tail_len: 0,
+            len: 0,
+        }
+    }
+
+    /// Feeds the next piece of the input.
+    #[inline]
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        if self.tail_len > 0 {
+            let take = bytes.len().min(32 - self.tail_len);
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 32 {
+                return;
+            }
+            let block = self.tail;
+            absorb_blocks(&mut self.lanes, &block);
+            self.tail_len = 0;
+        }
+        let rest = absorb_blocks(&mut self.lanes, bytes);
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    /// The checksum of everything fed so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        finalize(self.lanes, &self.tail[..self.tail_len], self.len)
+    }
+}
+
+/// Runs every whole 32-byte block of `bytes` through the lanes (word `i`
+/// of a block to lane `i`) and returns the bytes after the last one: the
+/// one block loop of [`checksum`].
+#[inline]
+fn absorb_blocks<'a>(lanes: &mut [u64; 4], bytes: &'a [u8]) -> &'a [u8] {
+    let mut l = *lanes;
     let mut blocks = bytes.chunks_exact(32);
     for block in &mut blocks {
         let block: &[u8; 32] = block.try_into().unwrap();
         let word = |i: usize| u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().unwrap());
-        lanes = [
-            lane_step(lanes[0], word(0)),
-            lane_step(lanes[1], word(1)),
-            lane_step(lanes[2], word(2)),
-            lane_step(lanes[3], word(3)),
+        l = [
+            lane_step(l[0], word(0)),
+            lane_step(l[1], word(1)),
+            lane_step(l[2], word(2)),
+            lane_step(l[3], word(3)),
         ];
     }
-    for (lane, word) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+    *lanes = l;
+    blocks.remainder()
+}
+
+/// Runs `tail`, the bytes after the last whole block, through the lanes
+/// (its word `i` to lane `i`), then folds in the input's length `len` and
+/// the lanes: the one finalization of [`checksum`].
+#[inline]
+fn finalize(mut lanes: [u64; 4], tail: &[u8], len: u64) -> u64 {
+    for (lane, word) in lanes.iter_mut().zip(tail.chunks(8)) {
         *lane = lane_step(*lane, tail_word(word));
     }
-    let mut h = (bytes.len() as u64).wrapping_mul(P3);
+    let mut h = len.wrapping_mul(P3);
     for lane in lanes {
         h = (h ^ lane).wrapping_mul(P1).rotate_left(27);
     }
@@ -152,6 +236,47 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h ^= h >> 29;
     h = h.wrapping_mul(P3);
     h ^ (h >> 32)
+}
+
+/// A reader that feeds every byte read through it to a [`Checksum`], so a
+/// consumer that decodes a stream and the key of the bytes it decoded
+/// come from one read.
+#[derive(Debug)]
+pub struct HashingReader<R> {
+    inner: R,
+    sum: Checksum,
+}
+
+impl<R: Read> HashingReader<R> {
+    /// Wraps `inner`; nothing is read yet.
+    pub fn new(inner: R) -> Self {
+        Self {
+            inner,
+            sum: Checksum::new(),
+        }
+    }
+
+    /// Reads `inner` to its end and returns the [`checksum`] of every byte
+    /// it yielded, through this reader and here.
+    pub fn finish(mut self) -> io::Result<u64> {
+        let mut buf = vec![0u8; 64 * 1024];
+        loop {
+            match self.read(&mut buf) {
+                Ok(0) => return Ok(self.sum.finish()),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+impl<R: Read> Read for HashingReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.sum.update(&buf[..n]);
+        Ok(n)
+    }
 }
 
 /// `HashMap` with [`FastHasher`].
@@ -262,6 +387,86 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    /// Feeding the input in pieces gives the one-shot value however it is
+    /// cut: at every pair of cut points (so with empty pieces, and pieces
+    /// that are not multiples of 8 or 32 bytes) over lengths around the
+    /// word and block sizes, and one byte at a time.
+    #[test]
+    fn checksum_state_matches_one_shot_under_every_split() {
+        for len in [0, 1, 5, 7, 8, 9, 31, 32, 33, 40, 63, 64, 65, 97] {
+            let bytes = pattern(len);
+            let want = checksum(&bytes);
+            for a in 0..=len {
+                for b in a..=len {
+                    let mut sum = Checksum::new();
+                    sum.update(&bytes[..a]);
+                    sum.update(&bytes[a..b]);
+                    sum.update(&bytes[b..]);
+                    assert_eq!(sum.finish(), want, "length {len}, cut at {a} and {b}");
+                }
+            }
+            let mut sum = Checksum::new();
+            for byte in &bytes {
+                sum.update(&[]);
+                sum.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(sum.finish(), want, "length {len}, one byte at a time");
+        }
+    }
+
+    /// A source that yields at most `cap` bytes per read.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        cap: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.cap).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// The reader's key is the one-shot checksum of its whole input,
+    /// whatever its consumer read before [`HashingReader::finish`] drained
+    /// the rest, and however short the source's reads are (1 byte
+    /// included).
+    #[test]
+    fn hashing_reader_keys_every_byte_read() {
+        let gen = |rng: &mut Rng| {
+            let bytes = vec_of(rng, 0..3000, |r| r.next_u64() as u8);
+            (
+                bytes,
+                rng.gen_range(1..80usize),
+                rng.gen_range(0..3000usize),
+            )
+        };
+        prop::check(
+            "hashing_reader_keys_every_byte_read",
+            gen,
+            |(bytes, cap, head)| {
+                let source = Trickle {
+                    bytes,
+                    cap: (*cap).max(1),
+                };
+                let mut reader = HashingReader::new(source);
+                let mut consumed = vec![0; (*head).min(bytes.len())];
+                reader
+                    .read_exact(&mut consumed)
+                    .map_err(|e| e.to_string())?;
+                prop_assert!(
+                    consumed == bytes[..consumed.len()],
+                    "bytes pass through unchanged"
+                );
+                let key = reader.finish().map_err(|e| e.to_string())?;
+                prop_assert!(key == checksum(bytes), "key of {} bytes", bytes.len());
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper's tracing phase writes one binary event log from the VM and
 //! post-processing exports CSV tables for the MariaDB import (Sec. 6).
 //! Here the log is a self-describing container with LEB128-style varints;
-//! the table export is [`crate::db::TraceDb::export_csv_tables`], which
-//! escapes its fields with [`write_csv_field`].
+//! the table export is [`crate::db::TraceDb::write_csv`], which escapes
+//! its fields with [`write_csv_field`].
 
 use crate::event::{
     AccessKind, AcquireMode, ContextKind, DataTypeDef, Event, LockFlavor, MemberDef, SourceLoc,
@@ -902,18 +902,18 @@ pub fn read_trace_salvage(bytes: &[u8]) -> Result<(Trace, SalvageReport)> {
 /// a comma, a double quote, or a line break are wrapped in double quotes
 /// with inner quotes doubled. Everything else passes through unchanged, so
 /// numeric columns stay byte-identical.
-pub fn write_csv_field(out: &mut String, s: &str) {
+pub fn write_csv_field(out: &mut Vec<u8>, s: &str) {
     if s.contains(['"', ',', '\n', '\r']) {
-        out.push('"');
-        for c in s.chars() {
-            if c == '"' {
-                out.push('"');
+        out.push(b'"');
+        for b in s.bytes() {
+            if b == b'"' {
+                out.push(b'"');
             }
-            out.push(c);
+            out.push(b);
         }
-        out.push('"');
+        out.push(b'"');
     } else {
-        out.push_str(s);
+        out.extend_from_slice(s.as_bytes());
     }
 }
 
@@ -1113,9 +1113,9 @@ mod tests {
     }
 
     fn csv_field(s: &str) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         write_csv_field(&mut out, s);
-        out
+        String::from_utf8(out).unwrap()
     }
 
     #[test]

@@ -6,12 +6,14 @@
 
 pub mod archive;
 pub mod columns;
+pub mod csv;
 pub mod import;
 pub mod resilient;
 pub mod schema;
 
 pub use archive::{filter_fingerprint, read_archive, write_archive};
 pub use columns::{AccessTable, StackTable, TxnTable, TxnView};
+pub use csv::CsvTable;
 pub use import::{import, import_stream, ingest, ImportStats, IngestOptions, Ingested};
 /// Re-exported at its old path, where the benchmark crate imports it.
 pub use lockdoc_platform::hash::fnv1a;
@@ -21,11 +23,9 @@ pub use resilient::{
 };
 pub use schema::{Access, Allocation, FlowKey, HeldLock, LockInstance, Txn};
 
-use crate::codec::write_csv_field;
 use crate::event::{DataTypeDef, SourceLoc, TraceMeta};
 use crate::ids::{DataTypeId, FnId, LockId, StackId, Sym, TxnId};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// The imported, queryable form of a trace.
 ///
@@ -195,86 +195,6 @@ impl TraceDb {
     /// Renders a source location as `file:line`.
     pub fn format_loc(&self, loc: crate::event::SourceLoc) -> String {
         format!("{}:{}", self.sym(loc.file), loc.line)
-    }
-
-    /// Exports the relational tables as CSV strings keyed by table name,
-    /// mirroring the CSV intermediate format of the paper's import pipeline.
-    ///
-    /// Rows are appended via `fmt::Write` into pre-sized buffers — no
-    /// per-row `format!`/`to_string` temporaries — so exporting a
-    /// million-access table costs four buffer allocations, not millions
-    /// (`trace.db.csv_export_s` in the `ingest` benchmark workload measures
-    /// it).
-    pub fn export_csv_tables(&self) -> Vec<(String, String)> {
-        let mut tables = Vec::new();
-
-        let mut allocs = String::with_capacity(64 + self.allocations.len() * 56);
-        allocs.push_str("id,addr,size,data_type,subclass,alloc_ts,free_ts\n");
-        for a in &self.allocations {
-            let _ = write!(allocs, "{},{:#x},{},", a.id.0, a.addr, a.size);
-            write_csv_field(&mut allocs, self.type_name(a.data_type));
-            allocs.push(',');
-            write_csv_field(&mut allocs, a.subclass.map(|s| self.sym(s)).unwrap_or(""));
-            let _ = write!(allocs, ",{},", a.alloc_ts);
-            if let Some(t) = a.free_ts {
-                let _ = write!(allocs, "{t}");
-            }
-            allocs.push('\n');
-        }
-        tables.push(("allocations".to_owned(), allocs));
-
-        let mut locks = String::with_capacity(72 + self.locks.len() * 56);
-        locks.push_str("id,addr,name,flavor,is_static,embedded_alloc,embedded_offset\n");
-        for l in &self.locks {
-            let _ = write!(locks, "{},{:#x},", l.id.0, l.addr);
-            write_csv_field(&mut locks, self.sym(l.name));
-            let _ = write!(locks, ",{},{},", l.flavor, l.is_static);
-            if let Some((a, o)) = l.embedded_in {
-                let _ = write!(locks, "{},{o}", a.0);
-            } else {
-                locks.push(',');
-            }
-            locks.push('\n');
-        }
-        tables.push(("locks".to_owned(), locks));
-
-        let mut txns = String::with_capacity(32 + self.txns.len() * 56);
-        txns.push_str("id,flow,start_ts,end_ts,locks\n");
-        let mut lock_list = String::new();
-        for t in self.txns.iter() {
-            lock_list.clear();
-            for (i, h) in t.locks.iter().enumerate() {
-                if i > 0 {
-                    lock_list.push('|');
-                }
-                lock_list.push_str(self.sym(self.lock(h.lock).name));
-            }
-            let _ = write!(txns, "{},{:?},{},{},", t.id.0, t.flow, t.start_ts, t.end_ts);
-            write_csv_field(&mut txns, &lock_list);
-            txns.push('\n');
-        }
-        tables.push(("txns".to_owned(), txns));
-
-        let mut accs = String::with_capacity(72 + self.accesses.len() * 80);
-        accs.push_str("id,ts,kind,alloc,data_type,subclass,member,size,loc,txn,stack\n");
-        let mut loc_buf = String::new();
-        for a in self.iter_accesses() {
-            let _ = write!(accs, "{},{},{},{},", a.id, a.ts, a.kind, a.alloc.0);
-            write_csv_field(&mut accs, self.type_name(a.data_type));
-            accs.push(',');
-            write_csv_field(&mut accs, a.subclass.map(|s| self.sym(s)).unwrap_or(""));
-            accs.push(',');
-            write_csv_field(&mut accs, self.member_name(a.data_type, a.member));
-            let _ = write!(accs, ",{},", a.size);
-            loc_buf.clear();
-            let _ = write!(loc_buf, "{}:{}", self.sym(a.loc.file), a.loc.line);
-            write_csv_field(&mut accs, &loc_buf);
-            let _ = write!(accs, ",{},{}", a.txn.0, a.stack.0);
-            accs.push('\n');
-        }
-        tables.push(("accesses".to_owned(), accs));
-
-        tables
     }
 }
 
@@ -928,8 +848,8 @@ mod tests {
 
     #[test]
     fn csv_export_format_is_stable() {
-        // Pins the row format so the fmt::Write fast path stays
-        // byte-compatible with the original format!-based exporter.
+        // Pins the row format of every table (the golden pipeline file
+        // pins whole tables by checksum).
         let db = import(&build_trace(), &config(), 1);
         let tables = db.export_csv_tables();
         let alloc_rows: Vec<&str> = tables[0].1.lines().collect();
@@ -950,7 +870,8 @@ mod tests {
     /// Type, subclass, member, lock and file names full of commas, quotes,
     /// CRs and LFs survive `export_csv_tables`: every table parses back
     /// with its header's column count on every row, and each name comes
-    /// back as the exact original string.
+    /// back as the exact original string, also inside a held-lock list
+    /// whose first name needs no quoting.
     #[test]
     fn prop_csv_trace_round_trips_nasty_meta() {
         use crate::codec::parse_csv;
@@ -991,6 +912,7 @@ mod tests {
                 let mut tr = Trace::new();
                 let file_sym = tr.meta_mut().strings.intern(file);
                 let lock_sym = tr.meta_mut().strings.intern(lock);
+                let plain_sym = tr.meta_mut().strings.intern("plain_lock");
                 let sub_sym = tr.meta_mut().strings.intern(subclass);
                 let dt = tr.meta_mut().add_data_type(DataTypeDef {
                     name: ty.clone(),
@@ -1013,12 +935,23 @@ mod tests {
                         flavor: LockFlavor::Spinlock,
                         is_static: true,
                     },
+                    Event::LockInit {
+                        addr: 0x200,
+                        name: plain_sym,
+                        flavor: LockFlavor::Spinlock,
+                        is_static: true,
+                    },
                     Event::Alloc {
                         id: AllocId(1),
                         addr: 0x1000,
                         size: 8,
                         data_type: dt,
                         subclass: Some(sub_sym),
+                    },
+                    Event::LockAcquire {
+                        addr: 0x200,
+                        mode: AcquireMode::Exclusive,
+                        loc,
                     },
                     Event::LockAcquire {
                         addr: 0x100,
@@ -1033,6 +966,7 @@ mod tests {
                         atomic: false,
                     },
                     Event::LockRelease { addr: 0x100, loc },
+                    Event::LockRelease { addr: 0x200, loc },
                     Event::Free { id: AllocId(1) },
                 ];
                 for (ts, e) in events.into_iter().enumerate() {
@@ -1042,7 +976,8 @@ mod tests {
                 let mut tables = std::collections::BTreeMap::new();
                 for (name, csv) in db.export_csv_tables() {
                     let rows = parse_csv(&csv)?;
-                    prop_assert_eq!(rows.len(), 2, "{name}: header plus one row");
+                    let lines = if name == "locks" { 3 } else { 2 };
+                    prop_assert_eq!(rows.len(), lines, "{name}: header plus its rows");
                     prop_assert!(
                         rows.iter().all(|row| row.len() == rows[0].len()),
                         "{name}: every row has the header's width: {rows:?}"
@@ -1058,7 +993,7 @@ mod tests {
                 prop_assert_eq!(cell("allocations", "data_type"), ty.as_str());
                 prop_assert_eq!(cell("allocations", "subclass"), subclass.as_str());
                 prop_assert_eq!(cell("locks", "name"), lock.as_str());
-                prop_assert_eq!(cell("txns", "locks"), lock.as_str());
+                prop_assert_eq!(cell("txns", "locks"), format!("plain_lock|{lock}"));
                 prop_assert_eq!(cell("accesses", "data_type"), ty.as_str());
                 prop_assert_eq!(cell("accesses", "subclass"), subclass.as_str());
                 prop_assert_eq!(cell("accesses", "member"), member.as_str());

@@ -98,9 +98,11 @@ echo "fuzz determinism gate: OK (byte-identical at --jobs 1 and 4)"
 
 # --- cached-archive identity gate ---------------------------------------------
 # Re-opening a trace through --cache-dir must be byte-identical to a fresh
-# import, at any worker count, and must actually populate the cache
-# (DESIGN.md §5.6; unit-level twin: cache_dir_hits_are_byte_identical_to_
-# fresh_imports in crates/cli). Every consumer of the evidence index runs
+# import, at any worker count and through any spelling of the trace's
+# path, and every question about the one trace must share one archive
+# (DESIGN.md §5.6; unit-level twins: cache_dir_hits_are_byte_identical_to_
+# fresh_imports and cache_archives_are_keyed_by_content_and_named_by_
+# canonical_path in crates/cli). Every consumer of the evidence index runs
 # on the loaded store, whose access rows name allocations and
 # transactions by row.
 CACHE_DIR="$GATE_DIR/archive-cache"
@@ -113,14 +115,17 @@ for cmd in derive violations races lint order; do
         --cache-dir "$CACHE_DIR" > "$GATE_DIR/$cmd.hit1.json"   # warm, serial
     "$LOCKDOC" "$cmd" --trace "$GATE_DIR/racy.ldoc" --jobs 4 --json \
         --cache-dir "$CACHE_DIR" > "$GATE_DIR/$cmd.hit4.json"   # warm, parallel
-    for variant in miss hit1 hit4; do
+    (cd "$GATE_DIR" && "$LOCKDOC" "$cmd" --trace ./racy.ldoc --jobs 1 --json \
+        --cache-dir "$CACHE_DIR") > "$GATE_DIR/$cmd.respelled.json"  # warm, ./racy.ldoc
+    for variant in miss hit1 hit4 respelled; do
         diff -u "$GATE_DIR/$cmd.fresh.json" "$GATE_DIR/$cmd.$variant.json" \
             || { echo "$cmd --cache-dir ($variant) differs from fresh import" >&2; exit 1; }
     done
 done
-ls "$CACHE_DIR"/*.ldarc > /dev/null 2>&1 \
-    || { echo "--cache-dir produced no .ldarc archive" >&2; exit 1; }
-echo "cached-archive identity gate: OK (miss/hit byte-identical at --jobs 1 and 4)"
+archives=$(find "$CACHE_DIR" -maxdepth 1 -name '*.ldarc' | wc -l)
+[ "$archives" -eq 1 ] \
+    || { echo "--cache-dir left $archives .ldarc archives for one trace, expected 1" >&2; exit 1; }
+echo "cached-archive identity gate: OK (miss/hit byte-identical at --jobs 1 and 4 and through ./racy.ldoc, one archive)"
 
 # --- corpus + serve determinism gate ------------------------------------------
 # `corpus build` and `serve --once` must answer byte-identically at any

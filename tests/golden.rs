@@ -1,7 +1,7 @@
 //! Golden-file end-to-end pipeline test: simulate → encode → import →
-//! derive → document → check → violations → races → lint, with a fixed
-//! seed, and compare the generated report byte-for-byte against a
-//! checked-in golden file.
+//! derive → document → check → violations → races → lint → CSV export,
+//! with a fixed seed, and compare the generated report byte-for-byte
+//! against a checked-in golden file.
 //!
 //! When the pipeline's output legitimately changes, regenerate with
 //!
@@ -25,6 +25,7 @@ use lockdoc_core::order::OrderGraph;
 use lockdoc_core::race::find_races_par;
 use lockdoc_core::rulespec::parse_rules;
 use lockdoc_core::violation::{find_violations_par, GroupViolations};
+use lockdoc_platform::hash::checksum;
 use lockdoc_trace::codec::write_trace;
 use lockdoc_trace::db::{import, TraceDb};
 use std::fs;
@@ -107,6 +108,18 @@ fn run_pipeline_sharded(shards: u64, jobs: usize) -> (Vec<u8>, String) {
     let fuzz = ksim::fuzz::run_campaign(&fuzz_cfg, jobs).expect("fuzz campaign runs");
     doc.push_str("\n## fuzz\n\n");
     doc.push_str(&fuzz.render());
+
+    // The CSV export of the imported store: each table's header, row
+    // count and checksum pin every byte the formatter writes.
+    doc.push_str("\n## csv tables\n\n");
+    for (name, csv) in db.export_csv_tables() {
+        let header = csv.lines().next().unwrap_or_default();
+        doc.push_str(&format!(
+            "{name}: {} rows, checksum {:016x}\n  {header}\n",
+            csv.lines().count().saturating_sub(1),
+            checksum(csv.as_bytes())
+        ));
+    }
     (encoded, doc)
 }
 
